@@ -115,6 +115,8 @@ class ExperimentConfig:
             box = Parallelepiped(box_raw["lower"], box_raw["upper"])
         except (KeyError, TypeError, GeometryError) as exc:
             raise ConfigError(f"invalid or missing box: {exc}") from exc
+        if not all(math.isfinite(v) for v in box.lower + box.upper):
+            raise ConfigError(f"box bounds must be finite: {box_raw}")
         try:
             box.require_positive_size()
         except GeometryError as exc:
@@ -159,13 +161,19 @@ class ExperimentConfig:
             t = tuple(float(v) for v in (t if isinstance(t, (list, tuple)) else [t]))
             if len(t) != dim or any(v <= 0 for v in t):
                 raise ConfigError(f"t {t} must have {dim} positive entries")
+        shrink_levels = int(raw.get("shrink_levels", 0))
+        if shrink_levels < 0:
+            raise ConfigError(f"shrink_levels must be >= 0, got {shrink_levels}")
+        t_sweep = int(raw.get("t_sweep", 12))
+        if t_sweep < 1:
+            raise ConfigError(f"t_sweep must be >= 1, got {t_sweep}")
         return cls(
             function_ids=ids,
             orders=tuple(orders),
             p_values=p_values,
             box=box,
-            shrink_levels=int(raw.get("shrink_levels", 0)),
-            t_sweep=int(raw.get("t_sweep", 12)),
+            shrink_levels=shrink_levels,
+            t_sweep=t_sweep,
             t=t,
             resolutions=resolutions,
             output_path=out.get("path"),
@@ -506,8 +514,11 @@ def _run_task(task) -> tuple[list[ResultRow], bool]:
         return _TASK_FUNCS[experiment](cfg, fid, r, p, step)
     except (SimplexError, BracketViolation, ValueError, ArithmeticError) as exc:
         f = get_function(fid)
-        row = ResultRow(experiment, fid, f.dimension, r, p, cfg.box, cfg.t,
-                        "error", math.nan)
+        box, t = cfg.box, cfg.t
+        if experiment in ("whitney", "taylor"):  # these rows carry the shrunk box
+            box = _shrunk_box(cfg.box, step)
+            t = tuple(box.size())
+        row = ResultRow(experiment, fid, f.dimension, r, p, box, t, "error", math.nan)
         return [row], isinstance(exc, BracketViolation)
 
 

@@ -8,7 +8,7 @@ their anchor and converted afterwards.
 
 Best approximation is computed where a finite convex program exists:
 orthogonal projection for p = 2, and discrete minimax / weighted L1 linear
-programs on Chebyshev-Lobatto grids (solved by the in-repo dense simplex)
+programs on Chebyshev-Lobatto grids (solved by the in-repo revised simplex)
 for p = inf and p = 1.  Reported errors are always re-measured continuously
 through :func:`whitney_lab.geometry.lp_norm` on the residual.
 """

@@ -1,12 +1,15 @@
-"""Dense simplex solver for the small fitting LPs (minimax and weighted L1).
+"""Revised-form primal simplex for the fitting LPs (minimax and weighted L1).
 
-Problem sizes here are tiny (at most a few tens of thousands of tableau
-entries), so a dense tableau with vectorized pivots is both simple and fast.
+The fitting LPs have 2m (minimax) or m (L1) rows for m grid points, but only
+2k+1 or 2k dense columns for k coefficients; all other columns are signed
+unit slacks (criterion 1 would need 2312 x 2331 tableaus).  No tableau is
+formed: slacks stay implicit as ``(row, sign)`` pairs, and a basic slack
+covers its row, so ``B^-1 a`` and the multipliers ``pi`` need one solve with
+the structural basic block (at most (k+1) x (k+1)) plus O(m k) work.
 Pricing is Dantzig's rule by default; after a run of degenerate pivots the
-solver switches to Bland's rule, which guarantees no cycling.  Both fitting
-front ends construct a basic feasible starting point directly (slack basis
-plus one driving pivot for the minimax bound variable), so no artificial
-phase is needed.
+solver switches to Bland's rule, which guarantees no cycling.  Both front
+ends start from a feasible slack basis (in the minimax LP the bound variable
+replaces the slack of the most violated row), so no artificial phase is needed.
 """
 
 from __future__ import annotations
@@ -29,50 +32,67 @@ class SimplexError(RuntimeError):
         self.objective = objective
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
+                  max_iter: int | None = None, slacks: tuple | None = None
+                  ) -> tuple[np.ndarray, float]:
+    """Minimize ``c @ x`` subject to ``[A | S] x = b``, ``x >= 0``.
 
-
-def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray,
-                  basis: list[int], max_iter: int | None = None) -> tuple[np.ndarray, float]:
-    """Minimize ``c @ x`` subject to ``A x = b``, ``x >= 0``.
-
-    ``basis`` must index a basic feasible solution (b >= 0 after the caller's
-    setup).  Returns the optimal ``x`` and objective.  Raises
-    :class:`SimplexError` with the incumbent attached when the iteration cap
-    (50 * (#variables + #constraints) by default) is reached.
+    ``S`` holds implicit slack columns listed after ``A``'s: with
+    ``slacks = (rows, signs)``, column ``A.shape[1] + i`` is ``signs[i]`` times
+    the unit vector of row ``rows[i]`` (no slacks by default).  ``basis`` must
+    index a basic feasible solution, one column per row.  Returns the optimal
+    ``x`` and objective.  Raises :class:`SimplexError` with the incumbent
+    attached when the iteration cap (50 * (#variables + #constraints) by
+    default) is reached.
     """
     m, n = A.shape
+    A = np.asarray(A, dtype=float)
+    rows, signs = (np.zeros(0, int), np.zeros(0)) if slacks is None else (
+        np.asarray(slacks[0], dtype=int), np.asarray(slacks[1], dtype=float))
+    cost = np.asarray(c, dtype=float)
     if max_iter is None:
-        max_iter = 50 * (n + m)
-    tableau = np.hstack([A.astype(float), b.astype(float).reshape(-1, 1)])
-    basis = list(basis)
-    for i, j in enumerate(basis):
-        if abs(tableau[i, j] - 1.0) > PIVOT_TOL or np.any(
-                np.abs(np.delete(tableau[:, j], i)) > PIVOT_TOL):
-            _pivot(tableau, i, j)
-    if np.any(tableau[:, -1] < -1e-7):
-        raise SimplexError("initial basis is not feasible")
-    np.clip(tableau[:, -1], 0.0, None, out=tableau[:, -1])
+        max_iter = 50 * (n + rows.size + m)
+    basis = np.array(basis, dtype=int)
 
-    cost = np.append(c.astype(float), 0.0)
-    cost_row = cost - cost[basis] @ tableau
+    def factor():
+        """``a -> B^-1 a`` (in basis-position order) and the multipliers pi."""
+        unit = basis >= n
+        struct = basis[~unit]
+        urows, usigns = rows[basis[unit] - n], signs[basis[unit] - n]
+        free = np.ones(m, dtype=bool)
+        free[urows] = False  # rows left to the structural block
+        A_S = A[:, struct]
+        block = A_S[free]
+
+        def ftran(a: np.ndarray) -> np.ndarray:
+            xs = np.linalg.solve(block, a[free])
+            d = np.empty(m)
+            d[~unit] = xs
+            d[unit] = usigns * (a[urows] - A_S[urows] @ xs)
+            return d
+
+        pi = np.zeros(m)
+        pi[urows] = usigns * cost[basis[unit]]
+        pi[free] = np.linalg.solve(block.T, cost[struct] - pi @ A_S)
+        return ftran, pi
+
+    ftran, pi = factor()
+    rhs = ftran(np.asarray(b, dtype=float))
+    if np.any(rhs < -1e-7):
+        raise SimplexError("initial basis is not feasible")
     # optimality at the problem's own scale: once reduced costs are down at
-    # round-off level, chasing them pivots on noise and corrupts the tableau
-    opt_tol = PIVOT_TOL * (1.0 + np.abs(c).max() + np.abs(b).max())
+    # round-off level, chasing them pivots on noise and corrupts the basis
+    opt_tol = PIVOT_TOL * (1.0 + np.abs(cost).max() + np.abs(rhs).max())
+    np.clip(rhs, 0.0, None, out=rhs)
 
     def current_x():
-        x = np.zeros(n)
-        x[basis] = tableau[:, -1]
+        x = np.zeros(cost.size)
+        x[basis] = rhs
         return x
 
-    bland = False
-    stall = 0
+    bland, stall = False, 0
     for _ in range(max_iter):
-        reduced = cost_row[:n]
+        reduced = np.concatenate([cost[:n] - pi @ A, cost[n:] - signs * pi[rows]])
         if bland:
             negs = np.nonzero(reduced < -opt_tol)[0]
             if negs.size == 0:
@@ -82,18 +102,18 @@ def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray,
             col = int(np.argmin(reduced))
             if reduced[col] >= -opt_tol:
                 break
-        column = tableau[:, col]
+        column = ftran(A[:, col] if col < n
+                       else signs[col - n] * (np.arange(m) == rows[col - n]))
         positive = column > PIVOT_TOL * (1.0 + np.abs(column).max())
         if not np.any(positive):
-            raise SimplexError("LP is unbounded", current_x(),
-                               float(cost[basis] @ tableau[:, -1]))
+            raise SimplexError("LP is unbounded", current_x(), float(cost[basis] @ rhs))
         ratios = np.full(m, np.inf)
-        ratios[positive] = tableau[positive, -1] / column[positive]
+        ratios[positive] = rhs[positive] / column[positive]
         best = ratios.min()
         candidates = np.nonzero(ratios <= best + PIVOT_TOL * (1.0 + best))[0]
         if candidates.size == 0 or not np.isfinite(best):
             raise SimplexError("numerical breakdown in the ratio test",
-                               current_x(), float(cost[basis] @ tableau[:, -1]))
+                               current_x(), float(cost[basis] @ rhs))
         if bland:
             # Bland's anti-cycling rule: lowest-label variable leaves; skip
             # rows whose pivot entry is pure noise when a solid one is tied
@@ -104,52 +124,41 @@ def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray,
         else:
             # stability: among tied ratios pivot on the largest column entry
             row = int(candidates[int(np.argmax(column[candidates]))])
-        if best <= PIVOT_TOL:
-            stall += 1
-            if stall > max(STALL_LIMIT, 2 * m):
-                bland = True
-        else:
-            stall = 0
-            bland = False
-        _pivot(tableau, row, col)
-        cost_row -= cost_row[col] * tableau[row]
+        stall = stall + 1 if best <= PIVOT_TOL else 0
+        bland = stall > max(STALL_LIMIT, 2 * m)
+        step = rhs[row] / column[row]
+        rhs -= step * column
+        rhs[row] = step
         basis[row] = col
+        ftran, pi = factor()
     else:
         x = current_x()
-        raise SimplexError("iteration cap reached", x, float(cost[:n] @ x))
+        raise SimplexError("iteration cap reached", x, float(cost @ x))
     x = current_x()
-    return x, float(cost[:n] @ x)
+    return x, float(cost @ x)
 
 
 def solve_minimax(design: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float]:
     """Coefficients minimizing ``max_j |targets_j - design_j @ coef|``.
 
-    Formulated as min u subject to -u <= targets - design @ coef <= u and
-    solved by the dense simplex.  The free coefficients are split into
-    positive parts; the bound variable u enters the basis through one driving
-    pivot on the most violated row, which makes the slack start feasible.
+    Formulated as min u subject to -u <= targets - design @ coef <= u, with
+    one implicit slack per row.  The free coefficients are split into positive
+    parts; u replaces the slack of the most violated row, which makes the
+    starting basis feasible.
     """
     m, k = design.shape
-    n = 2 * k + 1 + 2 * m
     u_col = 2 * k
-    A = np.zeros((2 * m, n))
-    A[:m, :k] = design
-    A[:m, k:2 * k] = -design
-    A[m:, :k] = -design
-    A[m:, k:2 * k] = design
-    A[:, u_col] = -1.0
-    A[:, u_col + 1:] = np.eye(2 * m)
+    ones = np.ones((m, 1))
+    A = np.block([[design, -design, -ones], [-design, design, -ones]])
     b = np.concatenate([targets, -targets]).astype(float)
-    basis = list(range(u_col + 1, n))
+    basis = list(range(u_col + 1, u_col + 1 + 2 * m))
     worst = int(np.argmin(b))
     if b[worst] < 0.0:
-        tableau_fix = np.hstack([A, b.reshape(-1, 1)])
-        _pivot(tableau_fix, worst, u_col)
-        A, b = tableau_fix[:, :-1], tableau_fix[:, -1]
         basis[worst] = u_col
-    cost = np.zeros(n)
+    cost = np.zeros(u_col + 1 + 2 * m)
     cost[u_col] = 1.0
-    x, value = simplex_solve(A, b, cost, basis)
+    x, value = simplex_solve(A, b, cost, basis,
+                             slacks=(np.arange(2 * m), np.ones(2 * m)))
     coef = x[:k] - x[k:2 * k]
     return coef, float(value)
 
@@ -159,28 +168,17 @@ def solve_weighted_l1(design: np.ndarray, targets: np.ndarray,
     """Coefficients minimizing ``sum_j weights_j |targets_j - design_j @ coef|``.
 
     Residuals are split as ``targets - design @ coef = s+ - s-`` with
-    ``s+, s- >= 0``; picking the sign-matching split variable per row yields
-    an immediately feasible basis.
+    ``s+, s- >= 0`` (implicit slacks ``+e_j`` and ``-e_j``); picking the
+    sign-matching split variable per row yields an immediately feasible basis.
     """
     m, k = design.shape
-    n = 2 * k + 2 * m
-    A = np.zeros((m, n))
-    A[:, :k] = design
-    A[:, k:2 * k] = -design
-    A[:, 2 * k:2 * k + m] = np.eye(m)
-    A[:, 2 * k + m:] = -np.eye(m)
-    b = targets.astype(float).copy()
-    basis = []
-    for j in range(m):
-        if b[j] >= 0.0:
-            basis.append(2 * k + j)
-        else:
-            A[j] *= -1.0
-            b[j] *= -1.0
-            basis.append(2 * k + m + j)
-    cost = np.zeros(n)
-    cost[2 * k:2 * k + m] = weights
-    cost[2 * k + m:] = weights
-    x, value = simplex_solve(A, b, cost, basis)
+    A = np.hstack([design, -design])
+    b = targets.astype(float)
+    rows = np.arange(m)
+    basis = np.where(b >= 0.0, 2 * k + rows, 2 * k + m + rows)
+    cost = np.concatenate([np.zeros(2 * k), weights, weights])
+    x, value = simplex_solve(A, b, cost, basis,
+                             slacks=(np.concatenate([rows, rows]),
+                                     np.repeat([1.0, -1.0], m)))
     coef = x[:k] - x[k:2 * k]
     return coef, float(value)

@@ -249,6 +249,30 @@ class TestRunners:
         assert len(errors) == 1 and math.isnan(errors[0].value)
         assert any(r.quantity == "E_r" for r in result.rows)
 
+    def test_failing_row_at_shrink_level_carries_its_box(self, monkeypatch):
+        # an error row at shrink level 1 names the halved box and its size, so
+        # it cannot be mistaken for a failure at level 0
+        from whitney_lab import harness
+        from whitney_lab.simplex import SimplexError
+
+        def flaky(f, r, p, box, *args, **kwargs):
+            if box.size()[0] < 1.0:
+                raise SimplexError("synthetic failure")
+            return original(f, r, p, box, *args, **kwargs)
+
+        original = harness.best_approx
+        monkeypatch.setattr(harness, "best_approx", flaky)
+        cfg = _cfg(function_ids=["exp_d1"], orders=[[1]], p_values=[2],
+                   shrink_levels=1)
+        result = run_whitney(cfg)
+        assert not result.hard_failure
+        errors = [r for r in result.rows if r.quantity == "error"]
+        assert len(errors) == 1 and math.isnan(errors[0].value)
+        assert errors[0].box == Parallelepiped([0.0], [0.5])
+        assert errors[0].t == (0.5,)
+        level0 = [r for r in result.rows if r.quantity == "E_r"]
+        assert len(level0) == 1 and level0[0].box == cfg.box and level0[0].t == (1.0,)
+
 
 class TestCli:
     def _write_config(self, tmp_path, **overrides):
@@ -286,6 +310,21 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text('{"function_ids": ["exp_d1"]}')
         res = self._run("whitney", "--config", str(path), "--out",
+                        str(tmp_path / "x.csv"))
+        assert res.returncode == 2
+        assert "config error" in res.stderr
+
+    @pytest.mark.parametrize("overrides", [
+        {"box": {"lower": [0.0], "upper": [float("nan")]}},
+        {"box": {"lower": [0.0], "upper": [float("inf")]}},
+        {"box": {"lower": [float("-inf")], "upper": [1.0]}},
+        {"shrink_levels": -1},
+        {"t_sweep": 0},
+    ], ids=["box-nan", "box-inf", "box-neg-inf", "shrink-levels-negative", "t-sweep-zero"])
+    def test_bad_config_value_exit_code_2(self, tmp_path, overrides):
+        # each of these used to run (NaN/inf box) or give an empty sweep
+        cfg = self._write_config(tmp_path, **overrides)
+        res = self._run("whitney", "--config", str(cfg), "--out",
                         str(tmp_path / "x.csv"))
         assert res.returncode == 2
         assert "config error" in res.stderr
