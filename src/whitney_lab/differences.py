@@ -20,6 +20,7 @@ import numpy as np
 
 from .functions import FunctionSpec
 from .geometry import (
+    GAUSS,
     MultiIndex,
     Parallelepiped,
     QuadratureSpec,
@@ -27,11 +28,11 @@ from .geometry import (
     SubsetMask,
     as_multi_index,
     as_step_vector,
+    axis_rule,
     lp_norm,
     lp_power_integral,
     shifted_domain,
     subsets,
-    _gauss_legendre,
 )
 
 __all__ = [
@@ -193,12 +194,10 @@ def p_mean_modulus(f, r_e, t, p, domain, quad: QuadratureSpec | None = None,
         quad = QuadratureSpec.for_dim(dim)
     if any(t[i] == 0.0 for i in active):
         return 0.0  # limit convention: vanishing step box
-    ref_x, ref_w = _gauss_legendre(mean_nodes)
     nodes, weights = [], []
     for i in active:
-        ti = t[i]
-        left = (-0.5 * ti * ref_x - 0.5 * ti, 0.5 * ti * ref_w)
-        right = (0.5 * ti * ref_x + 0.5 * ti, 0.5 * ti * ref_w)
+        left = axis_rule(GAUSS, mean_nodes, -t[i], 0.0)
+        right = axis_rule(GAUSS, mean_nodes, 0.0, t[i])
         nodes.append(np.concatenate([left[0], right[0]]))
         weights.append(np.concatenate([left[1], right[1]]))
     r_arr = r_e.array().astype(float)

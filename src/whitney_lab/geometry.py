@@ -1,10 +1,12 @@
 """Axis-aligned box geometry, index bookkeeping, and tensor quadrature.
 
-Every integral norm in the package flows through :func:`lp_norm`, so
-quadrature behaviour and its tolerances are centralized here.  Finite-p norms
-use tensor Gauss-Legendre rules (spectrally accurate on the smooth corpus);
-sup norms use a Chebyshev-Lobatto tensor grid that includes the boundary,
-where extrema of the functions under study frequently sit.
+Which tensor rule measures a function on a box is decided here only: tensor
+Gauss-Legendre for finite p (spectrally accurate on the smooth corpus), a
+Chebyshev-Lobatto grid for sup norms (it includes the boundary, where extrema
+of the functions under study frequently sit), and that grid with
+Clenshaw-Curtis weights for the discrete L1 fits.  Norms of plain functions
+go through :func:`lp_norm`; the smoother's stencil norms and the fitting
+grids use the same :func:`axis_rule`, :func:`box_rule` and :func:`grid_norm`.
 
 All values are immutable after construction and safe to share between
 threads.  Reductions use a fixed summation order, so repeated runs with the
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -32,8 +34,12 @@ __all__ = [
     "shifted_domain",
     "lp_norm",
     "lp_power_integral",
+    "axis_rule",
+    "tensor_grid",
+    "tensor_product",
+    "box_rule",
     "tensor_quadrature",
-    "sup_grid",
+    "grid_norm",
 ]
 
 
@@ -275,9 +281,8 @@ class QuadratureSpec:
 
     nodes_per_axis: tuple[int, ...]
     sup_nodes_per_axis: tuple[int, ...]
-    rule: str = "gauss_legendre"
 
-    def __init__(self, nodes_per_axis, sup_nodes_per_axis=None, rule="gauss_legendre"):
+    def __init__(self, nodes_per_axis, sup_nodes_per_axis=None):
         nodes = tuple(int(n) for n in np.atleast_1d(nodes_per_axis))
         if sup_nodes_per_axis is None:
             sup = tuple(65 for _ in nodes)
@@ -291,11 +296,8 @@ class QuadratureSpec:
             raise GeometryError("nodes_per_axis and sup_nodes_per_axis disagree on dimension")
         if any(n < 1 for n in nodes) or any(n < 2 for n in sup):
             raise GeometryError("need >= 1 Gauss node and >= 2 sup-grid nodes per axis")
-        if rule != "gauss_legendre":
-            raise GeometryError(f"unsupported 1-D rule: {rule!r}")
         object.__setattr__(self, "nodes_per_axis", nodes)
         object.__setattr__(self, "sup_nodes_per_axis", sup)
-        object.__setattr__(self, "rule", rule)
 
     @classmethod
     def for_dim(cls, dim: int, nodes: int = 32, sup_nodes: int = 65) -> "QuadratureSpec":
@@ -304,6 +306,19 @@ class QuadratureSpec:
     @property
     def dim(self) -> int:
         return len(self.nodes_per_axis)
+
+    def rule_for(self, p: float) -> tuple[str, tuple[int, ...]]:
+        """The tensor rule and node counts that measure the L_p norm."""
+        if p == math.inf:
+            return LOBATTO, self.sup_nodes_per_axis
+        return GAUSS, self.nodes_per_axis
+
+
+# 1-D rules on [-1, 1]: Gauss-Legendre nodes and weights, the Chebyshev-Lobatto
+# sup grid (nodes only), and the same nodes with Clenshaw-Curtis weights
+GAUSS = "gauss_legendre"
+LOBATTO = "chebyshev_lobatto"
+CLENSHAW_CURTIS = "clenshaw_curtis"
 
 
 @lru_cache(maxsize=None)
@@ -324,36 +339,90 @@ def _chebyshev_lobatto(n: int) -> np.ndarray:
     return x
 
 
-def _axis_gauss(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _gauss_legendre(n)
+@lru_cache(maxsize=None)
+def _cc_weights(n: int) -> np.ndarray:
+    """Clenshaw-Curtis weights for the n-point Chebyshev-Lobatto grid on [-1, 1]."""
+    x = _chebyshev_lobatto(n)
+    k = np.arange(n)
+    V = np.cos(np.outer(k, np.arccos(np.clip(x, -1.0, 1.0))))
+    moments = np.where(k % 2 == 0, 2.0 / (1.0 - k.astype(float) ** 2 + (k == 1)), 0.0)
+    moments[1] = 0.0
+    w = np.linalg.solve(V, moments)
+    w.setflags(write=False)
+    return w
+
+
+def axis_rule(rule: str, n: int, a: float = -1.0,
+              b: float = 1.0) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascending nodes of the n-point 1-D rule on [a, b] and its weights.
+
+    The weights are ``None`` for the sup grid, which never computes the
+    Clenshaw-Curtis weights.
+    """
+    if rule == GAUSS:
+        x, w = _gauss_legendre(n)
+    else:
+        x = _chebyshev_lobatto(n)
+        w = _cc_weights(n) if rule == CLENSHAW_CURTIS else None
     half = 0.5 * (b - a)
-    return half * x + 0.5 * (a + b), half * w
+    return half * x + 0.5 * (a + b), None if w is None else half * w
 
 
-def tensor_quadrature(domain: Parallelepiped, quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss-Legendre nodes ``(N, d)`` and weights ``(N,)`` on the box."""
-    if quad.dim != domain.dim:
-        raise GeometryError("quadrature and domain dimension mismatch")
-    axes = [_axis_gauss(a, b, n) for (a, b), n in
-            zip(zip(domain.lower, domain.upper), quad.nodes_per_axis)]
-    grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    wts = axes[0][1]
-    for _, w in axes[1:]:
-        wts = np.multiply.outer(wts, w)
-    return pts, wts.reshape(-1)
-
-
-def sup_grid(domain: Parallelepiped, quad: QuadratureSpec) -> np.ndarray:
-    """Dense deterministic tensor grid (endpoints included) for sup norms."""
-    if quad.dim != domain.dim:
-        raise GeometryError("quadrature and domain dimension mismatch")
-    axes = []
-    for (a, b), n in zip(zip(domain.lower, domain.upper), quad.sup_nodes_per_axis):
-        ref = _chebyshev_lobatto(n)
-        axes.append(0.5 * (b - a) * ref + 0.5 * (a + b))
+def tensor_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Flattened tensor grid ``(N, d)`` of 1-D node arrays, first axis slowest."""
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=-1)
+
+
+def tensor_product(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product in :func:`tensor_grid` order: weights ``(N,)`` from
+    1-D weights, or a design matrix from 1-D basis matrices."""
+    return reduce(np.kron, factors)
+
+
+@lru_cache(maxsize=None)
+def _reference_grid(rule: str, nodes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray | None]:
+    axes = [axis_rule(rule, n) for n in nodes]
+    pts = tensor_grid([x for x, _ in axes])
+    wts = None if rule == LOBATTO else tensor_product([w for _, w in axes])
+    for arr in (pts, wts):
+        if arr is not None:
+            arr.setflags(write=False)
+    return pts, wts
+
+
+def box_rule(domain: Parallelepiped, rule: str,
+             nodes: Sequence[int]) -> tuple[np.ndarray, np.ndarray | None]:
+    """Tensor nodes ``(N, d)`` and weights ``(N,)`` (``None`` for the sup grid).
+
+    Both are the affine image of the reference grid on ``[-1, 1]^d``, which is
+    built once per rule and node counts.
+    """
+    if len(nodes) != domain.dim:
+        raise GeometryError("quadrature and domain dimension mismatch")
+    ref_pts, ref_wts = _reference_grid(rule, tuple(nodes))
+    lo, hi = np.asarray(domain.lower), np.asarray(domain.upper)
+    half = 0.5 * (hi - lo)
+    pts = ref_pts * half + 0.5 * (lo + hi)
+    return pts, None if ref_wts is None else float(np.prod(half)) * ref_wts
+
+
+def tensor_quadrature(domain: Parallelepiped, quad: QuadratureSpec,
+                      p: float = 1.0) -> tuple[np.ndarray, np.ndarray | None]:
+    """The grid that measures L_p on the box: tensor Gauss-Legendre nodes and
+    weights for finite p, the Chebyshev-Lobatto sup grid (no weights) for p = inf."""
+    return box_rule(domain, *quad.rule_for(p))
+
+
+def grid_norm(vals: np.ndarray, wts: np.ndarray | None, p: float) -> float:
+    """L_p norm from values on a :func:`tensor_quadrature` grid."""
+    if p == math.inf:
+        return float(np.max(np.abs(vals)))
+    return _power_sum(vals, wts, p) ** (1.0 / p)
+
+
+def _power_sum(vals: np.ndarray, wts: np.ndarray, p: float) -> float:
+    return float(np.dot(wts, np.abs(vals) ** p))
 
 
 def shifted_domain(domain: Parallelepiped, step) -> Parallelepiped | None:
@@ -388,9 +457,8 @@ def lp_power_integral(f: Callable, domain: Parallelepiped | None, p: float,
         return 0.0
     if not (1.0 <= p < math.inf):
         raise GeometryError(f"finite p in [1, inf) required, got {p}")
-    pts, wts = tensor_quadrature(domain, quad)
-    vals = np.abs(_eval(f, pts))
-    return float(np.dot(wts, vals ** p))
+    pts, wts = tensor_quadrature(domain, quad, p)
+    return _power_sum(_eval(f, pts), wts, p)
 
 
 def lp_norm(f: Callable, domain: Parallelepiped | None, p: float,
@@ -406,6 +474,6 @@ def lp_norm(f: Callable, domain: Parallelepiped | None, p: float,
     if domain is None:
         return 0.0
     if p == math.inf:
-        pts = sup_grid(domain, quad)
-        return float(np.max(np.abs(_eval(f, pts))))
+        pts, _ = tensor_quadrature(domain, quad, p)
+        return grid_norm(_eval(f, pts), None, p)
     return lp_power_integral(f, domain, p, quad) ** (1.0 / p)

@@ -152,6 +152,13 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown resolution keys: {sorted(unknown)}")
         resolutions = Resolutions(**{k: int(v) for k, v in res_raw.items()})
+        if resolutions.h_grid < 2:  # the bound ModulusRequest enforces
+            raise ConfigError(f"h_grid must be >= 2, got {resolutions.h_grid}")
+        try:  # QuadratureSpec's bounds; panel and mean nodes are Gauss counts too
+            for n in (resolutions.quad_nodes, resolutions.panel_nodes, resolutions.mean_nodes):
+                QuadratureSpec.for_dim(1, n, resolutions.sup_nodes)
+        except GeometryError as exc:
+            raise ConfigError(f"resolutions {res_raw}: {exc}") from exc
         out = raw.get("output", {})
         fmt = out.get("format", "csv")
         if fmt not in ("csv", "json"):

@@ -17,21 +17,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .functions import CapabilityError, FunctionSpec
 from .geometry import (
+    CLENSHAW_CURTIS,
+    GAUSS,
+    LOBATTO,
     GeometryError,
     MultiIndex,
     Parallelepiped,
     QuadratureSpec,
     as_multi_index,
+    axis_rule,
+    box_rule,
     lp_norm,
     subsets,
-    _chebyshev_lobatto,
-    _gauss_legendre,
+    tensor_product,
+    tensor_quadrature,
 )
 from .simplex import solve_minimax, solve_weighted_l1
 
@@ -146,9 +150,7 @@ class TensorPolynomial:
     def _mono_to_leg_matrix(self, axis: int) -> np.ndarray:
         a, b = self.box.axis_interval(axis)
         count = self.degrees[axis]
-        xq, wq = _gauss_legendre(count + 1)
-        xq = 0.5 * (b - a) * xq + 0.5 * (a + b)
-        wq = 0.5 * (b - a) * wq
+        xq, wq = axis_rule(GAUSS, count + 1, a, b)
         Vl = _legendre_matrix(xq, count, a, b)
         Vm = _monomial_matrix(xq, count, self.center[axis])
         return Vl.T @ (wq[:, None] * Vm)
@@ -186,56 +188,18 @@ class TensorPolynomial:
         return TensorPolynomial(self.degrees, coef, MONOMIAL, self.box, center)
 
 
-def _design_matrix(axis_points: list[np.ndarray], degrees: tuple[int, ...],
-                   box: Parallelepiped) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened tensor grid (M, d) and Legendre design matrix (M, prod degrees)."""
-    mats = [
-        _legendre_matrix(axis_points[i], degrees[i], *box.axis_interval(i))
-        for i in range(len(axis_points))
-    ]
-    grids = np.meshgrid(*axis_points, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    expanded = np.stack(
-        np.meshgrid(*[np.arange(p.size) for p in axis_points], indexing="ij"),
-        axis=-1,
-    ).reshape(-1, len(axis_points))
-    design = mats[0][expanded[:, 0]]
-    for i in range(1, len(axis_points)):
-        design = (design[:, :, None] * mats[i][expanded[:, i]][:, None, :]).reshape(
-            design.shape[0], -1)
-    return pts, design
-
-
-@lru_cache(maxsize=None)
-def _cc_weights(n: int) -> np.ndarray:
-    """Clenshaw-Curtis weights for the n-point Chebyshev-Lobatto grid on [-1, 1]."""
-    x = _chebyshev_lobatto(n)
-    k = np.arange(n)
-    V = np.cos(np.outer(k, np.arccos(np.clip(x, -1.0, 1.0))))
-    moments = np.where(k % 2 == 0, 2.0 / (1.0 - k.astype(float) ** 2 + (k == 1)), 0.0)
-    moments[1] = 0.0
-    w = np.linalg.solve(V, moments)
-    w.setflags(write=False)
-    return w
-
-
-def _cl_axis(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    ref = _chebyshev_lobatto(n)
-    return 0.5 * (b - a) * ref + 0.5 * (a + b), 0.5 * (b - a) * _cc_weights(n)
-
-
 def _fit_lp(f, r: MultiIndex, p: float, box: Parallelepiped,
             grid: tuple[int, ...]) -> tuple[TensorPolynomial, float]:
-    axes = [_cl_axis(*box.axis_interval(i), grid[i]) for i in range(r.dim)]
-    pts, design = _design_matrix([ax[0] for ax in axes], r.entries, box)
+    rule = LOBATTO if p == math.inf else CLENSHAW_CURTIS
+    pts, wts = box_rule(box, rule, grid)
+    axes = [axis_rule(LOBATTO, g, *box.axis_interval(i))[0] for i, g in enumerate(grid)]
+    design = tensor_product([_legendre_matrix(x, r[i], *box.axis_interval(i))
+                             for i, x in enumerate(axes)])
     fvals = np.asarray(f(pts), dtype=float)
     if p == math.inf:
         coef, disc = solve_minimax(design, fvals)
     else:
-        wts = axes[0][1]
-        for _, w in axes[1:]:
-            wts = np.multiply.outer(wts, w)
-        coef, disc = solve_weighted_l1(design, fvals, wts.reshape(-1))
+        coef, disc = solve_weighted_l1(design, fvals, wts)
     poly = TensorPolynomial(r.entries, coef.reshape(r.entries), LEGENDRE, box)
     return poly, disc
 
@@ -280,8 +244,6 @@ def best_approx(f, r, p: float, box: Parallelepiped,
 
 def _project_l2(f, r: MultiIndex, box: Parallelepiped,
                 quad: QuadratureSpec) -> tuple[TensorPolynomial, float]:
-    from .geometry import tensor_quadrature
-
     pts, wts = tensor_quadrature(box, quad)
     fvals = np.asarray(f(pts), dtype=float)
     mats = [

@@ -144,7 +144,9 @@ def solve_minimax(design: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, 
     Formulated as min u subject to -u <= targets - design @ coef <= u, with
     one implicit slack per row.  The free coefficients are split into positive
     parts; u replaces the slack of the most violated row, which makes the
-    starting basis feasible.
+    starting basis feasible.  The returned value is the max residual of the
+    returned coefficients, not the basic value of u, which the tolerances at
+    the problem's scale can leave below it.
     """
     m, k = design.shape
     u_col = 2 * k
@@ -157,10 +159,9 @@ def solve_minimax(design: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, 
         basis[worst] = u_col
     cost = np.zeros(u_col + 1 + 2 * m)
     cost[u_col] = 1.0
-    x, value = simplex_solve(A, b, cost, basis,
-                             slacks=(np.arange(2 * m), np.ones(2 * m)))
+    x, _ = simplex_solve(A, b, cost, basis, slacks=(np.arange(2 * m), np.ones(2 * m)))
     coef = x[:k] - x[k:2 * k]
-    return coef, float(value)
+    return coef, float(np.max(np.abs(targets - design @ coef)))
 
 
 def solve_weighted_l1(design: np.ndarray, targets: np.ndarray,
@@ -170,6 +171,7 @@ def solve_weighted_l1(design: np.ndarray, targets: np.ndarray,
     Residuals are split as ``targets - design @ coef = s+ - s-`` with
     ``s+, s- >= 0`` (implicit slacks ``+e_j`` and ``-e_j``); picking the
     sign-matching split variable per row yields an immediately feasible basis.
+    The returned value is the weighted residual of the returned coefficients.
     """
     m, k = design.shape
     A = np.hstack([design, -design])
@@ -177,8 +179,7 @@ def solve_weighted_l1(design: np.ndarray, targets: np.ndarray,
     rows = np.arange(m)
     basis = np.where(b >= 0.0, 2 * k + rows, 2 * k + m + rows)
     cost = np.concatenate([np.zeros(2 * k), weights, weights])
-    x, value = simplex_solve(A, b, cost, basis,
-                             slacks=(np.concatenate([rows, rows]),
-                                     np.repeat([1.0, -1.0], m)))
+    x, _ = simplex_solve(A, b, cost, basis,
+                         slacks=(np.concatenate([rows, rows]), np.repeat([1.0, -1.0], m)))
     coef = x[:k] - x[k:2 * k]
-    return coef, float(value)
+    return coef, float(weights @ np.abs(targets - design @ coef))

@@ -31,16 +31,19 @@ import numpy as np
 from .differences import modulus, whitney_constant_sum, ModulusRequest
 from .functions import FunctionSpec
 from .geometry import (
+    GAUSS,
     MultiIndex,
     Parallelepiped,
     QuadratureSpec,
     SubsetMask,
     as_multi_index,
     as_step_vector,
+    axis_rule,
+    grid_norm,
     lp_norm,
     subsets,
-    _chebyshev_lobatto,
-    _gauss_legendre,
+    tensor_grid,
+    tensor_quadrature,
 )
 from .polyapprox import _project_l2, taylor_poly
 
@@ -116,13 +119,9 @@ class BSpline:
 @lru_cache(maxsize=None)
 def _bspline_quadrature(k: int, panel_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes on each knot interval of M_k and weights premultiplied by M_k."""
-    ref_x, ref_w = _gauss_legendre(panel_nodes)
-    nodes, weights = [], []
-    for j in range(k):
-        nodes.append(0.5 * (ref_x + 1.0) + j)
-        weights.append(0.5 * ref_w)
-    h = np.concatenate(nodes)
-    w = np.concatenate(weights) * bspline_eval(k, np.concatenate(nodes))
+    panels = [axis_rule(GAUSS, panel_nodes, j, j + 1) for j in range(k)]
+    h = np.concatenate([x for x, _ in panels])
+    w = np.concatenate([w for _, w in panels]) * bspline_eval(k, h)
     h.setflags(write=False)
     w.setflags(write=False)
     return h, w
@@ -192,8 +191,7 @@ def _apply_at_points(ops: tuple[AxisOp, ...], base, pts: np.ndarray) -> np.ndarr
     # strongly cancelling, so flattening the full tensor product of weights
     # first would square the cancellation scale and lose ~half the digits
     d = pts.shape[1]
-    grid_off = np.meshgrid(*[op.offsets for op in ops], indexing="ij")
-    offsets = np.stack([g.reshape(-1) for g in grid_off], axis=-1)
+    offsets = tensor_grid([op.offsets for op in ops])
     sizes = tuple(op.offsets.size for op in ops)
     combos = offsets.shape[0]
     out = np.empty(pts.shape[0])
@@ -222,9 +220,7 @@ def _apply_on_tensor_grid(ops: tuple[AxisOp, ...], base,
     flat_rest = [e.reshape(-1) for e in expanded[1:]]
     for start in range(0, n0, block):
         rows = expanded[0][start:start + block]
-        grids = np.meshgrid(rows.reshape(-1), *flat_rest, indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        vals = np.asarray(base(pts), dtype=float)
+        vals = np.asarray(base(tensor_grid([rows.reshape(-1), *flat_rest])), dtype=float)
         shape = [rows.shape[0], l0]
         for n, l in sizes[1:]:
             shape.extend([n, l])
@@ -238,34 +234,13 @@ def _apply_on_tensor_grid(ops: tuple[AxisOp, ...], base,
 def _smoothed_lp_norm(ops, base, p: float, domain: Parallelepiped,
                       quad: QuadratureSpec, subtract_base: bool = False) -> float:
     """L_p norm of the stencil output (or of base - output) over the box."""
-    if p == math.inf:
-        axes = []
-        for i, n in enumerate(quad.sup_nodes_per_axis):
-            a, b = domain.axis_interval(i)
-            axes.append(0.5 * (b - a) * _chebyshev_lobatto(n) + 0.5 * (a + b))
-        vals = _apply_on_tensor_grid(ops, base, axes)
-        if subtract_base:
-            vals = _plain_tensor_eval(base, axes) - vals
-        return float(np.max(np.abs(vals)))
-    axes, wts = [], []
-    for i, n in enumerate(quad.nodes_per_axis):
-        a, b = domain.axis_interval(i)
-        x, w = _gauss_legendre(n)
-        axes.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        wts.append(0.5 * (b - a) * w)
-    vals = _apply_on_tensor_grid(ops, base, axes)
+    rule, nodes = quad.rule_for(p)
+    axes = [axis_rule(rule, n, *domain.axis_interval(i))[0] for i, n in enumerate(nodes)]
+    vals = _apply_on_tensor_grid(ops, base, axes).reshape(-1)
+    pts, wts = tensor_quadrature(domain, quad, p)
     if subtract_base:
-        vals = _plain_tensor_eval(base, axes) - vals
-    weight = wts[0]
-    for w in wts[1:]:
-        weight = np.multiply.outer(weight, w)
-    return float(np.sum(weight * np.abs(vals) ** p)) ** (1.0 / p)
-
-
-def _plain_tensor_eval(base, axes: list[np.ndarray]) -> np.ndarray:
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    return np.asarray(base(pts), dtype=float).reshape([a.size for a in axes])
+        vals = np.asarray(base(pts), dtype=float) - vals
+    return grid_norm(vals, wts, p)
 
 
 def smooth_univariate(f, k: int, t: float, axis: int, box: Parallelepiped,
@@ -355,15 +330,11 @@ def smoothed_derivative(f, r, t, e: SubsetMask, box: Parallelepiped,
 
 @dataclass
 class KFuncConfig:
-    """Options for bracket computations (norm resolutions and candidate family)."""
+    """Norm resolutions of bracket computations."""
 
     quad: QuadratureSpec | None = None
     h_grid: int = 33
     panel_nodes: int = DEFAULT_PANEL_NODES
-    include_smoother: bool = True
-    include_projection: bool = True
-    combine_subdivision: bool = True
-    taylor_anchor: str = "lower"  # "lower" or "center"
 
     def quad_for(self, dim: int) -> QuadratureSpec:
         return self.quad if self.quad is not None else QuadratureSpec.for_dim(dim)
@@ -401,14 +372,10 @@ def _weighted_derivative_sum(f: FunctionSpec, r: MultiIndex, t, p, box, quad) ->
 def _poly_candidates(f: FunctionSpec, r: MultiIndex, p, box, cfg: KFuncConfig):
     """Polynomial members of the candidate family (zero derivative terms)."""
     quad = cfg.quad_for(r.dim)
-    out = []
-    if cfg.include_projection:
-        proj, _ = _project_l2(f, r, box, quad)
-        out.append(("projection",
-                    lp_norm(lambda q: np.asarray(f(q)) - proj(q), box, p, quad)))
+    proj, _ = _project_l2(f, r, box, quad)
+    out = [("projection", lp_norm(lambda q: np.asarray(f(q)) - proj(q), box, p, quad))]
     if f.is_sobolev and r.leq(f.r_max):
-        anchor = np.asarray(box.lower) if cfg.taylor_anchor == "lower" else box.center()
-        tp = taylor_poly(f, r, anchor, box)
+        tp = taylor_poly(f, r, np.asarray(box.lower), box)
         out.append(("taylor",
                     lp_norm(lambda q: np.asarray(f(q)) - tp(q), box, p, quad)))
     return out
@@ -440,7 +407,7 @@ def _directional_upper(f: FunctionSpec, r: MultiIndex, t, sigma: tuple[int, ...]
         term = weight * _smoothed_lp_norm(gd.ops, f, p, gd.domain, quad)
         deriv_terms[e.sorted_axes()] = term
         value += term
-    return value, g.domain, f_minus_g, deriv_terms
+    return value, f_minus_g, deriv_terms
 
 
 def subdivision_boxes(box: Parallelepiped) -> dict[tuple[int, ...], Parallelepiped]:
@@ -498,12 +465,12 @@ def k_functional_bracket(f: FunctionSpec, r, t, p: float, box: Parallelepiped,
 
     candidates = list(_box_candidates(f, r, t, p, box, cfg))
     details: dict = {"omega_total": omega_total, "omega_terms": omega_terms}
-    if cfg.include_smoother and _smoother_allowed(r, t, box):
+    if _smoother_allowed(r, t, box):
         boxes = subdivision_boxes(box)
         sub_uppers = {}
         for key, sub_box in boxes.items():
             sigma = tuple(1 if i in key else -1 for i in range(r.dim))
-            value, dom, f_minus_g, deriv_terms = _directional_upper(
+            value, f_minus_g, deriv_terms = _directional_upper(
                 f, r, t, sigma, p, box, cfg)
             direct = min(v for _, v in _box_candidates(f, r, t, p, sub_box, cfg))
             sub_uppers[key] = min(value, direct)
@@ -511,8 +478,7 @@ def k_functional_bracket(f: FunctionSpec, r, t, p: float, box: Parallelepiped,
                 details["f_minus_g"] = f_minus_g
                 details["deriv_terms"] = deriv_terms
         details["subdomain_uppers"] = sub_uppers
-        if cfg.combine_subdivision:
-            candidates.append(("smoother_subdivision", float(sum(sub_uppers.values()))))
+        candidates.append(("smoother_subdivision", float(sum(sub_uppers.values()))))
     details["candidates"] = dict(candidates)
     witness, upper = min(candidates, key=lambda kv: kv[1])
     return KBracket(lower=lower, upper=float(upper), witness=witness, details=details)
@@ -546,15 +512,9 @@ def subdivision_check(f: FunctionSpec, r, t, p: float, box: Parallelepiped,
         raise ValueError("subdivision check needs t_i <= half the axis length")
     bracket = k_functional_bracket(f, r, t, p, box, cfg)
     sub_uppers = bracket.details.get("subdomain_uppers")
-    if sub_uppers is None:
-        sub_uppers = {}
-        for key, sub_box in subdivision_boxes(box).items():
-            cands = _box_candidates(f, r, t, p, sub_box, cfg)
-            if _smoother_allowed(r, t, box):
-                sigma = tuple(1 if i in key else -1 for i in range(r.dim))
-                value, _, _, _ = _directional_upper(f, r, t, sigma, p, box, cfg)
-                cands.append(("smoother", value))
-            sub_uppers[key] = min(v for _, v in cands)
+    if sub_uppers is None:  # smoother out of range: the plain candidates per subbox
+        sub_uppers = {key: min(v for _, v in _box_candidates(f, r, t, p, sub_box, cfg))
+                      for key, sub_box in subdivision_boxes(box).items()}
     combined = float(sum(sub_uppers.values()))
     scale = 1e-12 * (1.0 + lp_norm(f, box, p, cfg.quad_for(r.dim)))
     applicable = combined > scale and bracket.upper > scale

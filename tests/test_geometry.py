@@ -104,8 +104,6 @@ class TestQuadrature:
     def test_spec_validation(self):
         with pytest.raises(GeometryError):
             QuadratureSpec((0,))
-        with pytest.raises(GeometryError):
-            QuadratureSpec((4,), rule="monte_carlo")
 
     @pytest.mark.parametrize("n", [2, 5, 16, 32])
     def test_gauss_exactness_to_degree_2n_minus_1(self, n):

@@ -320,7 +320,13 @@ class TestCli:
         {"box": {"lower": [float("-inf")], "upper": [1.0]}},
         {"shrink_levels": -1},
         {"t_sweep": 0},
-    ], ids=["box-nan", "box-inf", "box-neg-inf", "shrink-levels-negative", "t-sweep-zero"])
+        {"resolutions": {"h_grid": 1}},
+        {"resolutions": {"quad_nodes": 0}},
+        {"resolutions": {"sup_nodes": 1}},
+        {"resolutions": {"mean_nodes": 0}},
+        {"resolutions": {"panel_nodes": 0}},
+    ], ids=["box-nan", "box-inf", "box-neg-inf", "shrink-levels-negative", "t-sweep-zero",
+            "h-grid-1", "quad-nodes-0", "sup-nodes-1", "mean-nodes-0", "panel-nodes-0"])
     def test_bad_config_value_exit_code_2(self, tmp_path, overrides):
         # each of these used to run (NaN/inf box) or give an empty sweep
         cfg = self._write_config(tmp_path, **overrides)

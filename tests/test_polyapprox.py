@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from whitney_lab.functions import CapabilityError, get_function
-from whitney_lab.geometry import Parallelepiped, QuadratureSpec, lp_norm
+from whitney_lab.geometry import Parallelepiped, QuadratureSpec, _cc_weights, lp_norm
 from whitney_lab.polyapprox import (
     LEGENDRE,
     MONOMIAL,
     TensorPolynomial,
-    _cc_weights,
     _legendre_matrix,
     best_approx,
     derivative_inequality_ratios,

@@ -82,3 +82,21 @@ def test_weighted_l1_perturbation_optimality():
     for _ in range(200):
         trial = coef + rng.normal(scale=1e-3, size=3)
         assert float(w @ np.abs(y - design @ trial)) >= base - 1e-12
+
+
+def test_minimax_value_is_residual_of_its_coefficients():
+    # a row at 1e-8 sits below the solver's tolerance at the problem's scale;
+    # the basic value of u reads 0 there, the coefficients leave ~3.3e-9
+    design = np.array([[1e-8, 0.0], [0.0, 1.0], [3.0, 0.0]])
+    y = np.array([0.0, 1.0, 1.0])
+    coef, value = solve_minimax(design, y)
+    assert value == np.max(np.abs(y - design @ coef))
+    assert value == pytest.approx(1e-8 / (3.0 + 1e-8), rel=1e-6)
+
+
+def test_weighted_l1_value_is_residual_of_its_coefficients():
+    design = np.array([[1e-8, 0.0], [0.0, 1.0], [3.0, 0.0], [1.0, 1.0]])
+    y = np.array([0.0, 1.0, 1.0, 2.0])
+    w = np.array([1.0, 0.5, 0.25, 1.0])
+    coef, value = solve_weighted_l1(design, y, w)
+    assert value == float(w @ np.abs(y - design @ coef))
