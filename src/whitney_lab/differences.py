@@ -2,11 +2,13 @@
 
 The univariate operator of order m with step h is
 ``sum_{j=0}^m (-1)^(m-j) C(m, j) f(x + j h)``; mixed operators compose it
-across the active axes.  The sup-type modulus searches a non-negative step
-grid per active axis (a change of variables maps every sign pattern onto the
-non-negative one without changing the norm; the reduction is verified
-empirically in the tests, not assumed silently).  The p-mean modulus
-integrates over the full signed step box.
+across the active axes.  By translation ``Delta_{-h} f(x) = (-1)^r
+Delta_h f(x - r h)`` per axis, and the shifted box of ``-h`` is that of ``h``
+moved by ``r h``, so the norm of a difference is even in each active ``h_i``:
+the sup-type modulus searches non-negative step grids and the p-mean modulus
+integrates ``[0, t_i]`` with doubled weights (tests check both against signed
+loops).  Every shifted box is an affine image of one reference grid, so
+:func:`_shift_norms` measures a whole step grid in a few array passes.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,13 +29,14 @@ from .geometry import (
     QuadratureSpec,
     StepVector,
     SubsetMask,
+    _reference_grid,
     as_multi_index,
     as_step_vector,
     axis_rule,
-    lp_norm,
-    lp_power_integral,
-    shifted_domain,
+    lp_norm,  # unused here; bench/tests/test_spantrace.py checks its binding is traced
     subsets,
+    tensor_grid,
+    tensor_product,
 )
 
 __all__ = [
@@ -49,20 +53,23 @@ log = logging.getLogger(__name__)
 
 DEFAULT_H_GRID = 33
 DEFAULT_MEAN_NODES = 16
+# points per call of f in _shift_norms: 16 difference terms on a 33^2 sup grid
+_CHUNK_POINTS = 16 * 33 * 33
 
 
-def _difference_table(r_e: MultiIndex) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def _difference_table(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Step multipliers (T, d) and signed binomial coefficients (T,) of the sum."""
-    d = r_e.dim
-    active = [i for i in range(d) if r_e[i] > 0]
-    ranges = [range(r_e[i] + 1) for i in active]
-    combos = list(itertools.product(*ranges)) if active else [()]
-    mult = np.zeros((len(combos), d))
+    active = [i for i, ri in enumerate(orders) if ri > 0]
+    combos = list(itertools.product(*[range(orders[i] + 1) for i in active]))
+    mult = np.zeros((len(combos), len(orders)))
     coef = np.ones(len(combos))
     for row, combo in enumerate(combos):
         for i, j in zip(active, combo):
             mult[row, i] = j
-            coef[row] *= (-1.0) ** (r_e[i] - j) * math.comb(r_e[i], j)
+            coef[row] *= (-1.0) ** (orders[i] - j) * math.comb(orders[i], j)
+    mult.setflags(write=False)
+    coef.setflags(write=False)
     return mult, coef
 
 
@@ -78,11 +85,43 @@ def mixed_difference(f, r_e, h, x) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if pts.shape[1] != r_e.dim:
         pts = pts.reshape(-1, r_e.dim)
-    mult, coef = _difference_table(r_e)
+    mult, coef = _difference_table(r_e.entries)
     shifted = pts[None, :, :] + mult[:, None, :] * h[None, None, :]
     vals = np.asarray(f(shifted.reshape(-1, r_e.dim)), dtype=float)
     vals = vals.reshape(len(coef), pts.shape[0])
     return coef @ vals
+
+
+def _shift_norms(f, r_e: MultiIndex, steps: np.ndarray, p: float,
+                 domain: Parallelepiped, quad: QuadratureSpec) -> np.ndarray:
+    """Per step (row of ``steps``): the sup norm (p = inf) or the integral of
+    ``|diff|^p`` over the shifted box, 0 where that box is empty.  Bounds, grid
+    and difference use the arithmetic of :func:`shifted_domain`,
+    :func:`box_rule` and :func:`mixed_difference`; f runs once per chunk."""
+    if not (1.0 <= p <= math.inf):
+        raise ValueError(f"p must lie in [1, inf], got {p}")
+    mult, coef = _difference_table(r_e.entries)
+    y = r_e.array() * steps
+    lo = np.where(y < 0, domain.lower - y, domain.lower)
+    hi = np.where(y >= 0, domain.upper - y, domain.upper)
+    keep = np.flatnonzero(~np.any(lo > hi, axis=1))
+    half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+    ref_pts, ref_wts = _reference_grid(*quad.rule_for(p))
+    out = np.zeros(len(steps))
+    per = max(1, _CHUNK_POINTS // (len(coef) * len(ref_pts)))
+    for start in range(0, len(keep), per):
+        idx = keep[start:start + per]
+        pts = ((ref_pts * half[idx, None, :] + mid[idx, None, :])[:, None]
+               + mult[:, None, :] * steps[idx, None, None, :])
+        vals = np.asarray(f(pts.reshape(-1, r_e.dim)), dtype=float)
+        diff = coef @ vals.reshape(len(idx), len(coef), len(ref_pts))
+        del pts, vals  # free the chunk before the reduction
+        if p == math.inf:
+            out[idx] = np.max(np.abs(diff), axis=1)
+        else:  # one dot product per step, the reduction of lp_power_integral
+            wts = np.prod(half[idx], axis=1)[:, None] * ref_wts
+            out[idx] = np.matmul(wts[:, None, :], (np.abs(diff) ** p)[:, :, None])[:, 0, 0]
+    return out
 
 
 @dataclass
@@ -116,8 +155,7 @@ class ModulusRequest:
         if any(ci < ti for ci, ti in zip(clamped, self.t)):
             log.info("clamping modulus step bound %s to box size %s", self.t.entries, clamped)
             self.t = StepVector(clamped)
-        if self.quad is None:
-            self.quad = QuadratureSpec.for_dim(dim)
+        self.quad = self.quad or QuadratureSpec.for_dim(dim)
 
 
 def modulus(req: ModulusRequest) -> float:
@@ -134,21 +172,11 @@ def modulus(req: ModulusRequest) -> float:
     if not active:
         # order zero on every requested axis: difference degenerates to zero
         return 0.0
-    grids = [np.linspace(0.0, req.t[i], req.h_grid) for i in active]
-    r_arr = r_e.array().astype(float)
-    best = 0.0
-    h = np.zeros(r_e.dim)
-    for combo in itertools.product(*grids):
-        for i, hi in zip(active, combo):
-            h[i] = hi
-        dom = shifted_domain(req.domain, r_arr * h)
-        if dom is None:
-            continue
-        val = lp_norm(lambda pts: mixed_difference(req.f, r_e, h, pts),
-                      dom, req.p, req.quad)
-        if val > best:
-            best = val
-    return best
+    steps = np.zeros((req.h_grid ** len(active), r_e.dim))
+    steps[:, active] = tensor_grid([np.linspace(0.0, req.t[i], req.h_grid) for i in active])
+    best = np.fmax.reduce(_shift_norms(req.f, r_e, steps, req.p, req.domain, req.quad),
+                          initial=0.0)  # a NaN step never wins
+    return float(best if req.p == math.inf else best ** (1.0 / req.p))
 
 
 def total_modulus(f, r, t, p, domain, h_grid: int = DEFAULT_H_GRID,
@@ -157,10 +185,8 @@ def total_modulus(f, r, t, p, domain, h_grid: int = DEFAULT_H_GRID,
     r = as_multi_index(r, getattr(f, "dimension", domain.dim))
     if not r.is_positive():
         raise ValueError("total modulus needs r >= 1 on every axis")
-    total = 0.0
-    for e in subsets(r.dim):
-        total += modulus(ModulusRequest(f, r, e, t, p, domain, h_grid, quad))
-    return total
+    return sum(modulus(ModulusRequest(f, r, e, t, p, domain, h_grid, quad))
+               for e in subsets(r.dim))
 
 
 def p_mean_modulus(f, r_e, t, p, domain, quad: QuadratureSpec | None = None,
@@ -169,15 +195,14 @@ def p_mean_modulus(f, r_e, t, p, domain, quad: QuadratureSpec | None = None,
     """p-mean modulus of order ``r_e``: step-integrated variant of the sup modulus.
 
     Computes ``((prod_{active} t_i^-1) * int_{|h_i|<=t_i} int |diff|^p dx dh)^(1/p)``
-    with the step integral running over the full signed box restricted to the
-    active axes.  Each active axis uses two Gauss-Legendre panels, split at
-    h = 0 where the integrand generically kinks.  At p = inf the outer mean
-    becomes a sup and the value coincides with :func:`modulus` (same ``h_grid``
-    discretization, so the coincidence is exact in the reported numbers).
+    over the signed step box of the active axes.  The integrand is even in each
+    ``h_i`` (module docstring), so one Gauss-Legendre panel on ``[0, t_i]``,
+    ending at the generic kink h = 0, carries doubled weights.  At p = inf the
+    value is :func:`modulus` with the same ``h_grid``, bit for bit.
 
     The normalization divides by ``prod t_i``, not by the signed box measure
-    ``prod 2 t_i``, so for p < inf the value is bounded by the sup modulus
-    only up to a factor: ``w_e <= 2^(|e|/p) * omega_e``.  In general
+    ``prod 2 t_i``, so the folded form reads ``w_e^p = 2^|e| * (mean over
+    [0, t]^e)``, and for p < inf ``w_e <= 2^(|e|/p) * omega_e``.  In general
     ``w_e <= omega_e`` does not hold (``f(x) = x``, r = 1, t = 1, p = 1 gives
     ``w = 1/3`` against ``omega = 1/4``).
     """
@@ -188,32 +213,16 @@ def p_mean_modulus(f, r_e, t, p, domain, quad: QuadratureSpec | None = None,
     if not active:
         raise ValueError("p-mean modulus needs a non-empty active subset")
     if p == math.inf:
-        e = SubsetMask(dim, active)
-        return modulus(ModulusRequest(f, r_e, e, t, p, domain, h_grid, quad))
-    if quad is None:
-        quad = QuadratureSpec.for_dim(dim)
+        return modulus(ModulusRequest(f, r_e, SubsetMask(dim, active), t, p, domain,
+                                      h_grid, quad))
+    quad = quad or QuadratureSpec.for_dim(dim)
     if any(t[i] == 0.0 for i in active):
         return 0.0  # limit convention: vanishing step box
-    nodes, weights = [], []
-    for i in active:
-        left = axis_rule(GAUSS, mean_nodes, -t[i], 0.0)
-        right = axis_rule(GAUSS, mean_nodes, 0.0, t[i])
-        nodes.append(np.concatenate([left[0], right[0]]))
-        weights.append(np.concatenate([left[1], right[1]]))
-    r_arr = r_e.array().astype(float)
-    acc = 0.0
-    h = np.zeros(r_e.dim)
-    for combo in itertools.product(*[range(len(n)) for n in nodes]):
-        w_h = 1.0
-        for axis_pos, (i, ci) in enumerate(zip(active, combo)):
-            h[i] = nodes[axis_pos][ci]
-            w_h *= weights[axis_pos][ci]
-        dom = shifted_domain(domain, r_arr * h)
-        if dom is None:
-            continue
-        inner = lp_power_integral(lambda pts: mixed_difference(f, r_e, h, pts),
-                                  dom, p, quad)
-        acc += w_h * inner
+    panels = [axis_rule(GAUSS, mean_nodes, 0.0, t[i]) for i in active]
+    steps = np.zeros((mean_nodes ** len(active), r_e.dim))
+    steps[:, active] = tensor_grid([x for x, _ in panels])
+    w_h = tensor_product([2.0 * w for _, w in panels])
+    acc = float(np.dot(w_h, _shift_norms(f, r_e, steps, p, domain, quad)))
     scale = float(np.prod([1.0 / t[i] for i in active]))
     return max(scale * acc, 0.0) ** (1.0 / p)
 
@@ -225,16 +234,11 @@ def total_p_mean_modulus(f, r, t, p, domain, quad: QuadratureSpec | None = None,
     r = as_multi_index(r, getattr(f, "dimension", domain.dim))
     if not r.is_positive():
         raise ValueError("total p-mean modulus needs r >= 1 on every axis")
-    total = 0.0
-    for e in subsets(r.dim):
-        total += p_mean_modulus(f, e.project(r), t, p, domain, quad, mean_nodes, h_grid)
-    return total
+    return sum(p_mean_modulus(f, e.project(r), t, p, domain, quad, mean_nodes, h_grid)
+               for e in subsets(r.dim))
 
 
 def whitney_constant_sum(r) -> float:
-    """The exact lower-bound constant ``sum over all subsets e of prod_{i in e} 2^{r_i}``."""
-    r = as_multi_index(r)
-    total = 0.0
-    for e in subsets(r.dim, include_empty=True):
-        total += float(np.prod([2.0 ** r[i] for i in e.sorted_axes()])) if not e.is_empty else 1.0
-    return total
+    """The exact lower-bound constant ``sum over all subsets e of prod_{i in e} 2^{r_i}``,
+    which factors as ``prod_i (1 + 2^{r_i})``."""
+    return math.prod(1.0 + 2.0 ** ri for ri in as_multi_index(r))

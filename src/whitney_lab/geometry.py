@@ -147,9 +147,6 @@ class SubsetMask:
     def indicator(self, axis: int) -> int:
         return 1 if axis in self.axes else 0
 
-    def complement(self) -> "SubsetMask":
-        return SubsetMask(self.dim, set(range(self.dim)) - self.axes)
-
     def project(self, r) -> MultiIndex:
         """Mask the order vector to this subset: r_i on member axes, else 0."""
         r = as_multi_index(r, self.dim)

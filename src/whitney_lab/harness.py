@@ -166,14 +166,17 @@ class ExperimentConfig:
         t = raw.get("t")
         if t is not None:
             t = tuple(float(v) for v in (t if isinstance(t, (list, tuple)) else [t]))
-            if len(t) != dim or any(v <= 0 for v in t):
-                raise ConfigError(f"t {t} must have {dim} positive entries")
+            if len(t) != dim or not all(0 < v < math.inf for v in t):
+                raise ConfigError(f"t {t} must have {dim} positive finite entries")
         shrink_levels = int(raw.get("shrink_levels", 0))
         if shrink_levels < 0:
             raise ConfigError(f"shrink_levels must be >= 0, got {shrink_levels}")
         t_sweep = int(raw.get("t_sweep", 12))
         if t_sweep < 1:
             raise ConfigError(f"t_sweep must be >= 1, got {t_sweep}")
+        t_min_factor = float(raw.get("t_min_factor", 0.01))
+        if not 0 < t_min_factor < math.inf:
+            raise ConfigError(f"t_min_factor must be positive and finite, got {t_min_factor}")
         return cls(
             function_ids=ids,
             orders=tuple(orders),
@@ -189,7 +192,7 @@ class ExperimentConfig:
             include_p_mean=bool(raw.get("include_p_mean", True)),
             subdivision=bool(raw.get("subdivision", True)),
             record_runtime=bool(raw.get("record_runtime", False)),
-            t_min_factor=float(raw.get("t_min_factor", 0.01)),
+            t_min_factor=t_min_factor,
         )
 
     @classmethod
@@ -351,8 +354,8 @@ def _whitney_task(cfg: ExperimentConfig, fid: str, r: tuple[int, ...], p: float,
     add("E_r", err)
     add("Omega", omega)
     if cfg.include_p_mean:
-        w_total = total_p_mean_modulus(f, r, delta, p, box, quad,
-                                       res.mean_nodes, res.h_grid)
+        w_total = omega if p == math.inf else total_p_mean_modulus(
+            f, r, delta, p, box, quad, res.mean_nodes, res.h_grid)
         add("W", w_total)
         add("ratio_E_over_W", _na_ratio(err, w_total))
     add("margin", margin)
@@ -454,21 +457,17 @@ def _modulus_task(cfg: ExperimentConfig, fid: str, r: tuple[int, ...], p: float,
     quad = res.quad_for(f.dimension)
     t = cfg.t if cfg.t is not None else tuple(box.size())
     rows = []
-    omega_total = 0.0
-    w_total = 0.0
     for e in subsets(f.dimension):
         r_e = e.project(r)
-        val = modulus(ModulusRequest(f, r, e, t, p, box, res.h_grid, quad))
-        omega_total += val
-        rows.append(ResultRow("modulus", fid, f.dimension, r_e.entries, p, box, t,
-                              "omega", val))
-        w_val = p_mean_modulus(f, r_e, t, p, box, quad, res.mean_nodes, res.h_grid)
-        w_total += w_val
-        rows.append(ResultRow("modulus", fid, f.dimension, r_e.entries, p, box, t,
-                              "w", w_val))
-    rows.append(ResultRow("modulus", fid, f.dimension, r, p, box, t, "Omega",
-                          omega_total))
-    rows.append(ResultRow("modulus", fid, f.dimension, r, p, box, t, "W", w_total))
+        omega = modulus(ModulusRequest(f, r, e, t, p, box, res.h_grid, quad))
+        # at p = inf the p-mean modulus is this sup-type modulus, bit for bit
+        w = omega if p == math.inf else p_mean_modulus(
+            f, r_e, t, p, box, quad, res.mean_nodes, res.h_grid)
+        rows += [ResultRow("modulus", fid, f.dimension, r_e.entries, p, box, t, q, v)
+                 for q, v in (("omega", omega), ("w", w))]
+    for total, term in (("Omega", "omega"), ("W", "w")):
+        rows.append(ResultRow("modulus", fid, f.dimension, r, p, box, t, total,
+                              sum(row.value for row in rows if row.quantity == term)))
     return rows, False
 
 

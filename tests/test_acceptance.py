@@ -7,6 +7,7 @@ scale; every tolerance asserted here is fixed, not calibrated after the fact.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -481,6 +482,10 @@ def test_criterion_9_deterministic_output(tmp_path):
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
+    # the subprocess imports the package from this checkout's src
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for experiment in ("whitney", "modulus"):
         outputs = []
         for tag in ("a", "b"):
@@ -488,7 +493,7 @@ def test_criterion_9_deterministic_output(tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "whitney_lab.cli", experiment,
                  "--config", str(cfg_path), "--out", str(out)],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1], f"{experiment} output not reproducible"

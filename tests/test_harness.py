@@ -24,6 +24,15 @@ from whitney_lab.harness import (
 from whitney_lab.geometry import Parallelepiped
 
 INF = math.inf
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def cli_env() -> dict:
+    """The environment of a CLI subprocess: this checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
 
 BASE_CONFIG = {
     "function_ids": ["exp_d1", "poly_d1_deg1"],
@@ -283,7 +292,7 @@ class TestCli:
         return path
 
     def _run(self, *args, env_extra=None):
-        env = dict(os.environ)
+        env = cli_env()
         if env_extra:
             env.update(env_extra)
         return subprocess.run([sys.executable, "-m", "whitney_lab.cli", *args],
@@ -325,8 +334,16 @@ class TestCli:
         {"resolutions": {"sup_nodes": 1}},
         {"resolutions": {"mean_nodes": 0}},
         {"resolutions": {"panel_nodes": 0}},
+        {"t": [float("nan")]},
+        {"t": [float("inf")]},
+        {"t_min_factor": float("nan")},
+        {"t_min_factor": float("inf")},
+        {"t_min_factor": 0.0},
+        {"t_min_factor": -1.0},
     ], ids=["box-nan", "box-inf", "box-neg-inf", "shrink-levels-negative", "t-sweep-zero",
-            "h-grid-1", "quad-nodes-0", "sup-nodes-1", "mean-nodes-0", "panel-nodes-0"])
+            "h-grid-1", "quad-nodes-0", "sup-nodes-1", "mean-nodes-0", "panel-nodes-0",
+            "t-nan", "t-inf", "t-min-factor-nan", "t-min-factor-inf", "t-min-factor-0",
+            "t-min-factor-negative"])
     def test_bad_config_value_exit_code_2(self, tmp_path, overrides):
         # each of these used to run (NaN/inf box) or give an empty sweep
         cfg = self._write_config(tmp_path, **overrides)
