@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .functions import FunctionSpec
+from .functions import FunctionSpec, grid_values
 from .geometry import (
     GAUSS,
     MultiIndex,
@@ -97,7 +97,8 @@ def _shift_norms(f, r_e: MultiIndex, steps: np.ndarray, p: float,
     """Per step (row of ``steps``): the sup norm (p = inf) or the integral of
     ``|diff|^p`` over the shifted box, 0 where that box is empty.  Bounds, grid
     and difference use the arithmetic of :func:`shifted_domain`,
-    :func:`box_rule` and :func:`mixed_difference`; f runs once per chunk."""
+    :func:`box_rule` and :func:`mixed_difference`, per axis; f runs once per
+    chunk, on the tensor grids of the chunk's shifted boxes."""
     if not (1.0 <= p <= math.inf):
         raise ValueError(f"p must lie in [1, inf], got {p}")
     mult, coef = _difference_table(r_e.entries)
@@ -106,16 +107,19 @@ def _shift_norms(f, r_e: MultiIndex, steps: np.ndarray, p: float,
     hi = np.where(y >= 0, domain.upper - y, domain.upper)
     keep = np.flatnonzero(~np.any(lo > hi, axis=1))
     half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
-    ref_pts, ref_wts = _reference_grid(*quad.rule_for(p))
+    rule, nodes = quad.rule_for(p)
+    ref_axes = [axis_rule(rule, n)[0] for n in nodes]
+    _, ref_wts = _reference_grid(rule, nodes)
+    n_ref = math.prod(nodes)
     out = np.zeros(len(steps))
-    per = max(1, _CHUNK_POINTS // (len(coef) * len(ref_pts)))
+    per = max(1, _CHUNK_POINTS // (len(coef) * n_ref))
     for start in range(0, len(keep), per):
         idx = keep[start:start + per]
-        pts = ((ref_pts * half[idx, None, :] + mid[idx, None, :])[:, None]
-               + mult[:, None, :] * steps[idx, None, None, :])
-        vals = np.asarray(f(pts.reshape(-1, r_e.dim)), dtype=float)
-        diff = coef @ vals.reshape(len(idx), len(coef), len(ref_pts))
-        del pts, vals  # free the chunk before the reduction
+        axes = [(ref_axes[i] * half[idx, i, None] + mid[idx, i, None])[:, None]
+                + mult[:, i, None] * steps[idx, i, None, None] for i in range(r_e.dim)]
+        vals = grid_values(f, axes)  # (chunk, T, n_0, ..., n_{d-1})
+        diff = coef @ vals.reshape(len(idx), len(coef), n_ref)
+        del vals  # free the chunk before the reduction
         if p == math.inf:
             out[idx] = np.max(np.abs(diff), axis=1)
         else:  # one dot product per step, the reduction of lp_power_integral

@@ -10,6 +10,11 @@ only in test oracles.
 Entries tagged ``lp_only`` (the |x - c|^alpha factors) participate in the
 moduli / best-approximation / K-functional experiments but refuse any
 operation with a mixed-Sobolev precondition.
+
+Every entry is a product of 1-D factors or ``exp(a . x)``, so its values on a
+tensor grid follow from one 1-D evaluation per node and axis:
+:func:`grid_values` is how the stencil evaluator and the moduli kernel
+evaluate a function, and it gives the point-wise values bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ __all__ = [
     "sobolev_norm",
     "corpus",
     "get_function",
+    "grid_values",
     "tensor_polynomial_spec",
 ]
 
@@ -59,8 +65,12 @@ class FunctionSpec:
     """A corpus function: vectorized evaluation plus analytic mixed derivatives.
 
     ``evaluator`` maps an ``(N, d)`` point array to ``(N,)`` values;
-    ``derivative_evaluator`` additionally takes a multi-index order.  Entries
-    are immutable and freely shareable across threads.
+    ``derivative_evaluator`` additionally takes a multi-index order.  The
+    optional ``grid_evaluator`` maps ``d`` coordinate arrays, one per axis,
+    that broadcast against each other to the values on their broadcast shape;
+    the corpus entries' ``evaluator`` is their ``grid_evaluator`` applied to the
+    point columns, and :func:`grid_values` hands it 1-D axes that broadcast to
+    a tensor grid.  Entries are immutable and freely shareable across threads.
     """
 
     id: str
@@ -70,6 +80,7 @@ class FunctionSpec:
     evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     derivative_evaluator: Callable | None = field(repr=False, default=None)
     poly_degrees: tuple[int, ...] | None = None
+    grid_evaluator: Callable | None = field(repr=False, default=None)
 
     @property
     def is_sobolev(self) -> bool:
@@ -123,12 +134,46 @@ def sobolev_norm(f: FunctionSpec, r, p: float, domain: Parallelepiped,
 # corpus builders
 # ---------------------------------------------------------------------------
 
-def _tensor_product(factors: list[Callable[[np.ndarray], np.ndarray]],
-                    pts: np.ndarray) -> np.ndarray:
-    out = np.ones(pts.shape[0])
-    for i, fac in enumerate(factors):
-        out = out * fac(pts[:, i])
+def grid_values(f, axes) -> np.ndarray:
+    """Values of ``f`` on the tensor grid of per-axis coordinates.
+
+    Each ``axes[i]`` has shape ``(..., n_i)`` with a shared leading batch
+    shape; the result has shape ``(..., n_0, ..., n_{d-1})``, first axis
+    slowest.  An entry with a ``grid_evaluator`` costs one 1-D evaluation per
+    node and axis; any other callable gets the point list.  Both see the same
+    coordinates, so the values equal ``f`` at the grid points bit for bit.
+    """
+    d = len(axes)
+    coords = [np.asarray(x, dtype=float) for x in axes]
+    coords = [x.reshape(x.shape[:-1] + (1,) * i + x.shape[-1:] + (1,) * (d - 1 - i))
+              for i, x in enumerate(coords)]
+    shape = np.broadcast_shapes(*(x.shape for x in coords))
+    grid_evaluator = getattr(f, "grid_evaluator", None)
+    if grid_evaluator is not None:
+        return np.asarray(grid_evaluator(coords), dtype=float).reshape(shape)
+    pts = np.stack(np.broadcast_arrays(*coords), axis=-1).reshape(-1, d)
+    return np.asarray(f(pts), dtype=float).reshape(shape)
+
+
+def _fold(op, factors: list[Callable[[np.ndarray], np.ndarray]], coords) -> np.ndarray:
+    """``factors[0](coords[0]) op factors[1](coords[1]) op ...``, left to right."""
+    out = factors[0](coords[0])
+    for fac, x in zip(factors[1:], coords[1:]):
+        out = op(out, fac(x))
     return out
+
+
+def _product_spec(spec_id: str, smoothness_class: str, r_max: tuple[int, ...],
+                  factors: list[Callable[[np.ndarray], np.ndarray]],
+                  derivative_evaluator: Callable | None = None,
+                  poly_degrees: tuple[int, ...] | None = None) -> FunctionSpec:
+    """Entry ``prod_i factors[i](x_i)``; points and grids share the factors."""
+    def grid_evaluator(coords):
+        return _fold(np.multiply, factors, coords)
+
+    return FunctionSpec(spec_id, len(factors), smoothness_class, r_max,
+                        lambda pts: grid_evaluator(pts.T), derivative_evaluator,
+                        poly_degrees, grid_evaluator)
 
 
 def tensor_polynomial_spec(spec_id: str, axis_coeffs: list[list[float]]) -> FunctionSpec:
@@ -142,9 +187,6 @@ def tensor_polynomial_spec(spec_id: str, axis_coeffs: list[list[float]]) -> Func
     dim = len(coeffs)
     degrees = tuple(len(c) - 1 for c in coeffs)
 
-    def evaluator(pts):
-        return _tensor_product([lambda xi, c=c: npoly.polyval(xi, c) for c in coeffs], pts)
-
     def derivative_evaluator(k, pts):
         facs = []
         for ki, c in zip(k, coeffs):
@@ -152,42 +194,32 @@ def tensor_polynomial_spec(spec_id: str, axis_coeffs: list[list[float]]) -> Func
             if len(np.atleast_1d(dc)) == 0:
                 dc = np.zeros(1)
             facs.append(lambda xi, dc=dc: npoly.polyval(xi, dc))
-        return _tensor_product(facs, pts)
+        return _fold(np.multiply, facs, pts.T)
 
-    return FunctionSpec(
-        id=spec_id,
-        dimension=dim,
-        smoothness_class=SOBOLEV,
-        r_max=(12,) * dim,
-        evaluator=evaluator,
-        derivative_evaluator=derivative_evaluator,
-        poly_degrees=degrees,
-    )
+    return _product_spec(spec_id, SOBOLEV, (12,) * dim,
+                         [lambda xi, c=c: npoly.polyval(xi, c) for c in coeffs],
+                         derivative_evaluator, degrees)
 
 
 def _exp_spec(spec_id: str, a: tuple[float, ...]) -> FunctionSpec:
     a_arr = np.asarray(a, dtype=float)
     dim = len(a)
+    terms = [lambda xi, ai=ai: ai * xi for ai in a_arr]
 
-    def evaluator(pts):
-        return np.exp(pts @ a_arr)
+    def grid_evaluator(coords):
+        return np.exp(_fold(np.add, terms, coords))
 
     def derivative_evaluator(k, pts):
         scale = float(np.prod(a_arr ** np.asarray(k, dtype=float)))
-        return scale * np.exp(pts @ a_arr)
+        return scale * grid_evaluator(pts.T)
 
-    return FunctionSpec(spec_id, dim, SOBOLEV, (12,) * dim, evaluator, derivative_evaluator)
+    return FunctionSpec(spec_id, dim, SOBOLEV, (12,) * dim, lambda pts: grid_evaluator(pts.T),
+                        derivative_evaluator, None, grid_evaluator)
 
 
 def _sin_product_spec(spec_id: str, omega: tuple[float, ...],
                       phase: tuple[float, ...]) -> FunctionSpec:
     dim = len(omega)
-
-    def evaluator(pts):
-        return _tensor_product(
-            [lambda xi, w=w, ph=ph: np.sin(w * xi + ph) for w, ph in zip(omega, phase)],
-            pts,
-        )
 
     def derivative_evaluator(k, pts):
         facs = []
@@ -195,9 +227,12 @@ def _sin_product_spec(spec_id: str, omega: tuple[float, ...],
             facs.append(
                 lambda xi, ki=ki, w=w, ph=ph: (w ** ki) * np.sin(w * xi + ph + ki * np.pi / 2)
             )
-        return _tensor_product(facs, pts)
+        return _fold(np.multiply, facs, pts.T)
 
-    return FunctionSpec(spec_id, dim, SOBOLEV, (12,) * dim, evaluator, derivative_evaluator)
+    return _product_spec(
+        spec_id, SOBOLEV, (12,) * dim,
+        [lambda xi, w=w, ph=ph: np.sin(w * xi + ph) for w, ph in zip(omega, phase)],
+        derivative_evaluator)
 
 
 def _reciprocal_quadratic_derivs(c: float, x: np.ndarray, order: int) -> np.ndarray:
@@ -218,29 +253,19 @@ def _reciprocal_quadratic_derivs(c: float, x: np.ndarray, order: int) -> np.ndar
 
 
 def _runge_spec(spec_id: str, dim: int, c: float = 25.0) -> FunctionSpec:
-    def evaluator(pts):
-        return _tensor_product(
-            [lambda xi: 1.0 / (1.0 + c * xi * xi)] * dim, pts
-        )
-
     def derivative_evaluator(k, pts):
         out = np.ones(pts.shape[0])
         for i, ki in enumerate(k):
             out = out * _reciprocal_quadratic_derivs(c, pts[:, i], ki)
         return out
 
-    return FunctionSpec(spec_id, dim, SOBOLEV, (12,) * dim, evaluator, derivative_evaluator)
+    return _product_spec(spec_id, SOBOLEV, (12,) * dim,
+                         [lambda xi: 1.0 / (1.0 + c * xi * xi)] * dim, derivative_evaluator)
 
 
 def _abspow_spec(spec_id: str, centers: tuple[float, ...], alpha: float) -> FunctionSpec:
-    dim = len(centers)
-
-    def evaluator(pts):
-        return _tensor_product(
-            [lambda xi, ci=ci: np.abs(xi - ci) ** alpha for ci in centers], pts
-        )
-
-    return FunctionSpec(spec_id, dim, LP_ONLY, (0,) * dim, evaluator, None)
+    return _product_spec(spec_id, LP_ONLY, (0,) * len(centers),
+                         [lambda xi, ci=ci: np.abs(xi - ci) ** alpha for ci in centers])
 
 
 def corpus() -> list[FunctionSpec]:

@@ -332,30 +332,51 @@ def _na_ratio(num: float, den: float, scale: float = 0.0) -> float:
     return num / den
 
 
+def _task_frame(experiment: str, cfg: ExperimentConfig, r: tuple[int, ...],
+                step: int) -> tuple[Parallelepiped, tuple[float, ...] | None]:
+    """The box and the step ``t`` a task runs at, which all its rows carry,
+    its ``error`` row too: the shrunk box and its size (whitney, taylor), the
+    log-sweep step (johnen), the halving step (lemma21), none (bestapprox), or
+    ``cfg.t``, else the box size (modulus) or the smoother's bound (kfunc)."""
+    if experiment in ("whitney", "taylor"):
+        box = _shrunk_box(cfg.box, step)
+        return box, tuple(box.size())
+    box, size = cfg.box, cfg.box.size()
+    tbar = tuple(size[i] / (4.0 * r[i] * r[i]) for i in range(len(r)))
+    if experiment == "johnen":
+        factors = np.logspace(math.log10(cfg.t_min_factor), 0.0, cfg.t_sweep)
+        return box, tuple(float(v) for v in factors[step] * np.asarray(tbar))
+    if experiment == "lemma21":
+        return box, (float(size[0]) / (2.0 ** step),)
+    if experiment == "bestapprox":
+        return box, None
+    if cfg.t is not None:
+        return box, cfg.t
+    return box, tuple(size) if experiment == "modulus" else tbar
+
+
 def _whitney_task(cfg: ExperimentConfig, fid: str, r: tuple[int, ...], p: float,
-                  level: int) -> tuple[list[ResultRow], bool]:
+                  box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[ResultRow], bool]:
     f = get_function(fid)
     res = cfg.resolutions
-    box = _shrunk_box(cfg.box, level)
     quad = res.quad_for(f.dimension)
-    delta = tuple(box.size())
     start = time.perf_counter()
     _, err = best_approx(f, r, p, box, grid=res.fit_grid(r), quad=quad)
-    omega = total_modulus(f, r, delta, p, box, res.h_grid, quad)
+    omega = total_modulus(f, r, t, p, box, res.h_grid, quad)
     csum = whitney_constant_sum(r)
     margin = omega - csum * err
     rows = []
 
     def add(quantity, value):
         ms = int(1000 * (time.perf_counter() - start)) if cfg.record_runtime else 0
-        rows.append(ResultRow("whitney", fid, f.dimension, r, p, box, delta,
+        rows.append(ResultRow("whitney", fid, f.dimension, r, p, box, t,
                               quantity, value, ms))
 
     add("E_r", err)
     add("Omega", omega)
     if cfg.include_p_mean:
         w_total = omega if p == math.inf else total_p_mean_modulus(
-            f, r, delta, p, box, quad, res.mean_nodes, res.h_grid)
+            f, r, t, p, box, quad, res.mean_nodes, res.h_grid)
         add("W", w_total)
         add("ratio_E_over_W", _na_ratio(err, w_total))
     add("margin", margin)
@@ -365,14 +386,9 @@ def _whitney_task(cfg: ExperimentConfig, fid: str, r: tuple[int, ...], p: float,
 
 
 def _johnen_task(cfg: ExperimentConfig, fid: str, r: tuple[int, ...], p: float,
-                 step: int) -> tuple[list[ResultRow], bool]:
+                 box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[ResultRow], bool]:
     f = get_function(fid)
-    box = cfg.box
     kcfg = cfg.kfunc_config(f.dimension)
-    size = box.size()
-    tbar = np.asarray([size[i] / (4.0 * r[i] * r[i]) for i in range(len(r))])
-    factors = np.logspace(math.log10(cfg.t_min_factor), 0.0, cfg.t_sweep)
-    t = tuple(float(v) for v in factors[step] * tbar)
     start = time.perf_counter()
     rows: list[ResultRow] = []
 
@@ -407,10 +423,9 @@ def _johnen_task(cfg: ExperimentConfig, fid: str, r: tuple[int, ...], p: float,
 
 
 def _taylor_task(cfg: ExperimentConfig, fid: str, r: tuple[int, ...], p: float,
-                 level: int) -> tuple[list[ResultRow], bool]:
+                 box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[ResultRow], bool]:
     f = get_function(fid)
     res = cfg.resolutions
-    box = _shrunk_box(cfg.box, level)
     quad = res.quad_for(f.dimension)
     start = time.perf_counter()
     tp = taylor_poly(f, r, box.lower, box)
@@ -420,8 +435,8 @@ def _taylor_task(cfg: ExperimentConfig, fid: str, r: tuple[int, ...], p: float,
 
     def add(quantity, value):
         ms = int(1000 * (time.perf_counter() - start)) if cfg.record_runtime else 0
-        rows.append(ResultRow("taylor", fid, f.dimension, r, p, box,
-                              tuple(box.size()), quantity, value, ms))
+        rows.append(ResultRow("taylor", fid, f.dimension, r, p, box, t,
+                              quantity, value, ms))
 
     add("taylor_err", err)
     add("taylor_bound", bound)
@@ -430,32 +445,28 @@ def _taylor_task(cfg: ExperimentConfig, fid: str, r: tuple[int, ...], p: float,
 
 
 def _lemma21_task(cfg: ExperimentConfig, fid: str, r: tuple[int, ...], p: float,
-                  step: int) -> tuple[list[ResultRow], bool]:
+                  box: Parallelepiped, t: tuple[float]) -> tuple[list[ResultRow], bool]:
     f = get_function(fid)
     res = cfg.resolutions
-    box = cfg.box
     quad = res.quad_for(1)
-    t = float(box.size()[0]) / (2.0 ** step)
     start = time.perf_counter()
     rows = []
     for k in range(r[0]):
         ratio_lp, ratio_sup = derivative_inequality_ratios(
-            f, r[0], k, t, p, box, quad)
+            f, r[0], k, t[0], p, box, quad)
         ms = int(1000 * (time.perf_counter() - start)) if cfg.record_runtime else 0
-        rows.append(ResultRow("lemma21", fid, 1, r, p, box, (t,),
+        rows.append(ResultRow("lemma21", fid, 1, r, p, box, t,
                               f"ratio_lemma21_Lp_k{k}", ratio_lp, ms))
-        rows.append(ResultRow("lemma21", fid, 1, r, p, box, (t,),
+        rows.append(ResultRow("lemma21", fid, 1, r, p, box, t,
                               f"ratio_lemma21_sup_k{k}", ratio_sup, ms))
     return rows, False
 
 
 def _modulus_task(cfg: ExperimentConfig, fid: str, r: tuple[int, ...], p: float,
-                  _step: int) -> tuple[list[ResultRow], bool]:
+                  box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[ResultRow], bool]:
     f = get_function(fid)
     res = cfg.resolutions
-    box = cfg.box
     quad = res.quad_for(f.dimension)
-    t = cfg.t if cfg.t is not None else tuple(box.size())
     rows = []
     for e in subsets(f.dimension):
         r_e = e.project(r)
@@ -472,22 +483,17 @@ def _modulus_task(cfg: ExperimentConfig, fid: str, r: tuple[int, ...], p: float,
 
 
 def _bestapprox_task(cfg: ExperimentConfig, fid: str, r: tuple[int, ...], p: float,
-                     _step: int) -> tuple[list[ResultRow], bool]:
+                     box: Parallelepiped, t: None) -> tuple[list[ResultRow], bool]:
     f = get_function(fid)
     res = cfg.resolutions
     quad = res.quad_for(f.dimension)
-    _, err = best_approx(f, r, p, cfg.box, grid=res.fit_grid(r), quad=quad)
-    return [ResultRow("bestapprox", fid, f.dimension, r, p, cfg.box, None,
-                      "E_r", err)], False
+    _, err = best_approx(f, r, p, box, grid=res.fit_grid(r), quad=quad)
+    return [ResultRow("bestapprox", fid, f.dimension, r, p, box, t, "E_r", err)], False
 
 
 def _kfunc_task(cfg: ExperimentConfig, fid: str, r: tuple[int, ...], p: float,
-                _step: int) -> tuple[list[ResultRow], bool]:
+                box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[ResultRow], bool]:
     f = get_function(fid)
-    box = cfg.box
-    size = box.size()
-    t = cfg.t if cfg.t is not None else tuple(
-        size[i] / (4.0 * r[i] * r[i]) for i in range(len(r)))
     kcfg = cfg.kfunc_config(f.dimension)
     rows = []
     try:
@@ -516,14 +522,11 @@ _TASK_FUNCS = {
 
 def _run_task(task) -> tuple[list[ResultRow], bool]:
     experiment, cfg, fid, r, p, step = task
+    box, t = _task_frame(experiment, cfg, r, step)
     try:
-        return _TASK_FUNCS[experiment](cfg, fid, r, p, step)
+        return _TASK_FUNCS[experiment](cfg, fid, r, p, box, t)
     except (SimplexError, BracketViolation, ValueError, ArithmeticError) as exc:
         f = get_function(fid)
-        box, t = cfg.box, cfg.t
-        if experiment in ("whitney", "taylor"):  # these rows carry the shrunk box
-            box = _shrunk_box(cfg.box, step)
-            t = tuple(box.size())
         row = ResultRow(experiment, fid, f.dimension, r, p, box, t, "error", math.nan)
         return [row], isinstance(exc, BracketViolation)
 

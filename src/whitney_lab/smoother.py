@@ -17,7 +17,12 @@ used by the subdivision argument.
 
 Everything reduces to separable offset/weight stencils applied to the base
 function, so norms over tensor grids evaluate the base function once on an
-expanded tensor grid and contract axis by axis.
+expanded tensor grid (:func:`grid_values`) and contract axis by axis.  The
+order of contraction does not tame the cancellation of the derivative
+stencils: the round-off of the base values is amplified by the product of the
+per-axis weight sums, about ``prod t_i^-r_i`` on the derivative axes, so at
+small t the mixed derivative norms carry a relative error far above the
+unit round-off (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .differences import modulus, whitney_constant_sum, ModulusRequest
-from .functions import FunctionSpec
+from .functions import FunctionSpec, grid_values
 from .geometry import (
     GAUSS,
     MultiIndex,
@@ -42,7 +47,6 @@ from .geometry import (
     grid_norm,
     lp_norm,
     subsets,
-    tensor_grid,
     tensor_quadrature,
 )
 from .polyapprox import _project_l2, taylor_poly
@@ -187,20 +191,13 @@ class SmoothedFunction:
 
 
 def _apply_at_points(ops: tuple[AxisOp, ...], base, pts: np.ndarray) -> np.ndarray:
-    # contract one axis at a time: the per-axis stencils are large and
-    # strongly cancelling, so flattening the full tensor product of weights
-    # first would square the cancellation scale and lose ~half the digits
-    d = pts.shape[1]
-    offsets = tensor_grid([op.offsets for op in ops])
-    sizes = tuple(op.offsets.size for op in ops)
-    combos = offsets.shape[0]
+    # the offsets of each point span a tensor grid, contracted one axis at a time
+    combos = int(np.prod([op.offsets.size for op in ops]))
     out = np.empty(pts.shape[0])
     block = max(1, _CHUNK_BUDGET // max(1, combos))
     for start in range(0, pts.shape[0], block):
         chunk = pts[start:start + block]
-        shifted = chunk[:, None, :] + offsets[None, :, :]
-        vals = np.asarray(base(shifted.reshape(-1, d)), dtype=float)
-        arr = vals.reshape((chunk.shape[0],) + sizes)
+        arr = grid_values(base, [chunk[:, i, None] + op.offsets for i, op in enumerate(ops)])
         for op in reversed(ops):
             arr = arr @ op.weights
         out[start:start + block] = arr
@@ -220,7 +217,7 @@ def _apply_on_tensor_grid(ops: tuple[AxisOp, ...], base,
     flat_rest = [e.reshape(-1) for e in expanded[1:]]
     for start in range(0, n0, block):
         rows = expanded[0][start:start + block]
-        vals = np.asarray(base(tensor_grid([rows.reshape(-1), *flat_rest])), dtype=float)
+        vals = grid_values(base, [rows.reshape(-1), *flat_rest])
         shape = [rows.shape[0], l0]
         for n, l in sizes[1:]:
             shape.extend([n, l])
@@ -236,11 +233,11 @@ def _smoothed_lp_norm(ops, base, p: float, domain: Parallelepiped,
     """L_p norm of the stencil output (or of base - output) over the box."""
     rule, nodes = quad.rule_for(p)
     axes = [axis_rule(rule, n, *domain.axis_interval(i))[0] for i, n in enumerate(nodes)]
-    vals = _apply_on_tensor_grid(ops, base, axes).reshape(-1)
-    pts, wts = tensor_quadrature(domain, quad, p)
+    vals = _apply_on_tensor_grid(ops, base, axes)
     if subtract_base:
-        vals = np.asarray(base(pts), dtype=float) - vals
-    return grid_norm(vals, wts, p)
+        vals = grid_values(base, axes) - vals
+    _, wts = tensor_quadrature(domain, quad, p)
+    return grid_norm(vals.reshape(-1), wts, p)
 
 
 def smooth_univariate(f, k: int, t: float, axis: int, box: Parallelepiped,

@@ -283,6 +283,33 @@ class TestRunners:
         assert len(level0) == 1 and level0[0].box == cfg.box and level0[0].t == (1.0,)
 
 
+    @pytest.mark.parametrize("runner,target,expected_t", [
+        # the first step of the log t-sweep: t_min_factor * size / (4 r^2)
+        (run_johnen, "k_functional_bracket", (0.01 / 16.0,)),
+        (run_kfunc, "k_functional_bracket", (1.0 / 16.0,)),  # the smoother's bound
+        (run_modulus, "modulus", (1.0,)),  # t unset: the box size
+    ])
+    def test_failing_row_carries_the_step_it_ran(self, monkeypatch, runner, target,
+                                                 expected_t):
+        # an error row of a t-sweep names the step its task ran at, the one
+        # the task's other rows carry, not the unset cfg.t
+        from whitney_lab import harness
+
+        def failing(*args, **kwargs):
+            raise ValueError("synthetic failure")
+
+        cfg = _cfg(function_ids=["exp_d1"], orders=[[2]], p_values=[2], t_sweep=2)
+        assert cfg.t is None
+        ok_rows = runner(cfg).rows
+        monkeypatch.setattr(harness, target, failing)
+        result = runner(cfg)
+        errors = [r for r in result.rows if r.quantity == "error"]
+        assert len(errors) == len({r.t for r in ok_rows}) and not result.hard_failure
+        assert [r.t for r in errors] == sorted({r.t for r in ok_rows})
+        assert errors[0].t == pytest.approx(expected_t, rel=1e-15)
+        assert all(r.box == cfg.box for r in errors)
+
+
 class TestCli:
     def _write_config(self, tmp_path, **overrides):
         raw = dict(BASE_CONFIG)
@@ -305,6 +332,21 @@ class TestCli:
         rb = self._run("whitney", "--config", str(cfg), "--out", str(out_b))
         assert ra.returncode == 0 and rb.returncode == 0, ra.stderr
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_jobs_flag_keeps_johnen_bytes(self, tmp_path):
+        cfg = self._write_config(
+            tmp_path, function_ids=["exp_d2", "abspow_d2"], orders=[[1, 1]],
+            p_values=[1, "inf"], box={"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+            t_sweep=2, resolutions={"h_grid": 5, "quad_nodes": 8, "sup_nodes": 9,
+                                    "panel_nodes": 4})
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            res = self._run("johnen", "--config", str(cfg), "--out", str(out),
+                            "--jobs", jobs)
+            assert res.returncode == 0, res.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] and outs[0].count(b"\njohnen,abspow_d2,") == 2 * 2 * 8
 
     def test_json_format_flag(self, tmp_path):
         cfg = self._write_config(tmp_path)
