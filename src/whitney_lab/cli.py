@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"),
                        help="output format (overrides the config)")
         p.add_argument("--jobs", type=int,
-                       help="parallel row workers (default: WHITNEY_LAB_THREADS or 1)")
+                       help="parallel task workers (default: WHITNEY_LAB_THREADS or 1)")
     return parser
 
 
@@ -43,7 +43,12 @@ def main(argv: list[str] | None = None) -> int:
         cfg = ExperimentConfig.from_json_file(args.config)
         jobs = args.jobs
         if jobs is None:
-            jobs = int(os.environ.get("WHITNEY_LAB_THREADS", cfg.jobs))
+            threads = os.environ.get("WHITNEY_LAB_THREADS", cfg.jobs)
+            try:
+                jobs = int(threads)
+            except ValueError:
+                raise ConfigError(
+                    f"WHITNEY_LAB_THREADS must be a whole number, got {threads!r}") from None
         updates = {"jobs": max(1, jobs)}
         if args.out:
             updates["output_path"] = args.out

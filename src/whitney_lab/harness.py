@@ -1,12 +1,15 @@
 """Experiment orchestration: configuration, sweep runners, and report emission.
 
 A single JSON document configures every experiment.  Runners enumerate their
-work in configuration order and emit :class:`ResultRow` values in that same
-order, so two runs with the same configuration produce byte-identical output
-files.  A failing combination never aborts a sweep; it appears as a row with
-quantity ``error``.  The only hard, theorem-derived assertions are the exact
-lower-bound margin (whitney) and bracket consistency (johnen); violations are
-reported through :attr:`RunResult.hard_failure` and become exit code 1.
+work in configuration order as tasks, one per ``(function, r, p, step)``, and
+emit :class:`ResultRow` values in that same order, so two runs with the same
+configuration produce byte-identical output files.  A task computes
+``(quantity, value)`` pairs; one function, :func:`_run_task`, turns them into
+rows, times the task and stamps the shared fields.  A failing combination
+never aborts a sweep; it appears as a row with quantity ``error``.  The only
+hard, theorem-derived assertions are the exact lower-bound margin (whitney)
+and bracket consistency (johnen, kfunc); violations are reported through
+:attr:`RunResult.hard_failure` and become exit code 1.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .differences import (
     total_p_mean_modulus,
     whitney_constant_sum,
 )
-from .functions import get_function
+from .functions import FunctionSpec, get_function
 from .geometry import (
     GeometryError,
     Parallelepiped,
@@ -104,7 +107,6 @@ class ExperimentConfig:
     output_format: str = "csv"
     jobs: int = 1
     include_p_mean: bool = True
-    subdivision: bool = True
     record_runtime: bool = False
     t_min_factor: float = 0.01
 
@@ -113,7 +115,7 @@ class ExperimentConfig:
         try:
             box_raw = raw["box"]
             box = Parallelepiped(box_raw["lower"], box_raw["upper"])
-        except (KeyError, TypeError, GeometryError) as exc:
+        except (KeyError, TypeError, ValueError, GeometryError) as exc:
             raise ConfigError(f"invalid or missing box: {exc}") from exc
         if not all(math.isfinite(v) for v in box.lower + box.upper):
             raise ConfigError(f"box bounds must be finite: {box_raw}")
@@ -138,7 +140,8 @@ class ExperimentConfig:
             raise ConfigError(f"dimensions {dims} inconsistent with box dimension {dim}")
         orders = []
         for r in raw.get("orders", ()):
-            r = tuple(int(v) for v in (r if isinstance(r, (list, tuple)) else [r]))
+            r = tuple(_number("orders", v, int)
+                      for v in (r if isinstance(r, (list, tuple)) else [r]))
             if len(r) != dim or any(v < 1 for v in r):
                 raise ConfigError(f"order {r} must have {dim} entries >= 1")
             orders.append(r)
@@ -151,7 +154,8 @@ class ExperimentConfig:
         unknown = set(res_raw) - set(Resolutions.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown resolution keys: {sorted(unknown)}")
-        resolutions = Resolutions(**{k: int(v) for k, v in res_raw.items()})
+        resolutions = Resolutions(**{k: _number(f"resolutions.{k}", v, int)
+                                     for k, v in res_raw.items()})
         if resolutions.h_grid < 2:  # the bound ModulusRequest enforces
             raise ConfigError(f"h_grid must be >= 2, got {resolutions.h_grid}")
         try:  # QuadratureSpec's bounds; panel and mean nodes are Gauss counts too
@@ -165,16 +169,16 @@ class ExperimentConfig:
             raise ConfigError(f"output format must be csv or json, got {fmt!r}")
         t = raw.get("t")
         if t is not None:
-            t = tuple(float(v) for v in (t if isinstance(t, (list, tuple)) else [t]))
+            t = tuple(_number("t", v) for v in (t if isinstance(t, (list, tuple)) else [t]))
             if len(t) != dim or not all(0 < v < math.inf for v in t):
                 raise ConfigError(f"t {t} must have {dim} positive finite entries")
-        shrink_levels = int(raw.get("shrink_levels", 0))
+        shrink_levels = _number("shrink_levels", raw.get("shrink_levels", 0), int)
         if shrink_levels < 0:
             raise ConfigError(f"shrink_levels must be >= 0, got {shrink_levels}")
-        t_sweep = int(raw.get("t_sweep", 12))
+        t_sweep = _number("t_sweep", raw.get("t_sweep", 12), int)
         if t_sweep < 1:
             raise ConfigError(f"t_sweep must be >= 1, got {t_sweep}")
-        t_min_factor = float(raw.get("t_min_factor", 0.01))
+        t_min_factor = _number("t_min_factor", raw.get("t_min_factor", 0.01))
         if not 0 < t_min_factor < math.inf:
             raise ConfigError(f"t_min_factor must be positive and finite, got {t_min_factor}")
         return cls(
@@ -188,9 +192,8 @@ class ExperimentConfig:
             resolutions=resolutions,
             output_path=out.get("path"),
             output_format=fmt,
-            jobs=int(raw.get("jobs", 1)),
+            jobs=_number("jobs", raw.get("jobs", 1), int),
             include_p_mean=bool(raw.get("include_p_mean", True)),
-            subdivision=bool(raw.get("subdivision", True)),
             record_runtime=bool(raw.get("record_runtime", False)),
             t_min_factor=t_min_factor,
         )
@@ -215,12 +218,26 @@ class ExperimentConfig:
         )
 
 
+def _number(key: str, value, kind: type = float):
+    """``value`` as a ``kind`` (float or int), or a config error naming ``key``:
+    a non-number, NaN, or a fraction where an int is due (never truncated)."""
+    try:
+        number = kind(value)
+        exact = number == float(value)
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        raise ConfigError(f"{key} must be {'a whole number' if kind is int else 'a number'}, "
+                          f"got {value!r}")
+    return number
+
+
 def _parse_p(p) -> float:
     if isinstance(p, str):
         if p.lower() in ("inf", "infinity"):
             return math.inf
         raise ConfigError(f"p value {p!r} not understood (use numbers or 'inf')")
-    p = float(p)
+    p = _number("p_values", p)
     if not (1.0 <= p <= math.inf):
         raise ConfigError(f"p must lie in [1, inf], got {p}")
     return p
@@ -231,18 +248,10 @@ def _parse_p(p) -> float:
 # ---------------------------------------------------------------------------
 
 def _fmt_float(v: float) -> str:
-    if v != v:
-        return "nan"
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return repr(float(v))
+    return repr(float(v))  # "nan", "inf" and "-inf" for the non-finite values
 
 
 def _fmt_p(p: float) -> str:
-    if p == math.inf:
-        return "inf"
     if float(p).is_integer():
         return str(int(p))
     return repr(float(p))
@@ -320,193 +329,130 @@ class RunResult:
 # runners
 # ---------------------------------------------------------------------------
 
-def _shrunk_box(box: Parallelepiped, level: int) -> Parallelepiped:
-    # shrink anchored at the lower corner, halving every axis per level
-    size = box.size() / (2.0 ** level)
-    return Parallelepiped(box.lower, np.asarray(box.lower) + size)
-
-
 def _na_ratio(num: float, den: float, scale: float = 0.0) -> float:
     if den <= 1e-12 * (1.0 + scale):
         return math.nan
     return num / den
 
 
-def _task_frame(experiment: str, cfg: ExperimentConfig, r: tuple[int, ...],
-                step: int) -> tuple[Parallelepiped, tuple[float, ...] | None]:
-    """The box and the step ``t`` a task runs at, which all its rows carry,
-    its ``error`` row too: the shrunk box and its size (whitney, taylor), the
-    log-sweep step (johnen), the halving step (lemma21), none (bestapprox), or
+def _task_frames(experiment: str, cfg: ExperimentConfig, r: tuple[int, ...]
+                 ) -> list[tuple[Parallelepiped, tuple[float, ...] | None]]:
+    """The box and the step ``t`` of each step of an experiment's sweep at
+    order ``r``, which all rows of the step's task carry, its ``error`` row
+    too: the shrunk boxes and their sizes (whitney, taylor), the log-sweep
+    steps (johnen), the halving steps (lemma21), no step (bestapprox), or
     ``cfg.t``, else the box size (modulus) or the smoother's bound (kfunc)."""
-    if experiment in ("whitney", "taylor"):
-        box = _shrunk_box(cfg.box, step)
-        return box, tuple(box.size())
     box, size = cfg.box, cfg.box.size()
+    if experiment in ("whitney", "taylor"):  # anchored at the lower corner
+        boxes = [Parallelepiped(box.lower, np.asarray(box.lower) + size / (2.0 ** level))
+                 for level in range(cfg.shrink_levels + 1)]
+        return [(b, tuple(b.size())) for b in boxes]
     tbar = tuple(size[i] / (4.0 * r[i] * r[i]) for i in range(len(r)))
     if experiment == "johnen":
         factors = np.logspace(math.log10(cfg.t_min_factor), 0.0, cfg.t_sweep)
-        return box, tuple(float(v) for v in factors[step] * np.asarray(tbar))
+        return [(box, tuple(float(v) for v in factor * np.asarray(tbar)))
+                for factor in factors]
     if experiment == "lemma21":
-        return box, (float(size[0]) / (2.0 ** step),)
+        return [(box, (float(size[0]) / (2.0 ** k),)) for k in range(7)]
     if experiment == "bestapprox":
-        return box, None
+        return [(box, None)]
     if cfg.t is not None:
-        return box, cfg.t
-    return box, tuple(size) if experiment == "modulus" else tbar
+        return [(box, cfg.t)]
+    return [(box, tuple(size) if experiment == "modulus" else tbar)]
 
 
-def _whitney_task(cfg: ExperimentConfig, fid: str, r: tuple[int, ...], p: float,
-                  box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[ResultRow], bool]:
-    f = get_function(fid)
+# A task function computes one task's ``(quantity, value)`` pairs, in row
+# order, and whether a hard check failed; ``_run_task`` builds the rows.  A
+# pair may carry a third entry, the order its row reports in place of ``r``.
+
+def _whitney_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p: float,
+                  box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[tuple], bool]:
     res = cfg.resolutions
     quad = res.quad_for(f.dimension)
-    start = time.perf_counter()
     _, err = best_approx(f, r, p, box, grid=res.fit_grid(r), quad=quad)
     omega = total_modulus(f, r, t, p, box, res.h_grid, quad)
-    csum = whitney_constant_sum(r)
-    margin = omega - csum * err
-    rows = []
-
-    def add(quantity, value):
-        ms = int(1000 * (time.perf_counter() - start)) if cfg.record_runtime else 0
-        rows.append(ResultRow("whitney", fid, f.dimension, r, p, box, t,
-                              quantity, value, ms))
-
-    add("E_r", err)
-    add("Omega", omega)
+    margin = omega - whitney_constant_sum(r) * err
+    pairs = [("E_r", err), ("Omega", omega)]
     if cfg.include_p_mean:
         w_total = omega if p == math.inf else total_p_mean_modulus(
             f, r, t, p, box, quad, res.mean_nodes, res.h_grid)
-        add("W", w_total)
-        add("ratio_E_over_W", _na_ratio(err, w_total))
-    add("margin", margin)
-    add("ratio_E_over_Omega", _na_ratio(err, omega))
-    hard = margin > MARGIN_TOL * (1.0 + omega)
-    return rows, hard
+        pairs += [("W", w_total), ("ratio_E_over_W", _na_ratio(err, w_total))]
+    pairs += [("margin", margin), ("ratio_E_over_Omega", _na_ratio(err, omega))]
+    return pairs, margin > MARGIN_TOL * (1.0 + omega)
 
 
-def _johnen_task(cfg: ExperimentConfig, fid: str, r: tuple[int, ...], p: float,
-                 box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[ResultRow], bool]:
-    f = get_function(fid)
-    kcfg = cfg.kfunc_config(f.dimension)
-    start = time.perf_counter()
-    rows: list[ResultRow] = []
-
-    def add(quantity, value):
-        ms = int(1000 * (time.perf_counter() - start)) if cfg.record_runtime else 0
-        rows.append(ResultRow("johnen", fid, f.dimension, r, p, box, t,
-                              quantity, value, ms))
-
-    try:
-        bracket = k_functional_bracket(f, r, t, p, box, kcfg)
-    except BracketViolation:
-        add("error", math.nan)
-        return rows, True
-    omega = bracket.details["omega_total"]
-    add("K_lower", bracket.lower)
-    add("K_upper", bracket.upper)
-    add("Omega", omega)
-    add("ratio_upper_over_Omega", _na_ratio(bracket.upper, omega))
-    add("ratio_lower_check",
-        _na_ratio(bracket.lower * whitney_constant_sum(r), omega))
-    if "f_minus_g" in bracket.details:
-        add("ratio_fg_over_Omega", _na_ratio(bracket.details["f_minus_g"], omega))
-        terms = bracket.details["deriv_terms"]
-        omega_terms = bracket.details["omega_terms"]
+def _johnen_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p: float,
+                 box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[tuple], bool]:
+    bracket = k_functional_bracket(f, r, t, p, box, cfg.kfunc_config(f.dimension))
+    details = bracket.details
+    omega = details["omega_total"]
+    pairs = [
+        ("K_lower", bracket.lower),
+        ("K_upper", bracket.upper),
+        ("Omega", omega),
+        ("ratio_upper_over_Omega", _na_ratio(bracket.upper, omega)),
+        ("ratio_lower_check", _na_ratio(bracket.lower * whitney_constant_sum(r), omega)),
+    ]
+    if "f_minus_g" in details:
+        terms, omega_terms = details["deriv_terms"], details["omega_terms"]
         ratios = [terms[key] / omega_terms[key] for key in terms
                   if omega_terms.get(key, 0.0) > 1e-12]
-        add("ratio_gderiv_over_omega", max(ratios) if ratios else math.nan)
-    if cfg.subdivision and "subdomain_uppers" in bracket.details:
-        combined = float(sum(bracket.details["subdomain_uppers"].values()))
-        add("ratio_subdivision", _na_ratio(bracket.upper, combined))
-    return rows, False
+        pairs += [("ratio_fg_over_Omega", _na_ratio(details["f_minus_g"], omega)),
+                  ("ratio_gderiv_over_omega", max(ratios) if ratios else math.nan)]
+    if "subdomain_uppers" in details:
+        combined = float(sum(details["subdomain_uppers"].values()))
+        pairs.append(("ratio_subdivision", _na_ratio(bracket.upper, combined)))
+    return pairs, False
 
 
-def _taylor_task(cfg: ExperimentConfig, fid: str, r: tuple[int, ...], p: float,
-                 box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[ResultRow], bool]:
-    f = get_function(fid)
-    res = cfg.resolutions
-    quad = res.quad_for(f.dimension)
-    start = time.perf_counter()
+def _taylor_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p: float,
+                 box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[tuple], bool]:
+    quad = cfg.resolutions.quad_for(f.dimension)
     tp = taylor_poly(f, r, box.lower, box)
     err = lp_norm(lambda q: np.asarray(f(q)) - tp(q), box, p, quad)
     bound = taylor_remainder_bound(f, r, p, box, quad)
-    rows = []
-
-    def add(quantity, value):
-        ms = int(1000 * (time.perf_counter() - start)) if cfg.record_runtime else 0
-        rows.append(ResultRow("taylor", fid, f.dimension, r, p, box, t,
-                              quantity, value, ms))
-
-    add("taylor_err", err)
-    add("taylor_bound", bound)
-    add("ratio", _na_ratio(err, bound))
-    return rows, False
+    return [("taylor_err", err), ("taylor_bound", bound),
+            ("ratio", _na_ratio(err, bound))], False
 
 
-def _lemma21_task(cfg: ExperimentConfig, fid: str, r: tuple[int, ...], p: float,
-                  box: Parallelepiped, t: tuple[float]) -> tuple[list[ResultRow], bool]:
-    f = get_function(fid)
-    res = cfg.resolutions
-    quad = res.quad_for(1)
-    start = time.perf_counter()
-    rows = []
+def _lemma21_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p: float,
+                  box: Parallelepiped, t: tuple[float]) -> tuple[list[tuple], bool]:
+    quad = cfg.resolutions.quad_for(1)
+    pairs = []
     for k in range(r[0]):
-        ratio_lp, ratio_sup = derivative_inequality_ratios(
-            f, r[0], k, t[0], p, box, quad)
-        ms = int(1000 * (time.perf_counter() - start)) if cfg.record_runtime else 0
-        rows.append(ResultRow("lemma21", fid, 1, r, p, box, t,
-                              f"ratio_lemma21_Lp_k{k}", ratio_lp, ms))
-        rows.append(ResultRow("lemma21", fid, 1, r, p, box, t,
-                              f"ratio_lemma21_sup_k{k}", ratio_sup, ms))
-    return rows, False
+        ratio_lp, ratio_sup = derivative_inequality_ratios(f, r[0], k, t[0], p, box, quad)
+        pairs += [(f"ratio_lemma21_Lp_k{k}", ratio_lp),
+                  (f"ratio_lemma21_sup_k{k}", ratio_sup)]
+    return pairs, False
 
 
-def _modulus_task(cfg: ExperimentConfig, fid: str, r: tuple[int, ...], p: float,
-                  box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[ResultRow], bool]:
-    f = get_function(fid)
+def _modulus_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p: float,
+                  box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[tuple], bool]:
     res = cfg.resolutions
     quad = res.quad_for(f.dimension)
-    rows = []
+    pairs = []
     for e in subsets(f.dimension):
         r_e = e.project(r)
         omega = modulus(ModulusRequest(f, r, e, t, p, box, res.h_grid, quad))
         # at p = inf the p-mean modulus is this sup-type modulus, bit for bit
         w = omega if p == math.inf else p_mean_modulus(
             f, r_e, t, p, box, quad, res.mean_nodes, res.h_grid)
-        rows += [ResultRow("modulus", fid, f.dimension, r_e.entries, p, box, t, q, v)
-                 for q, v in (("omega", omega), ("w", w))]
-    for total, term in (("Omega", "omega"), ("W", "w")):
-        rows.append(ResultRow("modulus", fid, f.dimension, r, p, box, t, total,
-                              sum(row.value for row in rows if row.quantity == term)))
-    return rows, False
+        pairs += [("omega", omega, r_e.entries), ("w", w, r_e.entries)]
+    return pairs + [(total, sum(v for q, v, _ in pairs if q == term))
+                    for total, term in (("Omega", "omega"), ("W", "w"))], False
 
 
-def _bestapprox_task(cfg: ExperimentConfig, fid: str, r: tuple[int, ...], p: float,
-                     box: Parallelepiped, t: None) -> tuple[list[ResultRow], bool]:
-    f = get_function(fid)
+def _bestapprox_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p: float,
+                     box: Parallelepiped, t: None) -> tuple[list[tuple], bool]:
     res = cfg.resolutions
-    quad = res.quad_for(f.dimension)
-    _, err = best_approx(f, r, p, box, grid=res.fit_grid(r), quad=quad)
-    return [ResultRow("bestapprox", fid, f.dimension, r, p, box, t, "E_r", err)], False
+    _, err = best_approx(f, r, p, box, grid=res.fit_grid(r), quad=res.quad_for(f.dimension))
+    return [("E_r", err)], False
 
 
-def _kfunc_task(cfg: ExperimentConfig, fid: str, r: tuple[int, ...], p: float,
-                box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[ResultRow], bool]:
-    f = get_function(fid)
-    kcfg = cfg.kfunc_config(f.dimension)
-    rows = []
-    try:
-        bracket = k_functional_bracket(f, r, t, p, box, kcfg)
-    except BracketViolation:
-        rows.append(ResultRow("kfunc", fid, f.dimension, r, p, box, t,
-                              "error", math.nan))
-        return rows, True
-    rows.append(ResultRow("kfunc", fid, f.dimension, r, p, box, t, "K_lower",
-                          bracket.lower))
-    rows.append(ResultRow("kfunc", fid, f.dimension, r, p, box, t, "K_upper",
-                          bracket.upper))
-    return rows, False
+def _kfunc_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p: float,
+                box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[tuple], bool]:
+    bracket = k_functional_bracket(f, r, t, p, box, cfg.kfunc_config(f.dimension))
+    return [("K_lower", bracket.lower), ("K_upper", bracket.upper)], False
 
 
 _TASK_FUNCS = {
@@ -521,25 +467,22 @@ _TASK_FUNCS = {
 
 
 def _run_task(task) -> tuple[list[ResultRow], bool]:
-    experiment, cfg, fid, r, p, step = task
-    box, t = _task_frame(experiment, cfg, r, step)
+    """Run one task and build its rows, each with the task's wall time if
+    ``record_runtime`` is set; the only place rows are made."""
+    experiment, cfg, fid, r, p, box, t = task
+    f = get_function(fid)
+    start = time.perf_counter()
     try:
-        return _TASK_FUNCS[experiment](cfg, fid, r, p, box, t)
+        pairs, hard = _TASK_FUNCS[experiment](cfg, f, r, p, box, t)
     except (SimplexError, BracketViolation, ValueError, ArithmeticError) as exc:
-        f = get_function(fid)
-        row = ResultRow(experiment, fid, f.dimension, r, p, box, t, "error", math.nan)
-        return [row], isinstance(exc, BracketViolation)
+        pairs, hard = [("error", math.nan)], isinstance(exc, BracketViolation)
+    ms = int(1000 * (time.perf_counter() - start)) if cfg.record_runtime else 0
+    return [ResultRow(experiment, fid, f.dimension, order[0] if order else r, p, box, t,
+                      quantity, value, ms)
+            for quantity, value, *order in pairs], hard
 
 
 def _enumerate_tasks(experiment: str, cfg: ExperimentConfig) -> list[tuple]:
-    if experiment in ("whitney", "taylor"):
-        steps = range(cfg.shrink_levels + 1)
-    elif experiment == "johnen":
-        steps = range(cfg.t_sweep)
-    elif experiment == "lemma21":
-        steps = range(7)
-    else:
-        steps = (0,)
     tasks = []
     for fid in cfg.function_ids:
         f = get_function(fid)
@@ -548,30 +491,24 @@ def _enumerate_tasks(experiment: str, cfg: ExperimentConfig) -> list[tuple]:
         if experiment == "lemma21" and f.dimension != 1:
             continue
         for r in cfg.orders:
+            frames = _task_frames(experiment, cfg, r)
             for p in cfg.p_values:
                 if experiment in ("whitney", "bestapprox") and p not in (1.0, 2.0, math.inf):
                     raise ConfigError(
                         f"{experiment} computes best approximation; p must be 1, 2, or inf")
-                for step in steps:
-                    tasks.append((experiment, cfg, fid, r, p, step))
+                tasks += [(experiment, cfg, fid, r, p, box, t) for box, t in frames]
     return tasks
 
 
 def _execute(experiment: str, cfg: ExperimentConfig) -> RunResult:
     tasks = _enumerate_tasks(experiment, cfg)
-    rows: list[ResultRow] = []
-    hard = False
     if cfg.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for task_rows, task_hard in pool.map(_run_task, tasks, chunksize=1):
-                rows.extend(task_rows)
-                hard = hard or task_hard
+            results = list(pool.map(_run_task, tasks, chunksize=1))
     else:
-        for task in tasks:
-            task_rows, task_hard = _run_task(task)
-            rows.extend(task_rows)
-            hard = hard or task_hard
-    return RunResult(rows, hard)
+        results = [_run_task(task) for task in tasks]
+    return RunResult([row for rows, _ in results for row in rows],
+                     any(hard for _, hard in results))
 
 
 def run_whitney(cfg: ExperimentConfig) -> RunResult:

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from whitney_lab import cli, harness
 from whitney_lab.harness import (
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     ResultRow,
@@ -22,6 +24,7 @@ from whitney_lab.harness import (
     run_whitney,
 )
 from whitney_lab.geometry import Parallelepiped
+from whitney_lab.smoother import BracketViolation
 
 INF = math.inf
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -85,6 +88,26 @@ class TestConfig:
     def test_unknown_resolution_key(self):
         with pytest.raises(ConfigError):
             _cfg(resolutions={"bogus": 3})
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"shrink_levels": "two"}, "shrink_levels"),
+        ({"t_sweep": 2.5}, "t_sweep"),
+        ({"resolutions": {"h_grid": "x"}}, "resolutions.h_grid"),
+        ({"orders": [["a"]]}, "orders"),
+        ({"orders": [[2.7]]}, "orders"),
+        ({"p_values": [[2]]}, "p_values"),
+        ({"t": ["a"]}, "t"),
+        ({"t_min_factor": None}, "t_min_factor"),
+        ({"jobs": "two"}, "jobs"),
+        ({"box": {"lower": ["a"], "upper": [1.0]}}, "box"),
+    ])
+    def test_malformed_value_names_its_key(self, overrides, key):
+        # int() / float() failures and silent truncation are config errors
+        with pytest.raises(ConfigError, match=f"^{key} |^invalid or missing {key}"):
+            _cfg(**overrides)
+
+    def test_whole_float_order_is_accepted(self):
+        assert _cfg(orders=[[2.0]]).orders == ((2,),)
 
 
 class TestEmit:
@@ -382,12 +405,19 @@ class TestCli:
         {"t_min_factor": float("inf")},
         {"t_min_factor": 0.0},
         {"t_min_factor": -1.0},
+        {"shrink_levels": "two"},
+        {"resolutions": {"h_grid": "x"}},
+        {"orders": [["a"]]},
+        {"orders": [[2.7]]},
+        {"box": {"lower": ["a"], "upper": [1.0]}},
     ], ids=["box-nan", "box-inf", "box-neg-inf", "shrink-levels-negative", "t-sweep-zero",
             "h-grid-1", "quad-nodes-0", "sup-nodes-1", "mean-nodes-0", "panel-nodes-0",
             "t-nan", "t-inf", "t-min-factor-nan", "t-min-factor-inf", "t-min-factor-0",
-            "t-min-factor-negative"])
+            "t-min-factor-negative", "shrink-levels-str", "h-grid-str", "order-str",
+            "order-fraction", "box-str"])
     def test_bad_config_value_exit_code_2(self, tmp_path, overrides):
-        # each of these used to run (NaN/inf box) or give an empty sweep
+        # each of these used to run (NaN/inf box, a truncated order), give an
+        # empty sweep, or exit 1 with a traceback (a malformed number)
         cfg = self._write_config(tmp_path, **overrides)
         res = self._run("whitney", "--config", str(cfg), "--out",
                         str(tmp_path / "x.csv"))
@@ -402,7 +432,95 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         assert out.exists()
 
+    def test_bad_threads_env_exit_code_2(self, tmp_path):
+        cfg = self._write_config(tmp_path)
+        res = self._run("whitney", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),
+                        env_extra={"WHITNEY_LAB_THREADS": "two"})
+        assert res.returncode == 2
+        assert "config error: WHITNEY_LAB_THREADS" in res.stderr
+
     def test_missing_output_path_is_config_error(self, tmp_path):
         cfg = self._write_config(tmp_path)
         res = self._run("whitney", "--config", str(cfg))
         assert res.returncode == 2
+
+
+class TestHardFailures:
+    """A hard failure gives ``hard_failure`` and CLI exit code 1."""
+
+    def _cli(self, tmp_path, experiment, **overrides):
+        raw = dict(BASE_CONFIG)
+        raw.update(overrides)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        return cli.main([experiment, "--config", str(path), "--out",
+                         str(tmp_path / "out.csv"), "--jobs", "1"])
+
+    @pytest.mark.parametrize("experiment", ["johnen", "kfunc"])
+    def test_bracket_violation_is_one_hard_error_row_per_task(self, monkeypatch, tmp_path,
+                                                               experiment):
+        def violated(*args, **kwargs):
+            raise BracketViolation("synthetic violation")
+
+        monkeypatch.setattr(harness, "k_functional_bracket", violated)
+        overrides = dict(function_ids=["exp_d1"], orders=[[1], [2]], p_values=[2], t_sweep=2)
+        cfg = _cfg(**overrides)
+        result = EXPERIMENTS[experiment](cfg)
+        assert result.hard_failure
+        n_tasks = len(harness._enumerate_tasks(experiment, cfg))
+        assert n_tasks > 1 and [r.quantity for r in result.rows] == ["error"] * n_tasks
+        assert self._cli(tmp_path, experiment, **overrides) == 1
+
+    def test_whitney_margin_breach_is_hard(self, monkeypatch, tmp_path):
+        # with a zero constant the margin is Omega > 0, which breaks the lower bound
+        monkeypatch.setattr(harness, "whitney_constant_sum", lambda r: 0.0)
+        overrides = dict(function_ids=["exp_d1"], orders=[[2]], p_values=[2], shrink_levels=0)
+        result = run_whitney(_cfg(**overrides))
+        assert result.hard_failure
+        assert [r.value > 0 for r in result.rows if r.quantity == "margin"] == [True]
+        assert self._cli(tmp_path, "whitney", **overrides) == 1
+
+
+class _QuarterSecondClock:
+    """Stands in for the ``time`` module: each read advances 0.25 s."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += 0.25
+        return self.now
+
+
+@pytest.mark.parametrize("experiment,target", [
+    ("whitney", "best_approx"),
+    ("johnen", "k_functional_bracket"),
+    ("taylor", "taylor_poly"),
+    ("lemma21", "derivative_inequality_ratios"),
+    ("modulus", "modulus"),
+    ("bestapprox", "best_approx"),
+    ("kfunc", "k_functional_bracket"),
+])
+def test_record_runtime_stamps_every_row_with_its_task_time(monkeypatch, experiment, target):
+    # the first call of ``target`` fails, so the first task is one error row
+    original = getattr(harness, target)
+    calls = []
+
+    def fail_first(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise ValueError("synthetic failure")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, target, fail_first)
+    monkeypatch.setattr(harness, "time", _QuarterSecondClock())
+    cfg = _cfg(function_ids=["exp_d1"], orders=[[2]], p_values=[2, "inf"], shrink_levels=1,
+               t_sweep=2, record_runtime=True)
+    rows = EXPERIMENTS[experiment](cfg).rows
+    assert [r.quantity for r in rows].count("error") == 1
+    by_task = {}
+    for row in rows:  # one function and one order: (p, box, t) names the task
+        by_task.setdefault((row.p, row.box, row.t), set()).add(row.runtime_ms)
+    assert len(by_task) > 1
+    for key, runtimes in by_task.items():
+        assert len(runtimes) == 1 and min(runtimes) > 0, (key, runtimes)
