@@ -13,8 +13,9 @@ operation with a mixed-Sobolev precondition.
 
 Every entry is a product of 1-D factors or ``exp(a . x)``, so its values on a
 tensor grid follow from one 1-D evaluation per node and axis:
-:func:`grid_values` is how the stencil evaluator and the moduli kernel
-evaluate a function, and it gives the point-wise values bit for bit.
+:func:`broadcast_values` (the stencil evaluator) and :func:`grid_values` (the
+moduli kernel) are how a function is evaluated on a grid, and they give the
+point-wise values bit for bit.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "sobolev_norm",
     "corpus",
     "get_function",
+    "broadcast_values",
     "grid_values",
     "tensor_polynomial_spec",
 ]
@@ -69,8 +71,8 @@ class FunctionSpec:
     optional ``grid_evaluator`` maps ``d`` coordinate arrays, one per axis,
     that broadcast against each other to the values on their broadcast shape;
     the corpus entries' ``evaluator`` is their ``grid_evaluator`` applied to the
-    point columns, and :func:`grid_values` hands it 1-D axes that broadcast to
-    a tensor grid.  Entries are immutable and freely shareable across threads.
+    point columns, and :func:`broadcast_values` hands it the coordinate arrays
+    of a grid.  Entries are immutable and freely shareable across threads.
     """
 
     id: str
@@ -139,19 +141,29 @@ def grid_values(f, axes) -> np.ndarray:
 
     Each ``axes[i]`` has shape ``(..., n_i)`` with a shared leading batch
     shape; the result has shape ``(..., n_0, ..., n_{d-1})``, first axis
-    slowest.  An entry with a ``grid_evaluator`` costs one 1-D evaluation per
-    node and axis; any other callable gets the point list.  Both see the same
-    coordinates, so the values equal ``f`` at the grid points bit for bit.
+    slowest (:func:`broadcast_values` on the axes shaped to broadcast).
     """
     d = len(axes)
     coords = [np.asarray(x, dtype=float) for x in axes]
-    coords = [x.reshape(x.shape[:-1] + (1,) * i + x.shape[-1:] + (1,) * (d - 1 - i))
-              for i, x in enumerate(coords)]
+    return broadcast_values(
+        f, [x.reshape(x.shape[:-1] + (1,) * i + x.shape[-1:] + (1,) * (d - 1 - i))
+            for i, x in enumerate(coords)])
+
+
+def broadcast_values(f, coords) -> np.ndarray:
+    """Values of ``f`` at the points whose i-th coordinates are ``coords[i]``.
+
+    The coordinate arrays broadcast against each other, and the result has
+    their broadcast shape.  An entry with a ``grid_evaluator`` costs one 1-D
+    evaluation per element of each array; any other callable gets the point
+    list.  Both see the same coordinates, so the values equal ``f`` at those
+    points bit for bit.
+    """
     shape = np.broadcast_shapes(*(x.shape for x in coords))
     grid_evaluator = getattr(f, "grid_evaluator", None)
     if grid_evaluator is not None:
         return np.asarray(grid_evaluator(coords), dtype=float).reshape(shape)
-    pts = np.stack(np.broadcast_arrays(*coords), axis=-1).reshape(-1, d)
+    pts = np.stack(np.broadcast_arrays(*coords), axis=-1).reshape(-1, len(coords))
     return np.asarray(f(pts), dtype=float).reshape(shape)
 
 
@@ -207,7 +219,8 @@ def _exp_spec(spec_id: str, a: tuple[float, ...]) -> FunctionSpec:
     terms = [lambda xi, ai=ai: ai * xi for ai in a_arr]
 
     def grid_evaluator(coords):
-        return np.exp(_fold(np.add, terms, coords))
+        x = _fold(np.add, terms, coords)  # a fresh array: exponentiate in place
+        return np.exp(x, out=x)
 
     def derivative_evaluator(k, pts):
         scale = float(np.prod(a_arr ** np.asarray(k, dtype=float)))

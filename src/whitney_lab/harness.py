@@ -123,6 +123,7 @@ class ExperimentConfig:
             box.require_positive_size()
         except GeometryError as exc:
             raise ConfigError(str(exc)) from exc
+        _known_keys("config", raw, _CONFIG_KEYS)
         dim = box.dim
         ids = tuple(raw.get("function_ids", ()))
         if not ids:
@@ -151,9 +152,7 @@ class ExperimentConfig:
         if not p_values:
             raise ConfigError("p_values must be a non-empty list")
         res_raw = raw.get("resolutions", {})
-        unknown = set(res_raw) - set(Resolutions.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown resolution keys: {sorted(unknown)}")
+        _known_keys("resolution", res_raw, Resolutions.__dataclass_fields__)
         resolutions = Resolutions(**{k: _number(f"resolutions.{k}", v, int)
                                      for k, v in res_raw.items()})
         if resolutions.h_grid < 2:  # the bound ModulusRequest enforces
@@ -164,6 +163,7 @@ class ExperimentConfig:
         except GeometryError as exc:
             raise ConfigError(f"resolutions {res_raw}: {exc}") from exc
         out = raw.get("output", {})
+        _known_keys("output", out, ("path", "format"))
         fmt = out.get("format", "csv")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {fmt!r}")
@@ -193,8 +193,8 @@ class ExperimentConfig:
             output_path=out.get("path"),
             output_format=fmt,
             jobs=_number("jobs", raw.get("jobs", 1), int),
-            include_p_mean=bool(raw.get("include_p_mean", True)),
-            record_runtime=bool(raw.get("record_runtime", False)),
+            include_p_mean=_flag(raw, "include_p_mean", True),
+            record_runtime=_flag(raw, "record_runtime", False),
             t_min_factor=t_min_factor,
         )
 
@@ -216,6 +216,29 @@ class ExperimentConfig:
             h_grid=res.h_grid,
             panel_nodes=res.panel_nodes,
         )
+
+
+# the top-level keys of a config document; any other key is a config error
+_CONFIG_KEYS = ("function_ids", "orders", "p_values", "box", "dimensions", "shrink_levels",
+                "t_sweep", "t", "t_min_factor", "resolutions", "output", "jobs",
+                "include_p_mean", "record_runtime")
+
+
+def _known_keys(where: str, raw, known) -> None:
+    """A config error naming the keys of the ``where`` object not in ``known``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _flag(raw: dict, key: str, default: bool) -> bool:
+    """A JSON ``true``/``false`` (a string such as ``"false"`` is an error)."""
+    value = raw.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def _number(key: str, value, kind: type = float):

@@ -17,12 +17,31 @@ used by the subdivision argument.
 
 Everything reduces to separable offset/weight stencils applied to the base
 function, so norms over tensor grids evaluate the base function once on an
-expanded tensor grid (:func:`grid_values`) and contract axis by axis.  The
-order of contraction does not tame the cancellation of the derivative
-stencils: the round-off of the base values is amplified by the product of the
-per-axis weight sums, about ``prod t_i^-r_i`` on the derivative axes, so at
-small t the mixed derivative norms carry a relative error far above the
-unit round-off (ROADMAP item 2).
+expanded tensor grid and contract axis by axis.  The order of contraction
+does not tame the cancellation of the derivative stencils: the round-off of
+the base values is amplified by the product of the per-axis weight sums,
+about ``prod t_i^-r_i`` on the derivative axes, so at small t the mixed
+derivative norms carry a relative error far above the unit round-off
+(ROADMAP item 2).
+
+The same amplification makes the output bits depend on how the contraction
+is handed to BLAS.  Each contraction is one ``tensordot``, that is one
+matrix-vector product of the values, flattened to rows, with an axis's
+weights.  Which kernel treats a row, and so the last bit of its sum, depends
+on the matrix's shape, its storage order (row- or column-major) and the
+row's position in it: gemv gives the last rows of a matrix their own kernel.
+A block of grid rows (``_CHUNK_BUDGET`` values at most, whole rows of axis 0)
+is evaluated by :func:`broadcast_values` in the layout
+``(n_0, n_1, l_1, ..., n_{d-1}, l_{d-1}, l_0)``, n_i the grid nodes and l_i
+the stencil offsets of axis i, so that ``l_0``, contracted first, is the
+last axis and BLAS gets a row-major view of the values rather than a
+transposed copy.  A one-row block keeps ``l_0`` second, where numpy views
+the values as a column-major matrix.  Either way every matrix BLAS sees is
+the one of the interleaved layout ``(n_0, l_0, n_1, l_1, ...)`` with each
+``l_i`` contracted where it stands (the reference of the tests), so the bits
+are that contraction's.  The block rule is fixed for the same reason: another
+budget moves the block edges, hence the matrices, hence the last bits, and
+the derivative stencils amplify those into the output.
 """
 
 from __future__ import annotations
@@ -34,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from .differences import modulus, whitney_constant_sum, ModulusRequest
-from .functions import FunctionSpec, grid_values
+from .functions import FunctionSpec, broadcast_values, grid_values
 from .geometry import (
     GAUSS,
     MultiIndex,
@@ -70,6 +89,7 @@ __all__ = [
 
 DEFAULT_PANEL_NODES = 16
 _CHUNK_BUDGET = 1 << 22  # max elements evaluated per base-function call
+_BOX_NORMS_CACHE = 256  # (f, r, p, box, quad) keys; the steps of a sweep share theirs
 
 
 class DomainValidityError(ValueError):
@@ -206,23 +226,31 @@ def _apply_at_points(ops: tuple[AxisOp, ...], base, pts: np.ndarray) -> np.ndarr
 
 def _apply_on_tensor_grid(ops: tuple[AxisOp, ...], base,
                           axis_points: list[np.ndarray]) -> np.ndarray:
-    """Evaluate the stencil on a tensor grid, contracting one axis at a time."""
+    """Evaluate the stencil on a tensor grid, contracting one axis at a time.
+
+    A block of rows is evaluated in the layout ``(n_0, n_1, l_1, ...,
+    n_{d-1}, l_{d-1}, l_0)`` and ``l_0`` is contracted first, so BLAS gets a
+    view of the values; a one-row block keeps ``l_0`` second, which numpy
+    views as a column-major matrix (see the module docstring).
+    """
     d = len(axis_points)
     expanded = [axis_points[i][:, None] + ops[i].offsets[None, :] for i in range(d)]
-    sizes = [e.shape for e in expanded]
-    tail = int(np.prod([n * l for n, l in sizes[1:]])) if d > 1 else 1
-    n0, l0 = sizes[0]
+    tail = int(np.prod([e.size for e in expanded[1:]]))
+    l0 = ops[0].offsets.size
     block = max(1, _CHUNK_BUDGET // max(1, l0 * tail))
     chunks = []
-    flat_rest = [e.reshape(-1) for e in expanded[1:]]
-    for start in range(0, n0, block):
-        rows = expanded[0][start:start + block]
-        vals = grid_values(base, [rows.reshape(-1), *flat_rest])
-        shape = [rows.shape[0], l0]
-        for n, l in sizes[1:]:
-            shape.extend([n, l])
-        arr = vals.reshape(shape)
-        for i in range(d):
+    for start in range(0, axis_points[0].size, block):
+        coords = []
+        for i, e in enumerate([expanded[0][start:start + block], *expanded[1:]]):
+            shape = [1] * (2 * d)  # (n_0, l_0, n_1, l_1, ...)
+            shape[2 * i], shape[2 * i + 1] = e.shape
+            coords.append(e.reshape(shape))
+        l0_axis = 1
+        if coords[0].shape[0] > 1:
+            coords = [x.reshape(x.shape[:1] + x.shape[2:] + x.shape[1:2]) for x in coords]
+            l0_axis = 2 * d - 1
+        arr = np.tensordot(broadcast_values(base, coords), ops[0].weights, axes=(l0_axis, 0))
+        for i in range(1, d):
             arr = np.tensordot(arr, ops[i].weights, axes=(i + 1, 0))
         chunks.append(arr)
     return np.concatenate(chunks, axis=0)
@@ -357,34 +385,39 @@ class KBracket:
                 f"bracket inverted: lower={self.lower} > upper={self.upper}")
 
 
-def _weighted_derivative_sum(f: FunctionSpec, r: MultiIndex, t, p, box, quad) -> float:
-    t = as_step_vector(t, r.dim)
-    total = 0.0
-    for e in subsets(r.dim):
-        weight = float(np.prod([t[i] ** r[i] for i in e.sorted_axes()]))
-        total += weight * lp_norm(f.derivative_fn(e.project(r)), box, p, quad)
-    return total
-
-
-def _poly_candidates(f: FunctionSpec, r: MultiIndex, p, box, cfg: KFuncConfig):
-    """Polynomial members of the candidate family (zero derivative terms)."""
-    quad = cfg.quad_for(r.dim)
+@lru_cache(maxsize=_BOX_NORMS_CACHE)
+def _box_norms(f: FunctionSpec, r: MultiIndex, p, box: Parallelepiped,
+               quad: QuadratureSpec):
+    """The t-independent norms of the box candidates: ``||f||``, the
+    ``||f^(r(e))||`` over :func:`subsets` (``None`` unless f is Sobolev up to
+    r), and the polynomial candidates' ``(name, ||f - poly||)`` pairs."""
+    norm = lp_norm(f, box, p, quad)
+    sobolev = f.is_sobolev and r.leq(f.r_max)
+    derivs = None
+    if sobolev:
+        derivs = tuple(lp_norm(f.derivative_fn(e.project(r)), box, p, quad)
+                       for e in subsets(r.dim))
     proj, _ = _project_l2(f, r, box, quad)
-    out = [("projection", lp_norm(lambda q: np.asarray(f(q)) - proj(q), box, p, quad))]
-    if f.is_sobolev and r.leq(f.r_max):
+    polys = [("projection", lp_norm(lambda q: np.asarray(f(q)) - proj(q), box, p, quad))]
+    if sobolev:
         tp = taylor_poly(f, r, np.asarray(box.lower), box)
-        out.append(("taylor",
-                    lp_norm(lambda q: np.asarray(f(q)) - tp(q), box, p, quad)))
-    return out
+        polys.append(("taylor", lp_norm(lambda q: np.asarray(f(q)) - tp(q), box, p, quad)))
+    return norm, derivs, tuple(polys)
 
 
 def _box_candidates(f: FunctionSpec, r: MultiIndex, t, p, box, cfg: KFuncConfig):
-    """Candidates valid on the whole given box (no smoother)."""
-    quad = cfg.quad_for(r.dim)
-    cands = [("zero", lp_norm(f, box, p, quad))]
-    if f.is_sobolev and r.leq(f.r_max):
-        cands.append(("identity", _weighted_derivative_sum(f, r, t, p, box, quad)))
-    cands.extend(_poly_candidates(f, r, p, box, cfg))
+    """Candidates valid on the whole given box (no smoother): g = 0, g = f
+    (weights ``t^r(e)`` on the memoized derivative norms), the polynomials."""
+    norm, derivs, polys = _box_norms(f, r, p, box, cfg.quad_for(r.dim))
+    cands = [("zero", norm)]
+    if derivs is not None:
+        t = as_step_vector(t, r.dim)
+        total = 0.0
+        for e, deriv in zip(subsets(r.dim), derivs):
+            weight = float(np.prod([t[i] ** r[i] for i in e.sorted_axes()]))
+            total += weight * deriv
+        cands.append(("identity", total))
+    cands.extend(polys)
     return cands
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitney_lab import differences, smoother
+from whitney_lab import differences, functions, smoother
 from whitney_lab.differences import ModulusRequest, modulus, p_mean_modulus
 from whitney_lab.functions import corpus, get_function, grid_values
 from whitney_lab.geometry import (
@@ -112,3 +112,58 @@ def test_moduli_agree_on_both_paths(fid, p, chunks):
                 r_e = e.project(r)
                 assert (p_mean_modulus(f, r_e, t, p, box, quad, 3, 5)
                         == p_mean_modulus(_plain(f), r_e, t, p, box, quad, 3, 5))
+
+
+def _per_axis_contraction(ops, base, axis_points):
+    """The reference for the stencil layout: base values laid out as
+    ``(n_0, l_0, n_1, l_1, ...)``, each ``l_i`` contracted in place by
+    ``tensordot``, with the same row blocks of ``_CHUNK_BUDGET``."""
+    d = len(axis_points)
+    expanded = [axis_points[i][:, None] + ops[i].offsets[None, :] for i in range(d)]
+    sizes = [e.shape for e in expanded]
+    tail = int(np.prod([n * l for n, l in sizes[1:]])) if d > 1 else 1
+    n0, l0 = sizes[0]
+    block = max(1, smoother._CHUNK_BUDGET // max(1, l0 * tail))
+    flat_rest = [e.reshape(-1) for e in expanded[1:]]
+    chunks = []
+    for start in range(0, n0, block):
+        rows = expanded[0][start:start + block]
+        vals = grid_values(base, [rows.reshape(-1), *flat_rest])
+        arr = vals.reshape([rows.shape[0], l0] + [m for size in sizes[1:] for m in size])
+        for i in range(d):
+            arr = np.tensordot(arr, ops[i].weights, axes=(i + 1, 0))
+        chunks.append(arr)
+    return np.concatenate(chunks, axis=0)
+
+
+_D3 = [functions._exp_spec("exp_d3", (1.0, 0.5, -1.0)),
+       functions._sin_product_spec("sin_d3", (1.5, 2.0, 0.7), (0.3, 0.7, 0.1)),
+       functions._abspow_spec("abspow_d3", (0.3, 0.6, 0.45), 0.5)]
+
+
+@pytest.mark.parametrize("f", [get_function(fid) for fid in
+                               ("exp_d1", "sin_d1", "abspow_d1", "exp_d2", "sinprod_d2",
+                                "runge_d2", "abspow_d2")] + _D3, ids=lambda f: f.id)
+@pytest.mark.parametrize("plain", [False, True], ids=["grid-evaluator", "point-list"])
+def test_stencil_layout_matches_the_per_axis_contraction(f, plain, chunks, monkeypatch):
+    d = f.dimension
+    box = Parallelepiped([0.1] * d, [0.9] * d)
+    if d < 3:
+        r, t, panel_nodes, sizes = (2, 3)[:d], (0.04, -0.02)[:d], 6, (5, 6)[:d]
+    else:  # sizes where an (n_1, n_2, l_2, l_1) row order would move gemv's last rows
+        r, t, panel_nodes, sizes = (3, 1, 2), (0.02, -0.1, 0.03), 2, (5, 3, 3)
+    stencils = [smooth_mixed(f, r, t, box, panel_nodes)]
+    stencils += [smoothed_derivative(f, r, t, e, box, panel_nodes) for e in subsets(d)]
+    base = _plain(f) if plain else f
+    for g in stencils:
+        axes = [axis_rule("gauss_legendre", n, *g.domain.axis_interval(i))[0]
+                for i, n in enumerate(sizes)]
+        got = _apply_on_tensor_grid(g.ops, base, axes)
+        assert got.shape == sizes
+        assert np.array_equal(got, _per_axis_contraction(g.ops, base, axes))
+        # blocks of 2, 2 and 1 rows: numpy views a one-row block column-major
+        tail = math.prod(n * op.offsets.size for n, op in zip(sizes[1:], g.ops[1:]))
+        with monkeypatch.context() as m:
+            m.setattr(smoother, "_CHUNK_BUDGET", 2 * g.ops[0].offsets.size * tail)
+            assert np.array_equal(_apply_on_tensor_grid(g.ops, base, axes),
+                                  _per_axis_contraction(g.ops, base, axes))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -108,6 +109,25 @@ class TestConfig:
 
     def test_whole_float_order_is_accepted(self):
         assert _cfg(orders=[[2.0]]).orders == ((2,),)
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"shrink_level": 3}, "unknown config keys: ['shrink_level']"),
+        ({"subdivision": True, "jobz": 2}, "unknown config keys: ['jobz', 'subdivision']"),
+        ({"output": {"path": "x.csv", "fmt": "json"}}, "unknown output keys: ['fmt']"),
+        ({"output": "x.csv"}, "output must be a JSON object"),
+        ({"resolutions": [9]}, "resolution must be a JSON object"),
+    ])
+    def test_unknown_key_is_named(self, overrides, message):
+        # a misspelt key used to run with its default and exit 0
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            _cfg(**overrides)
+
+    @pytest.mark.parametrize("key", ["include_p_mean", "record_runtime"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_non_boolean_flag_names_its_key(self, key, value):
+        # bool("false") is True: the string used to switch the option on
+        with pytest.raises(ConfigError, match=f"^{key} must be true or false"):
+            _cfg(**{key: value})
 
 
 class TestEmit:
@@ -410,11 +430,17 @@ class TestCli:
         {"orders": [["a"]]},
         {"orders": [[2.7]]},
         {"box": {"lower": ["a"], "upper": [1.0]}},
+        {"shrink_level": 3},
+        {"subdivision": True},
+        {"output": {"fmt": "json"}},
+        {"record_runtime": "false"},
+        {"include_p_mean": 1},
     ], ids=["box-nan", "box-inf", "box-neg-inf", "shrink-levels-negative", "t-sweep-zero",
             "h-grid-1", "quad-nodes-0", "sup-nodes-1", "mean-nodes-0", "panel-nodes-0",
             "t-nan", "t-inf", "t-min-factor-nan", "t-min-factor-inf", "t-min-factor-0",
             "t-min-factor-negative", "shrink-levels-str", "h-grid-str", "order-str",
-            "order-fraction", "box-str"])
+            "order-fraction", "box-str", "unknown-key", "deleted-subdivision-key",
+            "unknown-output-key", "record-runtime-str", "include-p-mean-int"])
     def test_bad_config_value_exit_code_2(self, tmp_path, overrides):
         # each of these used to run (NaN/inf box, a truncated order), give an
         # empty sweep, or exit 1 with a traceback (a malformed number)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from whitney_lab import smoother
 from whitney_lab.functions import get_function
-from whitney_lab.geometry import Parallelepiped, SubsetMask, lp_norm
+from whitney_lab.geometry import Parallelepiped, QuadratureSpec, SubsetMask, lp_norm
 from whitney_lab.smoother import (
     BracketViolation,
     BSpline,
@@ -316,3 +317,36 @@ class TestKBracket:
         br = k_functional_bracket(f, (1,), (0.002,), 2.0, unit_box_1d, cfg)
         assert br.witness == "smoother_subdivision"
         assert "subdomain_uppers" in br.details
+
+
+class TestBoxNormCache:
+    """The t-independent norms of the box candidates are memoized per
+    ``(f, r, p, box, quad)``; a sweep on a warm cache gives the cold bits."""
+
+    CFG = KFuncConfig(quad=QuadratureSpec.for_dim(2, 8, 9), h_grid=5, panel_nodes=4)
+    BOX = Parallelepiped([0.0, 0.1], [1.0, 0.9])
+
+    def _sweep(self, check, f, steps, p):
+        smoother._box_norms.cache_clear()
+        warm = [check(f, (2, 2), t, p, self.BOX, self.CFG) for t in steps]
+        info = smoother._box_norms.cache_info()
+        for t, result in zip(steps, warm):
+            smoother._box_norms.cache_clear()
+            cold = check(f, (2, 2), t, p, self.BOX, self.CFG)
+            assert repr(result) == repr(cold)  # repr spells every float's bits
+        return info.hits, info.misses
+
+    @pytest.mark.parametrize("fid", ["sinprod_d2", "abspow_d2"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    def test_warm_bracket_sweep_keeps_the_bits(self, fid, p):
+        steps = [(0.06, 0.04), (0.03, 0.02), (0.015, 0.01)]  # smoother range: (1/16, 1/20)
+        hits, misses = self._sweep(k_functional_bracket, get_function(fid), steps, p)
+        # the box and its 4 subboxes: computed at the first step, reused at the other two
+        assert (hits, misses) == (10, 5)
+
+    @pytest.mark.parametrize("fid", ["sinprod_d2", "abspow_d2"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    def test_warm_subdivision_fallback_keeps_the_bits(self, fid, p):
+        steps = [(0.3, 0.3), (0.4, 0.35), (0.5, 0.4)]  # past the smoother range
+        hits, misses = self._sweep(subdivision_check, get_function(fid), steps, p)
+        assert (hits, misses) == (10, 5)
