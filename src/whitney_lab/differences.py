@@ -9,6 +9,16 @@ the sup-type modulus searches non-negative step grids and the p-mean modulus
 integrates ``[0, t_i]`` with doubled weights (tests check both against signed
 loops).  Every shifted box is an affine image of one reference grid, so
 :func:`_shift_norms` measures a whole step grid in a few array passes.
+
+Those passes take the steps in chunks of about ``_CHUNK_POINTS`` values of
+``f`` (the ``T`` difference terms on the reference grid, per step), so that a
+chunk's values, about 512 KiB, stay in L2 while the difference and the norm
+read them, and each call of ``f`` covers many shifted boxes.  The budget sets
+only how many steps share a chunk, never the bits: each step's difference is
+``coef @`` its own ``(T, n_ref)`` block, its norm is its own max or dot
+product, and the box nodes, offsets and scales are computed once per call,
+element by element.  (The stencil evaluator's ``_CHUNK_BUDGET`` is unlike
+this: its block edges are matrix shapes, and they do fix the bits.)
 """
 
 from __future__ import annotations
@@ -53,8 +63,9 @@ log = logging.getLogger(__name__)
 
 DEFAULT_H_GRID = 33
 DEFAULT_MEAN_NODES = 16
-# points per call of f in _shift_norms: 16 difference terms on a 33^2 sup grid
-_CHUNK_POINTS = 16 * 33 * 33
+# values of f per chunk of _shift_norms (module docstring); on the moduli
+# workload 2^15 was slower, and 2^17 and 2^18 no faster but held more memory
+_CHUNK_POINTS = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +109,8 @@ def _shift_norms(f, r_e: MultiIndex, steps: np.ndarray, p: float,
     ``|diff|^p`` over the shifted box, 0 where that box is empty.  Bounds, grid
     and difference use the arithmetic of :func:`shifted_domain`,
     :func:`box_rule` and :func:`mixed_difference`, per axis; f runs once per
-    chunk, on the tensor grids of the chunk's shifted boxes."""
+    chunk, on the tensor grids of the chunk's shifted boxes.  A NaN norm of a
+    non-empty box raises :class:`FloatingPointError` naming its step."""
     if not (1.0 <= p <= math.inf):
         raise ValueError(f"p must lie in [1, inf], got {p}")
     mult, coef = _difference_table(r_e.entries)
@@ -106,25 +118,34 @@ def _shift_norms(f, r_e: MultiIndex, steps: np.ndarray, p: float,
     lo = np.where(y < 0, domain.lower - y, domain.lower)
     hi = np.where(y >= 0, domain.upper - y, domain.upper)
     keep = np.flatnonzero(~np.any(lo > hi, axis=1))
-    half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+    half, mid = 0.5 * (hi[keep] - lo[keep]), 0.5 * (lo[keep] + hi[keep])
     rule, nodes = quad.rule_for(p)
-    ref_axes = [axis_rule(rule, n)[0] for n in nodes]
     _, ref_wts = _reference_grid(rule, nodes)
     n_ref = math.prod(nodes)
-    out = np.zeros(len(steps))
+    # per kept step: box nodes (K, 1, n_i), difference offsets (K, T, 1), box scale
+    nodes_at = [(axis_rule(rule, n)[0] * half[:, i, None] + mid[:, i, None])[:, None]
+                for i, n in enumerate(nodes)]
+    offsets = [mult[:, i, None] * steps[keep, i, None, None] for i in range(r_e.dim)]
+    scale = np.prod(half, axis=1)[:, None]
+    norms = np.empty(len(keep))
     per = max(1, _CHUNK_POINTS // (len(coef) * n_ref))
     for start in range(0, len(keep), per):
-        idx = keep[start:start + per]
-        axes = [(ref_axes[i] * half[idx, i, None] + mid[idx, i, None])[:, None]
-                + mult[:, i, None] * steps[idx, i, None, None] for i in range(r_e.dim)]
-        vals = grid_values(f, axes)  # (chunk, T, n_0, ..., n_{d-1})
-        diff = coef @ vals.reshape(len(idx), len(coef), n_ref)
+        at = slice(start, start + per)
+        vals = grid_values(f, [x[at] + o[at] for x, o in zip(nodes_at, offsets)])
+        diff = coef @ vals.reshape(-1, len(coef), n_ref)  # (chunk, n_ref)
         del vals  # free the chunk before the reduction
+        np.abs(diff, out=diff)
         if p == math.inf:
-            out[idx] = np.max(np.abs(diff), axis=1)
+            norms[at] = np.max(diff, axis=1)
         else:  # one dot product per step, the reduction of lp_power_integral
-            wts = np.prod(half[idx], axis=1)[:, None] * ref_wts
-            out[idx] = np.matmul(wts[:, None, :], (np.abs(diff) ** p)[:, :, None])[:, 0, 0]
+            diff **= p
+            norms[at] = np.matmul((scale[at] * ref_wts)[:, None, :], diff[:, :, None])[:, 0, 0]
+    bad = np.flatnonzero(np.isnan(norms))
+    if bad.size:
+        raise FloatingPointError(f"NaN norm of the order {r_e.entries} difference at step "
+                                 f"{tuple(steps[keep[bad[0]]].tolist())}")
+    out = np.zeros(len(steps))
+    out[keep] = norms
     return out
 
 
@@ -178,8 +199,8 @@ def modulus(req: ModulusRequest) -> float:
         return 0.0
     steps = np.zeros((req.h_grid ** len(active), r_e.dim))
     steps[:, active] = tensor_grid([np.linspace(0.0, req.t[i], req.h_grid) for i in active])
-    best = np.fmax.reduce(_shift_norms(req.f, r_e, steps, req.p, req.domain, req.quad),
-                          initial=0.0)  # a NaN step never wins
+    # empty boxes give 0 and a NaN norm raises, so the max starts at 0
+    best = np.max(_shift_norms(req.f, r_e, steps, req.p, req.domain, req.quad), initial=0.0)
     return float(best if req.p == math.inf else best ** (1.0 / req.p))
 
 

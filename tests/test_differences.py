@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from whitney_lab import differences
 from whitney_lab.differences import (
     ModulusRequest,
     mixed_difference,
@@ -16,9 +17,11 @@ from whitney_lab.differences import (
 from whitney_lab.functions import get_function, tensor_polynomial_spec
 from whitney_lab.geometry import (
     Parallelepiped,
+    QuadratureSpec,
     SubsetMask,
     lp_norm,
     shifted_domain,
+    subsets,
 )
 
 INF = math.inf
@@ -233,6 +236,66 @@ class TestPMeanModulus:
         sup = modulus(ModulusRequest(f, (1,), SubsetMask(1, [0]), (0.8,), p,
                                      unit_box_1d, 33, quad_1d))
         assert mean <= 2.0 ** (1.0 / p) * sup + 1e-10
+
+
+class TestNaNNorms:
+    # x on [0, 0.9], NaN beyond
+    NAN_TAIL = staticmethod(lambda q: np.where(q[:, 0] > 0.9, np.nan, q[:, 0]))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    def test_modulus_raises_naming_the_step(self, unit_box_1d, quad_1d, p):
+        req = ModulusRequest(self.NAN_TAIL, (1,), SubsetMask(1, [0]), (0.5,), p,
+                             unit_box_1d, 33, quad_1d)
+        with pytest.raises(FloatingPointError, match=r"NaN norm .* at step \(0\.0,\)"):
+            modulus(req)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    def test_p_mean_modulus_raises(self, unit_box_1d, quad_1d, p):
+        with pytest.raises(FloatingPointError, match="NaN norm"):
+            p_mean_modulus(self.NAN_TAIL, (1,), (0.5,), p, unit_box_1d, quad_1d)
+
+    def test_nan_outside_every_shifted_box_is_not_seen(self, quad_1d):
+        # with h <= 0.1 every node x and x + h of a shifted box lies in [0, 0.9]
+        box = Parallelepiped([0.0], [0.9])
+        got = modulus(ModulusRequest(self.NAN_TAIL, (1,), SubsetMask(1, [0]), (0.1,), INF,
+                                     box, 33, quad_1d))
+        assert got == pytest.approx(0.1, rel=1e-12)
+
+
+# one step per chunk, the default budget, and every step of a grid in one chunk
+_BUDGETS = [1, differences._CHUNK_POINTS, 1 << 40]
+
+
+def _moduli_reprs(f, d, quad, h_grid, mean_nodes):
+    box = Parallelepiped([-0.2] * d, [0.7] * d)
+    out = []
+    for r in [(1,) * d, (2, 3)[:d], (3, 3)[:d]]:
+        for t in [(0.05, 0.1)[:d], (0.25, 0.3)[:d], (0.5, 0.8)[:d]]:  # up to empty boxes
+            for e in subsets(d):
+                for p in (1.0, 2.0, INF):
+                    out.append(repr(modulus(ModulusRequest(f, r, e, t, p, box, h_grid, quad))))
+                    out.append(repr(p_mean_modulus(f, e.project(r), t, p, box, quad,
+                                                   mean_nodes, h_grid)))
+    return out
+
+
+@pytest.mark.parametrize("fid,plain", [("exp_d1", False), ("abspow_d1", False),
+                                       ("sinprod_d2", False), ("runge_d2", False),
+                                       ("abspow_d2", True)])
+@pytest.mark.parametrize("nodes", [(5, 7, 5, 3), (24, 33, 9, 6)],
+                         ids=["small-grids", "bench-grids"])
+def test_chunk_budget_keeps_every_bit(monkeypatch, fid, plain, nodes):
+    # each step's difference and reduction are its own, whatever the chunk holds
+    f = get_function(fid)
+    g = (lambda q: f(q)) if plain else f  # a plain callable gets the point list
+    quad_nodes, sup_nodes, h_grid, mean_nodes = nodes
+    quad = QuadratureSpec.for_dim(f.dimension, quad_nodes, sup_nodes)
+    results = []
+    for budget in _BUDGETS:
+        monkeypatch.setattr(differences, "_CHUNK_POINTS", budget)
+        results.append(_moduli_reprs(g, f.dimension, quad, h_grid, mean_nodes))
+    assert results[0] == results[1] == results[2]
+    assert any(v != "0.0" for v in results[0])
 
 
 def test_whitney_constant_sum_values():

@@ -352,6 +352,22 @@ class TestRunners:
         assert errors[0].t == pytest.approx(expected_t, rel=1e-15)
         assert all(r.box == cfg.box for r in errors)
 
+    def test_nan_valued_function_gives_error_rows_not_zero_moduli(self, monkeypatch):
+        # a NaN norm raises FloatingPointError, an ArithmeticError: every
+        # modulus task becomes one error row, never an Omega of 0
+        import numpy as np
+
+        from whitney_lab.functions import FunctionSpec
+
+        nan_tail = FunctionSpec("nan_tail_d1", 1, "sobolev", (3,),
+                                lambda q: np.where(q[:, 0] > 0.9, np.nan, q[:, 0]))
+        cfg = _cfg(function_ids=["exp_d1"], orders=[[1]], p_values=[1, 2, "inf"],
+                   shrink_levels=0, t=[0.5])
+        monkeypatch.setattr(harness, "get_function", lambda fid: nan_tail)
+        result = run_modulus(cfg)
+        assert [r.quantity for r in result.rows] == ["error"] * 3
+        assert not result.hard_failure
+
 
 class TestCli:
     def _write_config(self, tmp_path, **overrides):
