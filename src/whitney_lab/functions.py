@@ -16,6 +16,14 @@ tensor grid follow from one 1-D evaluation per node and axis:
 :func:`broadcast_values` (the stencil evaluator) and :func:`grid_values` (the
 moduli kernel) are how a function is evaluated on a grid, and they give the
 point-wise values bit for bit.
+
+Every entry also has a factor view, ``factors``: the per-axis 1-D callables
+whose product is the entry, ``exp(a_i x_i)`` for ``exp(a . x)``.  A separable
+operator applied to the entry is then the product of 1-D operators applied to
+the factors, which is how the smoother computes ``A_t f`` in O(sum n_i l_i)
+rather than on the expanded tensor grid.  The product of the factors equals
+the entry's values up to round-off only (``exp`` of a sum is not the product
+of the ``exp``), so the evaluators never use it.
 """
 
 from __future__ import annotations
@@ -72,7 +80,9 @@ class FunctionSpec:
     that broadcast against each other to the values on their broadcast shape;
     the corpus entries' ``evaluator`` is their ``grid_evaluator`` applied to the
     point columns, and :func:`broadcast_values` hands it the coordinate arrays
-    of a grid.  Entries are immutable and freely shareable across threads.
+    of a grid.  ``factors``, when not ``None``, holds one 1-D callable per axis
+    whose product over the axes is the entry, up to round-off.  Entries are
+    immutable and freely shareable across threads.
     """
 
     id: str
@@ -83,6 +93,8 @@ class FunctionSpec:
     derivative_evaluator: Callable | None = field(repr=False, default=None)
     poly_degrees: tuple[int, ...] | None = None
     grid_evaluator: Callable | None = field(repr=False, default=None)
+    factors: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = field(
+        repr=False, default=None)
 
     @property
     def is_sobolev(self) -> bool:
@@ -185,7 +197,7 @@ def _product_spec(spec_id: str, smoothness_class: str, r_max: tuple[int, ...],
 
     return FunctionSpec(spec_id, len(factors), smoothness_class, r_max,
                         lambda pts: grid_evaluator(pts.T), derivative_evaluator,
-                        poly_degrees, grid_evaluator)
+                        poly_degrees, grid_evaluator, tuple(factors))
 
 
 def tensor_polynomial_spec(spec_id: str, axis_coeffs: list[list[float]]) -> FunctionSpec:
@@ -227,7 +239,8 @@ def _exp_spec(spec_id: str, a: tuple[float, ...]) -> FunctionSpec:
         return scale * grid_evaluator(pts.T)
 
     return FunctionSpec(spec_id, dim, SOBOLEV, (12,) * dim, lambda pts: grid_evaluator(pts.T),
-                        derivative_evaluator, None, grid_evaluator)
+                        derivative_evaluator, None, grid_evaluator,
+                        tuple(lambda xi, ai=ai: np.exp(ai * xi) for ai in a_arr))
 
 
 def _sin_product_spec(spec_id: str, omega: tuple[float, ...],

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -526,6 +525,9 @@ def _enumerate_tasks(experiment: str, cfg: ExperimentConfig) -> list[tuple]:
 def _execute(experiment: str, cfg: ExperimentConfig) -> RunResult:
     tasks = _enumerate_tasks(experiment, cfg)
     if cfg.jobs > 1 and len(tasks) > 1:
+        # imported here: its multiprocessing import adds ~30 ms to every start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_run_task, tasks, chunksize=1))
     else:

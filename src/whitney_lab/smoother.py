@@ -17,12 +17,19 @@ used by the subdivision argument.
 
 Everything reduces to separable offset/weight stencils applied to the base
 function, so norms over tensor grids evaluate the base function once on an
-expanded tensor grid and contract axis by axis.  The order of contraction
-does not tame the cancellation of the derivative stencils: the round-off of
-the base values is amplified by the product of the per-axis weight sums,
-about ``prod t_i^-r_i`` on the derivative axes, so at small t the mixed
-derivative norms carry a relative error far above the unit round-off
-(ROADMAP item 2).
+expanded tensor grid and contract axis by axis.  One term is factored
+instead: the smoothing term ``||f - A_t f||`` of a bracket, for a base with a
+factor view (``FunctionSpec.factors``), is the outer product of 1-D stencil
+outputs, one per axis (:func:`_smoothed_lp_norm`).  Its weights sum to at
+most 2^k in absolute value whatever t is, so the factored form moves it at
+round-off only.  The derivative terms stay on the grid: their weights sum
+to about t^-r per axis, and the same change of round-off moved them by up to
+2% at small t, so factoring them changes the output.  The order of
+contraction does not tame the cancellation of the derivative stencils: the
+round-off of the base values is amplified by the product of the per-axis
+weight sums, about ``prod t_i^-r_i`` on the derivative axes, so at small t
+the mixed derivative norms carry a relative error far above the unit
+round-off (ROADMAP item 2).
 
 The same amplification makes the output bits depend on how the contraction
 is handed to BLAS.  Each contraction is one ``tensordot``, that is one
@@ -48,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -258,10 +265,24 @@ def _apply_on_tensor_grid(ops: tuple[AxisOp, ...], base,
 
 def _smoothed_lp_norm(ops, base, p: float, domain: Parallelepiped,
                       quad: QuadratureSpec, subtract_base: bool = False) -> float:
-    """L_p norm of the stencil output (or of base - output) over the box."""
+    """L_p norm of the stencil output (or of base - output) over the box.
+
+    With ``subtract_base`` and a base that has ``factors`` (the smoothing term
+    ``||f - A_t f||``), the output is the outer product of the per-axis stencil
+    outputs ``factor_i(x_i + offsets_i) @ weights_i``: O(sum n_i l_i) work,
+    not O(prod n_i l_i).  The smoothing weights sum to at most 2^k in absolute
+    value, so this moves the norm at round-off only.  The derivative stencils
+    keep the grid contraction, because their weights sum to about t^-r and
+    amplify the change of round-off into the output (module docstring).
+    """
     rule, nodes = quad.rule_for(p)
     axes = [axis_rule(rule, n, *domain.axis_interval(i))[0] for i, n in enumerate(nodes)]
-    vals = _apply_on_tensor_grid(ops, base, axes)
+    factors = getattr(base, "factors", None)
+    if subtract_base and factors is not None:
+        vals = reduce(np.multiply.outer, [fac(x[:, None] + op.offsets) @ op.weights
+                                          for fac, x, op in zip(factors, axes, ops)])
+    else:
+        vals = _apply_on_tensor_grid(ops, base, axes)
     if subtract_base:
         vals = grid_values(base, axes) - vals
     _, wts = tensor_quadrature(domain, quad, p)

@@ -1,8 +1,11 @@
 """Tensor-grid evaluation: ``grid_values`` gives the point-wise values bit for
 bit, so the stencil evaluator and the moduli kernel return the same bits for a
 corpus entry (axis by axis) and for the same entry behind a plain callable
-(the point-list fallback)."""
+(the point-list fallback).  The one exception is the smoothing term
+``||f - A_t f||`` of an entry with ``factors``, computed from 1-D stencils: it
+agrees with the grid contraction within an a-priori round-off bound."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,13 +22,17 @@ from whitney_lab.geometry import (
     axis_rule,
     subsets,
     tensor_grid,
+    tensor_quadrature,
 )
 from whitney_lab.smoother import (
+    KFuncConfig,
     _apply_at_points,
     _apply_on_tensor_grid,
     _smoothed_lp_norm,
+    k_functional_bracket,
     smooth_mixed,
     smoothed_derivative,
+    subdivision_boxes,
 )
 
 # far outside the unit box too, plus the kink centres of the abspow entries
@@ -63,6 +70,22 @@ def _plain(f):
     return lambda pts: f(pts)  # no grid_evaluator: the point-list fallback
 
 
+def _factor_bound(ops, f, p, domain, quad):
+    """How far the factored smoothing term may move ``_smoothed_lp_norm(...,
+    subtract_base=True)``: ``64 eps prod_i ||w_i||_1 max|f|``, the max over the
+    grid expanded by the stencil offsets, times ``(sum of the quadrature
+    weights)^(1/p)``, the norm's Lipschitz constant in the sup norm."""
+    rule, nodes = quad.rule_for(p)
+    axes = [axis_rule(rule, n, *domain.axis_interval(i))[0] for i, n in enumerate(nodes)]
+    expanded = [(x[:, None] + op.offsets).reshape(-1) for x, op in zip(axes, ops)]
+    f_max = float(np.max(np.abs(grid_values(f, expanded))))
+    bound = (64 * np.finfo(float).eps * f_max
+             * math.prod(float(np.abs(op.weights).sum()) for op in ops))
+    if p != math.inf:
+        bound *= float(tensor_quadrature(domain, quad, p)[1].sum()) ** (1 / p)
+    return bound
+
+
 @pytest.fixture(params=[False, True], ids=["one-chunk", "multi-chunk"])
 def chunks(request, monkeypatch):
     if request.param:
@@ -90,10 +113,16 @@ def test_stencils_agree_on_both_paths(fid, chunks):
         assert np.array_equal(_apply_at_points(g.ops, f, pts),
                               _apply_at_points(g.ops, _plain(f), pts))
         for p in (1.0, 2.0, math.inf):
-            for subtract_base in (False, True):
-                args = (p, g.domain, quad, subtract_base)
-                assert (_smoothed_lp_norm(g.ops, f, *args)
-                        == _smoothed_lp_norm(g.ops, _plain(f), *args))
+            args = (p, g.domain, quad)
+            assert (_smoothed_lp_norm(g.ops, f, *args)
+                    == _smoothed_lp_norm(g.ops, _plain(f), *args))
+            # without factors, base - output is the grid contraction's, bit for bit
+            plain_diff = _smoothed_lp_norm(g.ops, _plain(f), *args, subtract_base=True)
+            assert (_smoothed_lp_norm(g.ops, dataclasses.replace(f, factors=None), *args,
+                                      subtract_base=True) == plain_diff)
+            # with factors, the output is the outer product of 1-D stencil outputs
+            assert (abs(_smoothed_lp_norm(g.ops, f, *args, subtract_base=True) - plain_diff)
+                    <= _factor_bound(g.ops, f, *args))
 
 
 @pytest.mark.parametrize("fid", ["exp_d1", "abspow_d1", "exp_d2", "sinprod_d2",
@@ -167,3 +196,64 @@ def test_stencil_layout_matches_the_per_axis_contraction(f, plain, chunks, monke
             m.setattr(smoother, "_CHUNK_BUDGET", 2 * g.ops[0].offsets.size * tail)
             assert np.array_equal(_apply_on_tensor_grid(g.ops, base, axes),
                                   _per_axis_contraction(g.ops, base, axes))
+
+
+@st.composite
+def smoothing_cases(draw):
+    """A corpus entry, a box of aspect ratio up to 8, orders and scales inside
+    the smoother's range, and p."""
+    f = draw(st.sampled_from(corpus()))
+    d = f.dimension
+    side = draw(st.floats(0.1, 1.0))
+    sizes = [side, side * draw(st.floats(1.0, 8.0))][:d]
+    if d == 2 and draw(st.booleans()):
+        sizes.reverse()
+    lower = [draw(st.floats(-1.0, 0.5)) for _ in range(d)]
+    box = Parallelepiped(lower, [a + s for a, s in zip(lower, sizes)])
+    r = tuple(draw(st.integers(1, 3)) for _ in range(d))
+    fracs = [draw(st.floats(-1.0, 1.0)) for _ in range(d)]
+    t = tuple(q * s / (4 * ri * ri) for q, s, ri in zip(fracs, sizes, r))
+    p = draw(st.sampled_from([1.0, 2.0, math.inf]))
+    return f, box, r, t, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(smoothing_cases(), st.integers(2, 6), st.integers(2, 9))
+def test_factored_smoothing_term_matches_the_grid_contraction(case, panel_nodes, nodes):
+    f, box, r, t, p = case
+    g = smooth_mixed(f, r, t, box, panel_nodes)
+    quad = QuadratureSpec.for_dim(f.dimension, nodes, nodes + 1)
+    args = (p, g.domain, quad, True)
+    got = _smoothed_lp_norm(g.ops, f, *args)
+    generic = _smoothed_lp_norm(g.ops, dataclasses.replace(f, factors=None), *args)
+    assert abs(got - generic) <= _factor_bound(g.ops, f, p, g.domain, quad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(smoothing_cases())
+def test_bracket_moves_only_its_smoothing_term(case):
+    f, box, r, t, p = case
+    r = tuple(min(ri, 2) for ri in r)  # the modulus terms stay cheap
+    t = tuple(max(abs(ti), 1e-3 * s / (4 * ri * ri))
+              for ti, s, ri in zip(t, box.size(), r))  # t > 0, in the smoother's range
+    cfg = KFuncConfig(quad=QuadratureSpec.for_dim(f.dimension, 6, 7), h_grid=5, panel_nodes=3)
+    got = k_functional_bracket(f, r, t, p, box, cfg)
+    generic = k_functional_bracket(dataclasses.replace(f, factors=None), r, t, p, box, cfg)
+    for key in ("deriv_terms", "omega_terms", "omega_total"):
+        assert repr(got.details[key]) == repr(generic.details[key])
+    assert repr(got.lower) == repr(generic.lower)
+    bounds = {}
+    for key in subdivision_boxes(box):
+        signed = [ti if i in key else -ti for i, ti in enumerate(t)]
+        g = smooth_mixed(f, r, signed, box, cfg.panel_nodes)
+        bounds[key] = _factor_bound(g.ops, f, p, g.domain, cfg.quad)
+    forward = tuple(range(f.dimension))
+    assert abs(got.details["f_minus_g"] - generic.details["f_minus_g"]) <= bounds[forward]
+    for key, bound in bounds.items():
+        assert (abs(got.details["subdomain_uppers"][key]
+                    - generic.details["subdomain_uppers"][key]) <= bound)
+    assert abs(got.upper - generic.upper) <= sum(bounds.values())
+    got_cands, generic_cands = dict(got.details["candidates"]), dict(generic.details["candidates"])
+    assert (abs(got_cands.pop("smoother_subdivision") - generic_cands.pop("smoother_subdivision"))
+            <= sum(bounds.values()))
+    assert repr(got_cands) == repr(generic_cands)

@@ -407,6 +407,14 @@ class TestCli:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] and outs[0].count(b"\njohnen,abspow_d2,") == 2 * 2 * 8
 
+    def test_harness_import_leaves_multiprocessing_out(self):
+        # only --jobs > 1 needs the process pool; a serial run does not pay its import
+        code = "import sys, whitney_lab.harness; print('multiprocessing' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=cli_env())
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+
     def test_json_format_flag(self, tmp_path):
         cfg = self._write_config(tmp_path)
         out = tmp_path / "rows.json"
