@@ -39,7 +39,6 @@ from .polyapprox import (
 from .simplex import SimplexError
 from .smoother import (
     BracketViolation,
-    BSpline,
     DomainValidityError,
     KBracket,
     KFuncConfig,
@@ -48,7 +47,6 @@ from .smoother import (
     smooth_mixed,
     smooth_univariate,
     smoothed_derivative,
-    subdivision_check,
 )
 from .harness import (
     ConfigError,

@@ -112,8 +112,7 @@ class SubsetMask:
     """A subset of the coordinate axes ``{0, ..., dim-1}``.
 
     Axes are 0-based in code.  The empty set is representable; ``project``
-    masks an order vector to the subset (zeros elsewhere) and ``indicator``
-    is the characteristic function of the subset.
+    masks an order vector to the subset (zeros elsewhere).
     """
 
     dim: int
@@ -143,9 +142,6 @@ class SubsetMask:
 
     def sorted_axes(self) -> tuple[int, ...]:
         return tuple(sorted(self.axes))
-
-    def indicator(self, axis: int) -> int:
-        return 1 if axis in self.axes else 0
 
     def project(self, r) -> MultiIndex:
         """Mask the order vector to this subset: r_i on member axes, else 0."""
@@ -186,11 +182,6 @@ class StepVector:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def pow(self, r) -> "StepVector":
-        """Componentwise power t^r = (t_1^{r_1}, ..., t_d^{r_d})."""
-        r = as_multi_index(r, self.dim)
-        return StepVector(t ** p for t, p in zip(self.entries, r.entries))
 
     def array(self) -> np.ndarray:
         return np.asarray(self.entries, dtype=float)

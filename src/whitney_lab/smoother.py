@@ -80,7 +80,6 @@ from .polyapprox import _project_l2, taylor_poly
 __all__ = [
     "DomainValidityError",
     "BracketViolation",
-    "BSpline",
     "bspline_eval",
     "SmoothedFunction",
     "smooth_univariate",
@@ -89,8 +88,6 @@ __all__ = [
     "KFuncConfig",
     "KBracket",
     "k_functional_bracket",
-    "SubdivisionReport",
-    "subdivision_check",
     "subdivision_boxes",
 ]
 
@@ -127,24 +124,6 @@ def bspline_eval(k: int, x) -> np.ndarray | float:
         vals = nxt
     out = vals[0]
     return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class BSpline:
-    """Order-k cardinal B-spline; thin callable wrapper over :func:`bspline_eval`."""
-
-    order: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("B-spline order must be >= 1")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return 0.0, float(self.order)
-
-    def __call__(self, x):
-        return bspline_eval(self.order, x)
 
 
 @lru_cache(maxsize=None)
@@ -196,6 +175,13 @@ def _derivative_op(k: int, t: float) -> AxisOp:
 def _trimmed_interval(a: float, b: float, t: float) -> tuple[float, float]:
     quarter = 0.25 * (b - a)
     return (a, b - quarter) if t >= 0 else (a + quarter, b)
+
+
+def _in_smoother_range(a: float, b: float, k: int, t: float) -> bool:
+    """The validity rule of the order-k operator on [a, b]: ``|t| <= (b - a) /
+    (4 k^2)``, so that its stencil, which reaches k^2 |t| past the point, stays
+    within the quarter that :func:`_trimmed_interval` trims off."""
+    return abs(t) <= (b - a) / (4.0 * k * k) * (1.0 + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -304,9 +290,8 @@ def smooth_univariate(f, k: int, t: float, axis: int, box: Parallelepiped,
     if not 0 <= axis < d:
         raise ValueError(f"axis {axis} out of range")
     a, b = box.axis_interval(axis)
-    tbar = (b - a) / (4.0 * k * k)
-    if abs(t) > tbar * (1.0 + 1e-12):
-        raise DomainValidityError(f"|t|={abs(t)} exceeds the validity bound {tbar}")
+    if not _in_smoother_range(a, b, k, t):
+        raise DomainValidityError(f"|t|={abs(t)} exceeds the validity bound on [{a}, {b}]")
     ops = [_identity_op() for _ in range(d)]
     ops[axis] = _smoothing_op(k, t, panel_nodes)
     lo, hi = list(box.lower), list(box.upper)
@@ -314,22 +299,18 @@ def smooth_univariate(f, k: int, t: float, axis: int, box: Parallelepiped,
     return SmoothedFunction(tuple(ops), f, Parallelepiped(lo, hi), d)
 
 
-def _signed_ops_and_domain(f, r: MultiIndex, t, box: Parallelepiped,
-                           panel_nodes: int,
-                           derivative_axes: frozenset[int] = frozenset()):
+def _signed_ops_and_domain(r: MultiIndex, t, box: Parallelepiped, panel_nodes: int):
+    """The smoothing stencil of each axis at the signed steps t, and the
+    validity box they share."""
     t = as_step_vector(t, r.dim)
     ops = []
     lo, hi = list(box.lower), list(box.upper)
     for i in range(r.dim):
         a, b = box.axis_interval(i)
-        tbar = (b - a) / (4.0 * r[i] * r[i])
-        if abs(t[i]) > tbar * (1.0 + 1e-12):
+        if not _in_smoother_range(a, b, r[i], t[i]):
             raise DomainValidityError(
-                f"|t_{i}|={abs(t[i])} exceeds the validity bound {tbar}")
-        if i in derivative_axes:
-            ops.append(_derivative_op(r[i], t[i]))
-        else:
-            ops.append(_smoothing_op(r[i], t[i], panel_nodes))
+                f"|t_{i}|={abs(t[i])} exceeds the validity bound on [{a}, {b}]")
+        ops.append(_smoothing_op(r[i], t[i], panel_nodes))
         lo[i], hi[i] = _trimmed_interval(a, b, t[i])
     return tuple(ops), Parallelepiped(lo, hi)
 
@@ -342,7 +323,7 @@ def smooth_mixed(f, r, t, box: Parallelepiped,
     the respective stepping side.
     """
     r = as_multi_index(r, box.dim)
-    ops, domain = _signed_ops_and_domain(f, r, t, box, panel_nodes)
+    ops, domain = _signed_ops_and_domain(r, t, box, panel_nodes)
     return SmoothedFunction(ops, f, domain, r.dim)
 
 
@@ -363,10 +344,9 @@ def smoothed_derivative(f, r, t, e: SubsetMask, box: Parallelepiped,
     if e.is_empty:
         raise ValueError("smoothed_derivative needs a non-empty subset")
     t = as_step_vector(t, box.dim)
-    if any(t[i] == 0.0 for i in e.sorted_axes()):
-        raise DomainValidityError("derivative axes need a nonzero scale")
-    ops, domain = _signed_ops_and_domain(f, r, t, box, panel_nodes,
-                                         frozenset(e.sorted_axes()))
+    smooth, domain = _signed_ops_and_domain(r, t, box, panel_nodes)
+    ops = tuple(_derivative_op(r[i], t[i]) if i in e.axes else op
+                for i, op in enumerate(smooth))
     return SmoothedFunction(ops, f, domain, r.dim)
 
 
@@ -444,18 +424,26 @@ def _box_candidates(f: FunctionSpec, r: MultiIndex, t, p, box, cfg: KFuncConfig)
 
 def _directional_upper(f: FunctionSpec, r: MultiIndex, t, sigma: tuple[int, ...],
                        p, box, cfg: KFuncConfig):
-    """Functional value of the signed smoother, measured on its validity box."""
+    """Functional value of the signed smoother, measured on its validity box.
+
+    The validity box and each axis's smoothing and derivative stencils are
+    built once per sigma.  The term of subset e takes the derivative stencil
+    on e's axes and the smoothing stencil elsewhere: the stencils that
+    :func:`smoothed_derivative` builds for e, so each term has the bits of
+    that reference path.
+    """
     quad = cfg.quad_for(r.dim)
     t = as_step_vector(t, r.dim)
     signed = [s * ti for s, ti in zip(sigma, t)]
-    g = smooth_mixed(f, r, signed, box, cfg.panel_nodes)
-    value = _smoothed_lp_norm(g.ops, f, p, g.domain, quad, subtract_base=True)
+    smooth, domain = _signed_ops_and_domain(r, signed, box, cfg.panel_nodes)
+    deriv = [_derivative_op(r[i], ti) for i, ti in enumerate(signed)]
+    value = _smoothed_lp_norm(smooth, f, p, domain, quad, subtract_base=True)
     f_minus_g = value
     deriv_terms = {}
     for e in subsets(r.dim):
-        gd = smoothed_derivative(f, r, signed, e, box, cfg.panel_nodes)
+        ops = tuple(deriv[i] if i in e.axes else op for i, op in enumerate(smooth))
         weight = float(np.prod([t[i] ** r[i] for i in e.sorted_axes()]))
-        term = weight * _smoothed_lp_norm(gd.ops, f, p, gd.domain, quad)
+        term = weight * _smoothed_lp_norm(ops, f, p, domain, quad)
         deriv_terms[e.sorted_axes()] = term
         value += term
     return value, f_minus_g, deriv_terms
@@ -469,23 +457,10 @@ def subdivision_boxes(box: Parallelepiped) -> dict[tuple[int, ...], Parallelepip
     """
     out = {}
     for e in subsets(box.dim, include_empty=True):
-        lo, hi = list(box.lower), list(box.upper)
-        for i in range(box.dim):
-            a, b = box.axis_interval(i)
-            quarter = 0.25 * (b - a)
-            if i in e.axes:
-                hi[i] = b - quarter
-            else:
-                lo[i] = a + quarter
-        out[e.sorted_axes()] = Parallelepiped(lo, hi)
+        ends = [_trimmed_interval(*box.axis_interval(i), 1 if i in e.axes else -1)
+                for i in range(box.dim)]
+        out[e.sorted_axes()] = Parallelepiped([a for a, _ in ends], [b for _, b in ends])
     return out
-
-
-def _smoother_allowed(r: MultiIndex, t, box: Parallelepiped) -> bool:
-    t = as_step_vector(t, r.dim)
-    size = box.size()
-    return all(abs(t[i]) <= size[i] / (4.0 * r[i] * r[i]) * (1.0 + 1e-12)
-               for i in range(r.dim))
 
 
 def k_functional_bracket(f: FunctionSpec, r, t, p: float, box: Parallelepiped,
@@ -498,8 +473,13 @@ def k_functional_bracket(f: FunctionSpec, r, t, p: float, box: Parallelepiped,
     exist), polynomial candidates (projection and Taylor), and -- for t inside
     the smoother validity range -- the signed smoothers combined across the
     2^d quarter-trimmed subboxes.  The lower bound is the total modulus
-    divided by the exact difference-operator constant.  Candidates violating
-    their preconditions are skipped silently.
+    divided by the exact difference-operator constant.
+
+    A candidate is left out where it does not exist: ``identity`` and
+    ``taylor`` when f has no derivatives up to order r (``f.is_sobolev`` and
+    ``r <= f.r_max``), ``smoother_subdivision`` when some ``|t_i|`` exceeds
+    the smoother's validity bound ``(b_i - a_i) / (4 r_i^2)``.
+    ``details["candidates"]`` lists exactly the candidates evaluated.
     """
     cfg = cfg or KFuncConfig()
     r = as_multi_index(r, f.dimension)
@@ -516,7 +496,7 @@ def k_functional_bracket(f: FunctionSpec, r, t, p: float, box: Parallelepiped,
 
     candidates = list(_box_candidates(f, r, t, p, box, cfg))
     details: dict = {"omega_total": omega_total, "omega_terms": omega_terms}
-    if _smoother_allowed(r, t, box):
+    if all(_in_smoother_range(*box.axis_interval(i), r[i], t[i]) for i in range(r.dim)):
         boxes = subdivision_boxes(box)
         sub_uppers = {}
         for key, sub_box in boxes.items():
@@ -533,41 +513,3 @@ def k_functional_bracket(f: FunctionSpec, r, t, p: float, box: Parallelepiped,
     details["candidates"] = dict(candidates)
     witness, upper = min(candidates, key=lambda kv: kv[1])
     return KBracket(lower=lower, upper=float(upper), witness=witness, details=details)
-
-
-@dataclass
-class SubdivisionReport:
-    """Empirical constant for combining subdomain brackets into the box bracket."""
-
-    subdomain_uppers: dict[tuple[int, ...], float]
-    combined: float
-    box_upper: float
-    ratio: float
-    applicable: bool
-
-
-def subdivision_check(f: FunctionSpec, r, t, p: float, box: Parallelepiped,
-                      cfg: KFuncConfig | None = None) -> SubdivisionReport:
-    """Upper brackets on all quarter-trimmed subboxes versus the box upper bracket.
-
-    Reports ``box_upper / sum(subdomain uppers)`` as the empirical combination
-    constant.  Requires ``t_i <= (b_i - a_i) / 2`` (the subbox overlap width).
-    Cases where both sides vanish (e.g. polynomial inputs) are reported as
-    not applicable with a NaN ratio.
-    """
-    cfg = cfg or KFuncConfig()
-    r = as_multi_index(r, f.dimension)
-    t = as_step_vector(t, f.dimension)
-    size = box.size()
-    if any(t[i] > size[i] / 2.0 * (1.0 + 1e-12) for i in range(r.dim)):
-        raise ValueError("subdivision check needs t_i <= half the axis length")
-    bracket = k_functional_bracket(f, r, t, p, box, cfg)
-    sub_uppers = bracket.details.get("subdomain_uppers")
-    if sub_uppers is None:  # smoother out of range: the plain candidates per subbox
-        sub_uppers = {key: min(v for _, v in _box_candidates(f, r, t, p, sub_box, cfg))
-                      for key, sub_box in subdivision_boxes(box).items()}
-    combined = float(sum(sub_uppers.values()))
-    scale = 1e-12 * (1.0 + lp_norm(f, box, p, cfg.quad_for(r.dim)))
-    applicable = combined > scale and bracket.upper > scale
-    ratio = bracket.upper / combined if applicable else math.nan
-    return SubdivisionReport(sub_uppers, combined, bracket.upper, ratio, applicable)

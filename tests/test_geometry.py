@@ -8,7 +8,6 @@ from whitney_lab.geometry import (
     MultiIndex,
     Parallelepiped,
     QuadratureSpec,
-    StepVector,
     SubsetMask,
     lp_norm,
     shifted_domain,
@@ -54,16 +53,11 @@ class TestDomainTypes:
         e = SubsetMask(3, [0, 2])
         assert e.project(r).entries == (3, 0, 4)
         assert SubsetMask.empty(3).project(r).entries == (0, 0, 0)
-        assert e.indicator(0) == 1 and e.indicator(1) == 0
 
     def test_subsets_enumeration_deterministic(self):
         masks = subsets(2, include_empty=True)
         assert [m.sorted_axes() for m in masks] == [(), (0,), (1,), (0, 1)]
         assert len(subsets(3)) == 7
-
-    def test_step_vector_pow(self):
-        t = StepVector((2.0, 3.0))
-        assert t.pow((2, 1)).entries == (4.0, 3.0)
 
 
 class TestShiftedDomain:

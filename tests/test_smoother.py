@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -5,20 +7,27 @@ import pytest
 
 from whitney_lab import smoother
 from whitney_lab.functions import get_function
-from whitney_lab.geometry import Parallelepiped, QuadratureSpec, SubsetMask, lp_norm
+from whitney_lab.geometry import (
+    MultiIndex,
+    Parallelepiped,
+    QuadratureSpec,
+    SubsetMask,
+    lp_norm,
+    subsets,
+)
+from whitney_lab.harness import ExperimentConfig, Resolutions, _johnen_task
 from whitney_lab.smoother import (
     BracketViolation,
-    BSpline,
     DomainValidityError,
     KBracket,
     KFuncConfig,
+    _smoothed_lp_norm,
     bspline_eval,
     k_functional_bracket,
     smooth_mixed,
     smooth_univariate,
     smoothed_derivative,
     subdivision_boxes,
-    subdivision_check,
 )
 
 INF = math.inf
@@ -58,12 +67,9 @@ class TestBSpline:
         x = np.linspace(0.05, k - 0.05, 201)
         assert np.allclose(bspline_eval(k, x), bspline_eval(k, k - x), atol=1e-13)
 
-    def test_wrapper_class(self):
-        spline = BSpline(3)
-        assert spline.support == (0.0, 3.0)
-        assert spline(1.5) == pytest.approx(0.75)
+    def test_order_below_one_rejected(self):
         with pytest.raises(ValueError):
-            BSpline(0)
+            bspline_eval(0, 0.5)
 
 
 class TestSmoothUnivariate:
@@ -246,25 +252,24 @@ class TestSubdivision:
         assert boxes[(0, 1)] == Parallelepiped([0.0, 0.0], [0.75, 0.75])
         assert boxes[()] == Parallelepiped([0.25, 0.25], [1.0, 1.0])
 
-    def test_polynomial_not_applicable(self, unit_box_1d, quad_1d):
-        f = get_function("poly_d1_deg1")
-        cfg = KFuncConfig(quad=quad_1d, h_grid=9)
-        rep = subdivision_check(f, (2,), (0.01,), INF, unit_box_1d, cfg)
-        assert not rep.applicable
-        assert math.isnan(rep.ratio)
+    @staticmethod
+    def _ratio(fid, p, h_grid, box):
+        # the harness's johnen row is the one definition of the subdivision ratio
+        cfg = ExperimentConfig((fid,), ((2,),), (p,), box,
+                               resolutions=Resolutions(h_grid=h_grid))
+        pairs, _ = _johnen_task(cfg, get_function(fid), (2,), p, box, (0.01,))
+        return dict(pairs)["ratio_subdivision"]
+
+    def test_polynomial_not_applicable(self, unit_box_1d):
+        # the upper bracket and the subbox sum both vanish on a polynomial
+        assert math.isnan(self._ratio("poly_d1_deg1", INF, 9, unit_box_1d))
 
     def test_smooth_case_reports_finite_ratio(self, unit_box_1d, quad_1d):
-        f = get_function("runge_d1")
-        cfg = KFuncConfig(quad=quad_1d, h_grid=17)
-        rep = subdivision_check(f, (2,), (0.01,), 2.0, unit_box_1d, cfg)
-        assert rep.applicable and np.isfinite(rep.ratio) and rep.ratio > 0
-        assert set(rep.subdomain_uppers) == {(), (0,)}
-
-    def test_scale_precondition(self, unit_box_1d, quad_1d):
-        f = get_function("runge_d1")
-        with pytest.raises(ValueError):
-            subdivision_check(f, (1,), (0.75,), 2.0, unit_box_1d,
-                              KFuncConfig(quad=quad_1d))
+        ratio = self._ratio("runge_d1", 2.0, 17, unit_box_1d)
+        assert np.isfinite(ratio) and ratio > 0
+        br = k_functional_bracket(get_function("runge_d1"), (2,), (0.01,), 2.0,
+                                  unit_box_1d, KFuncConfig(quad=quad_1d, h_grid=17))
+        assert set(br.details["subdomain_uppers"]) == {(), (0,)}
 
 
 class TestKBracket:
@@ -319,6 +324,62 @@ class TestKBracket:
         assert "subdomain_uppers" in br.details
 
 
+class TestDirectionalUpper:
+    """The bracket's signed smoother builds its validity box and stencils once
+    per sigma, and each of its terms has the bits of the public reference path
+    (:func:`smooth_mixed` and :func:`smoothed_derivative`)."""
+
+    CASES = {  # the last case measures ||f - A_t f|| on the grid, not from the factors
+        "runge_d1": (get_function("runge_d1"), (2,), Parallelepiped([0.0], [1.0])),
+        "sinprod_d2": (get_function("sinprod_d2"), (2, 3), Parallelepiped([0.0, 0.1], [1.0, 0.9])),
+        "runge_d2_grid": (dataclasses.replace(get_function("runge_d2"), factors=None), (2, 2),
+                          Parallelepiped([-0.1, 0.0], [0.9, 1.2])),
+    }
+
+    @staticmethod
+    def _cfg(dim):
+        return KFuncConfig(quad=QuadratureSpec.for_dim(dim, 8, 9), h_grid=5, panel_nodes=4)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    @pytest.mark.parametrize("at_bound", [False, True])
+    def test_terms_match_the_reference_path(self, case, p, at_bound):
+        f, r, box = self.CASES[case]
+        cfg = self._cfg(box.dim)
+        quad = cfg.quad_for(box.dim)
+        bound = [(b - a) / (4.0 * k * k) for (a, b), k in
+                 zip(map(box.axis_interval, range(box.dim)), r)]
+        t = bound if at_bound else [0.3 * tb for tb in bound]
+        for sigma in itertools.product((1, -1), repeat=box.dim):
+            value, f_minus_g, deriv_terms = smoother._directional_upper(
+                f, MultiIndex(r), t, sigma, p, box, cfg)
+            signed = [s * ti for s, ti in zip(sigma, t)]
+            g = smooth_mixed(f, r, signed, box, cfg.panel_nodes)
+            expect = _smoothed_lp_norm(g.ops, f, p, g.domain, quad, subtract_base=True)
+            assert repr(f_minus_g) == repr(expect)
+            for e in subsets(box.dim):
+                gd = smoothed_derivative(f, r, signed, e, box, cfg.panel_nodes)
+                weight = float(np.prod([t[i] ** r[i] for i in e.sorted_axes()]))
+                term = weight * _smoothed_lp_norm(gd.ops, f, p, gd.domain, quad)
+                assert repr(deriv_terms[e.sorted_axes()]) == repr(term)
+                expect += term
+            assert repr(value) == repr(expect)
+
+    def test_stencils_are_built_once_per_sigma(self, monkeypatch):
+        calls = []
+        build = smoother._signed_ops_and_domain
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(smoother, "_signed_ops_and_domain", counted)
+        f, r, box = self.CASES["sinprod_d2"]
+        br = k_functional_bracket(f, r, (0.01, 0.01), 2.0, box, self._cfg(2))
+        assert "subdomain_uppers" in br.details
+        assert len(calls) == 4  # one per sigma, not one per sigma and subset
+
+
 class TestBoxNormCache:
     """The t-independent norms of the box candidates are memoized per
     ``(f, r, p, box, quad)``; a sweep on a warm cache gives the cold bits."""
@@ -326,13 +387,13 @@ class TestBoxNormCache:
     CFG = KFuncConfig(quad=QuadratureSpec.for_dim(2, 8, 9), h_grid=5, panel_nodes=4)
     BOX = Parallelepiped([0.0, 0.1], [1.0, 0.9])
 
-    def _sweep(self, check, f, steps, p):
+    def _sweep(self, f, steps, p):
         smoother._box_norms.cache_clear()
-        warm = [check(f, (2, 2), t, p, self.BOX, self.CFG) for t in steps]
+        warm = [k_functional_bracket(f, (2, 2), t, p, self.BOX, self.CFG) for t in steps]
         info = smoother._box_norms.cache_info()
         for t, result in zip(steps, warm):
             smoother._box_norms.cache_clear()
-            cold = check(f, (2, 2), t, p, self.BOX, self.CFG)
+            cold = k_functional_bracket(f, (2, 2), t, p, self.BOX, self.CFG)
             assert repr(result) == repr(cold)  # repr spells every float's bits
         return info.hits, info.misses
 
@@ -340,13 +401,6 @@ class TestBoxNormCache:
     @pytest.mark.parametrize("p", [1.0, 2.0, INF])
     def test_warm_bracket_sweep_keeps_the_bits(self, fid, p):
         steps = [(0.06, 0.04), (0.03, 0.02), (0.015, 0.01)]  # smoother range: (1/16, 1/20)
-        hits, misses = self._sweep(k_functional_bracket, get_function(fid), steps, p)
+        hits, misses = self._sweep(get_function(fid), steps, p)
         # the box and its 4 subboxes: computed at the first step, reused at the other two
-        assert (hits, misses) == (10, 5)
-
-    @pytest.mark.parametrize("fid", ["sinprod_d2", "abspow_d2"])
-    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
-    def test_warm_subdivision_fallback_keeps_the_bits(self, fid, p):
-        steps = [(0.3, 0.3), (0.4, 0.35), (0.5, 0.4)]  # past the smoother range
-        hits, misses = self._sweep(subdivision_check, get_function(fid), steps, p)
         assert (hits, misses) == (10, 5)
