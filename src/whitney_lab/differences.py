@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .functions import FunctionSpec, grid_values
+from .functions import FunctionSpec
 from .geometry import (
     GAUSS,
     MultiIndex,
@@ -39,10 +39,11 @@ from .geometry import (
     QuadratureSpec,
     StepVector,
     SubsetMask,
-    _reference_grid,
+    _reference_weights,
     as_multi_index,
     as_step_vector,
     axis_rule,
+    grid_values,
     lp_norm,  # unused here; bench/tests/test_spantrace.py checks its binding is traced
     subsets,
     tensor_grid,
@@ -120,7 +121,7 @@ def _shift_norms(f, r_e: MultiIndex, steps: np.ndarray, p: float,
     keep = np.flatnonzero(~np.any(lo > hi, axis=1))
     half, mid = 0.5 * (hi[keep] - lo[keep]), 0.5 * (lo[keep] + hi[keep])
     rule, nodes = quad.rule_for(p)
-    _, ref_wts = _reference_grid(rule, nodes)
+    ref_wts = _reference_weights(rule, nodes)
     n_ref = math.prod(nodes)
     # per kept step: box nodes (K, 1, n_i), difference offsets (K, T, 1), box scale
     nodes_at = [(axis_rule(rule, n)[0] * half[:, i, None] + mid[:, i, None])[:, None]

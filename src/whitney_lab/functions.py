@@ -12,10 +12,8 @@ moduli / best-approximation / K-functional experiments but refuse any
 operation with a mixed-Sobolev precondition.
 
 Every entry is a product of 1-D factors or ``exp(a . x)``, so its values on a
-tensor grid follow from one 1-D evaluation per node and axis:
-:func:`broadcast_values` (the stencil evaluator) and :func:`grid_values` (the
-moduli kernel) are how a function is evaluated on a grid, and they give the
-point-wise values bit for bit.
+tensor grid follow from one 1-D evaluation per node and axis: its
+``grid_evaluator``, which :func:`whitney_lab.geometry.grid_values` calls.
 
 Every entry also has a factor view, ``factors``: the per-axis 1-D callables
 whose product is the entry, ``exp(a_i x_i)`` for ``exp(a . x)``.  A separable
@@ -48,8 +46,6 @@ __all__ = [
     "sobolev_norm",
     "corpus",
     "get_function",
-    "broadcast_values",
-    "grid_values",
     "tensor_polynomial_spec",
 ]
 
@@ -79,8 +75,8 @@ class FunctionSpec:
     optional ``grid_evaluator`` maps ``d`` coordinate arrays, one per axis,
     that broadcast against each other to the values on their broadcast shape;
     the corpus entries' ``evaluator`` is their ``grid_evaluator`` applied to the
-    point columns, and :func:`broadcast_values` hands it the coordinate arrays
-    of a grid.  ``factors``, when not ``None``, holds one 1-D callable per axis
+    point columns, and :func:`whitney_lab.geometry.broadcast_values` hands it
+    the coordinate arrays of a grid.  ``factors``, when not ``None``, holds one 1-D callable per axis
     whose product over the axes is the entry, up to round-off.  Entries are
     immutable and freely shareable across threads.
     """
@@ -148,37 +144,6 @@ def sobolev_norm(f: FunctionSpec, r, p: float, domain: Parallelepiped,
 # corpus builders
 # ---------------------------------------------------------------------------
 
-def grid_values(f, axes) -> np.ndarray:
-    """Values of ``f`` on the tensor grid of per-axis coordinates.
-
-    Each ``axes[i]`` has shape ``(..., n_i)`` with a shared leading batch
-    shape; the result has shape ``(..., n_0, ..., n_{d-1})``, first axis
-    slowest (:func:`broadcast_values` on the axes shaped to broadcast).
-    """
-    d = len(axes)
-    coords = [np.asarray(x, dtype=float) for x in axes]
-    return broadcast_values(
-        f, [x.reshape(x.shape[:-1] + (1,) * i + x.shape[-1:] + (1,) * (d - 1 - i))
-            for i, x in enumerate(coords)])
-
-
-def broadcast_values(f, coords) -> np.ndarray:
-    """Values of ``f`` at the points whose i-th coordinates are ``coords[i]``.
-
-    The coordinate arrays broadcast against each other, and the result has
-    their broadcast shape.  An entry with a ``grid_evaluator`` costs one 1-D
-    evaluation per element of each array; any other callable gets the point
-    list.  Both see the same coordinates, so the values equal ``f`` at those
-    points bit for bit.
-    """
-    shape = np.broadcast_shapes(*(x.shape for x in coords))
-    grid_evaluator = getattr(f, "grid_evaluator", None)
-    if grid_evaluator is not None:
-        return np.asarray(grid_evaluator(coords), dtype=float).reshape(shape)
-    pts = np.stack(np.broadcast_arrays(*coords), axis=-1).reshape(-1, len(coords))
-    return np.asarray(f(pts), dtype=float).reshape(shape)
-
-
 def _fold(op, factors: list[Callable[[np.ndarray], np.ndarray]], coords) -> np.ndarray:
     """``factors[0](coords[0]) op factors[1](coords[1]) op ...``, left to right."""
     out = factors[0](coords[0])
@@ -204,8 +169,7 @@ def tensor_polynomial_spec(spec_id: str, axis_coeffs: list[list[float]]) -> Func
     """Tensor-product polynomial ``prod_i p_i(x_i)`` from 1-D coefficient lists.
 
     Coefficients are in ascending power order per axis.  The entry records its
-    coordinate degrees so the harness can recognize membership in a polynomial
-    class.
+    coordinate degrees, which :meth:`FunctionSpec.in_poly_class` reads.
     """
     coeffs = [np.asarray(c, dtype=float) for c in axis_coeffs]
     dim = len(coeffs)

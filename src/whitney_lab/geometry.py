@@ -4,9 +4,15 @@ Which tensor rule measures a function on a box is decided here only: tensor
 Gauss-Legendre for finite p (spectrally accurate on the smooth corpus), a
 Chebyshev-Lobatto grid for sup norms (it includes the boundary, where extrema
 of the functions under study frequently sit), and that grid with
-Clenshaw-Curtis weights for the discrete L1 fits.  Norms of plain functions
-go through :func:`lp_norm`; the smoother's stencil norms and the fitting
-grids use the same :func:`axis_rule`, :func:`box_rule` and :func:`grid_norm`.
+Clenshaw-Curtis weights for the discrete L1 fits.  A tensor rule has one
+form: the :func:`axis_rule` nodes of each axis plus the tensor weights, first
+axis slowest (:func:`box_rule`, :func:`tensor_quadrature`).  A function is
+evaluated on such a grid only through :func:`grid_values` (or
+:func:`broadcast_values`, for coordinates shaped to broadcast): norms
+(:func:`lp_norm`), fits, stencils and the moduli kernel alike.  A corpus
+entry's ``grid_evaluator`` then costs one 1-D evaluation per node and axis;
+any other callable gets the flattened point list, and both give the
+point-wise values bit for bit.
 
 All values are immutable after construction and safe to share between
 threads.  Reductions use a fixed summation order, so repeated runs with the
@@ -37,6 +43,8 @@ __all__ = [
     "axis_rule",
     "tensor_grid",
     "tensor_product",
+    "grid_values",
+    "broadcast_values",
     "box_rule",
     "tensor_quadrature",
     "grid_norm",
@@ -235,9 +243,6 @@ class Parallelepiped:
     def volume(self) -> float:
         return float(np.prod(self.size()))
 
-    def center(self) -> np.ndarray:
-        return 0.5 * (np.asarray(self.upper) + np.asarray(self.lower))
-
     @property
     def is_degenerate(self) -> bool:
         return bool(np.any(self.size() == 0.0))
@@ -368,35 +373,64 @@ def tensor_product(factors: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(np.kron, factors)
 
 
+def grid_values(f, axes) -> np.ndarray:
+    """Values of ``f`` on the tensor grid of per-axis coordinates.
+
+    Each ``axes[i]`` has shape ``(..., n_i)`` with a shared leading batch
+    shape; the result has shape ``(..., n_0, ..., n_{d-1})``, first axis
+    slowest (:func:`broadcast_values` on the axes shaped to broadcast).
+    """
+    d = len(axes)
+    coords = [np.asarray(x, dtype=float) for x in axes]
+    return broadcast_values(
+        f, [x.reshape(x.shape[:-1] + (1,) * i + x.shape[-1:] + (1,) * (d - 1 - i))
+            for i, x in enumerate(coords)])
+
+
+def broadcast_values(f, coords) -> np.ndarray:
+    """Values of ``f`` at the points whose i-th coordinates are ``coords[i]``.
+
+    The coordinate arrays broadcast against each other, and the result has
+    their broadcast shape.  A function with a ``grid_evaluator`` (the corpus
+    entries) costs one 1-D evaluation per element of each array; any other
+    callable gets the point list.  Both see the same coordinates, so the
+    values equal ``f`` at those points bit for bit.
+    """
+    shape = np.broadcast_shapes(*(x.shape for x in coords))
+    grid_evaluator = getattr(f, "grid_evaluator", None)
+    if grid_evaluator is not None:
+        return np.asarray(grid_evaluator(coords), dtype=float).reshape(shape)
+    pts = np.stack(np.broadcast_arrays(*coords), axis=-1).reshape(-1, len(coords))
+    return np.asarray(f(pts), dtype=float).reshape(shape)
+
+
 @lru_cache(maxsize=None)
-def _reference_grid(rule: str, nodes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray | None]:
-    axes = [axis_rule(rule, n) for n in nodes]
-    pts = tensor_grid([x for x, _ in axes])
-    wts = None if rule == LOBATTO else tensor_product([w for _, w in axes])
-    for arr in (pts, wts):
-        if arr is not None:
-            arr.setflags(write=False)
-    return pts, wts
+def _reference_weights(rule: str, nodes: tuple[int, ...]) -> np.ndarray | None:
+    """Tensor weights ``(N,)`` of the rule on ``[-1, 1]^d`` (``None`` for the sup grid)."""
+    if rule == LOBATTO:
+        return None
+    wts = tensor_product([axis_rule(rule, n)[1] for n in nodes])
+    wts.setflags(write=False)
+    return wts
 
 
 def box_rule(domain: Parallelepiped, rule: str,
-             nodes: Sequence[int]) -> tuple[np.ndarray, np.ndarray | None]:
-    """Tensor nodes ``(N, d)`` and weights ``(N,)`` (``None`` for the sup grid).
+             nodes: Sequence[int]) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Per-axis nodes (the :func:`axis_rule` nodes of each axis) and tensor
+    weights ``(N,)`` in :func:`tensor_grid` order (``None`` for the sup grid).
 
-    Both are the affine image of the reference grid on ``[-1, 1]^d``, which is
-    built once per rule and node counts.
+    The weights scale the reference weights on ``[-1, 1]^d``, which are
+    computed once per rule and node counts.
     """
     if len(nodes) != domain.dim:
         raise GeometryError("quadrature and domain dimension mismatch")
-    ref_pts, ref_wts = _reference_grid(rule, tuple(nodes))
-    lo, hi = np.asarray(domain.lower), np.asarray(domain.upper)
-    half = 0.5 * (hi - lo)
-    pts = ref_pts * half + 0.5 * (lo + hi)
-    return pts, None if ref_wts is None else float(np.prod(half)) * ref_wts
+    axes = [axis_rule(rule, n, *domain.axis_interval(i))[0] for i, n in enumerate(nodes)]
+    ref_wts = _reference_weights(rule, tuple(nodes))
+    return axes, None if ref_wts is None else float(np.prod(0.5 * domain.size())) * ref_wts
 
 
 def tensor_quadrature(domain: Parallelepiped, quad: QuadratureSpec,
-                      p: float = 1.0) -> tuple[np.ndarray, np.ndarray | None]:
+                      p: float = 1.0) -> tuple[list[np.ndarray], np.ndarray | None]:
     """The grid that measures L_p on the box: tensor Gauss-Legendre nodes and
     weights for finite p, the Chebyshev-Lobatto sup grid (no weights) for p = inf."""
     return box_rule(domain, *quad.rule_for(p))
@@ -431,13 +465,6 @@ def shifted_domain(domain: Parallelepiped, step) -> Parallelepiped | None:
     return Parallelepiped(lo, hi)
 
 
-def _eval(f: Callable, pts: np.ndarray) -> np.ndarray:
-    vals = np.asarray(f(pts), dtype=float)
-    if vals.shape != (pts.shape[0],):
-        vals = vals.reshape(pts.shape[0])
-    return vals
-
-
 def lp_power_integral(f: Callable, domain: Parallelepiped | None, p: float,
                       quad: QuadratureSpec) -> float:
     """``integral over the box of |f|^p`` for finite p; 0 on an empty domain."""
@@ -445,23 +472,24 @@ def lp_power_integral(f: Callable, domain: Parallelepiped | None, p: float,
         return 0.0
     if not (1.0 <= p < math.inf):
         raise GeometryError(f"finite p in [1, inf) required, got {p}")
-    pts, wts = tensor_quadrature(domain, quad, p)
-    return _power_sum(_eval(f, pts), wts, p)
+    axes, wts = tensor_quadrature(domain, quad, p)
+    return _power_sum(grid_values(f, axes).reshape(-1), wts, p)
 
 
 def lp_norm(f: Callable, domain: Parallelepiped | None, p: float,
             quad: QuadratureSpec) -> float:
     """The L_p norm of ``f`` over the box, 1 <= p <= inf.
 
-    ``f`` must accept an ``(N, d)`` array of points and return ``(N,)``
-    values.  For finite p the norm is a tensor Gauss-Legendre estimate of
-    ``(integral |f|^p)^(1/p)``; for p = inf it is the max of ``|f|`` on the
-    Chebyshev-Lobatto tensor grid.  An empty domain (``None``) contributes 0
+    ``f`` is evaluated on the tensor grid by :func:`grid_values`: it must
+    accept an ``(N, d)`` array of points and return ``(N,)`` values, or have
+    a ``grid_evaluator``.  For finite p the norm is a tensor Gauss-Legendre
+    estimate of ``(integral |f|^p)^(1/p)``; for p = inf it is the max of
+    ``|f|`` on the Chebyshev-Lobatto tensor grid.  An empty domain (``None``) contributes 0
     by convention, mirroring the role of empty shifted domains in the moduli.
     """
     if domain is None:
         return 0.0
     if p == math.inf:
-        pts, _ = tensor_quadrature(domain, quad, p)
-        return grid_norm(_eval(f, pts), None, p)
+        axes, _ = tensor_quadrature(domain, quad, p)
+        return grid_norm(grid_values(f, axes).reshape(-1), None, p)
     return lp_power_integral(f, domain, p, quad) ** (1.0 / p)

@@ -113,7 +113,8 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         try:
             box_raw = raw["box"]
-            box = Parallelepiped(box_raw["lower"], box_raw["upper"])
+            box = Parallelepiped(*[[_number(f"box.{k}", v) for v in box_raw[k]]
+                                   for k in ("lower", "upper")])
         except (KeyError, TypeError, ValueError, GeometryError) as exc:
             raise ConfigError(f"invalid or missing box: {exc}") from exc
         if not all(math.isfinite(v) for v in box.lower + box.upper):
@@ -242,10 +243,11 @@ def _flag(raw: dict, key: str, default: bool) -> bool:
 
 def _number(key: str, value, kind: type = float):
     """``value`` as a ``kind`` (float or int), or a config error naming ``key``:
-    a non-number, NaN, or a fraction where an int is due (never truncated)."""
+    a non-number (JSON ``true``/``false`` too, though ``bool`` is an ``int``),
+    NaN, or a fraction where an int is due (never truncated)."""
     try:
         number = kind(value)
-        exact = number == float(value)
+        exact = number == float(value) and not isinstance(value, bool)
     except (TypeError, ValueError, OverflowError):
         exact = False
     if not exact:

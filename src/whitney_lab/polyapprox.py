@@ -32,8 +32,10 @@ from .geometry import (
     as_multi_index,
     axis_rule,
     box_rule,
+    grid_values,
     lp_norm,
     subsets,
+    tensor_grid,
     tensor_product,
     tensor_quadrature,
 )
@@ -155,21 +157,15 @@ class TensorPolynomial:
         Vm = _monomial_matrix(xq, count, self.center[axis])
         return Vl.T @ (wq[:, None] * Vm)
 
-    def to_legendre(self, box: Parallelepiped | None = None) -> "TensorPolynomial":
-        """Rebase into the shifted Legendre representation of ``box`` (default: own box)."""
-        box = box or self.box
-        if self.basis == LEGENDRE and box == self.box:
-            return self
+    def to_legendre(self) -> "TensorPolynomial":
+        """Rebase into the shifted Legendre representation of its own box."""
         if self.basis == LEGENDRE:
-            mid = self.to_monomial(tuple(box.center()))
-            return TensorPolynomial(mid.degrees, mid.coefficients, MONOMIAL, box,
-                                    mid.center).to_legendre()
+            return self
         coef = self.coefficients
-        source = TensorPolynomial(self.degrees, coef, MONOMIAL, box, self.center)
         for axis in range(self.dim):
-            M = source._mono_to_leg_matrix(axis)
+            M = self._mono_to_leg_matrix(axis)
             coef = np.moveaxis(np.tensordot(M, coef, axes=(1, axis)), 0, axis)
-        return TensorPolynomial(self.degrees, coef, LEGENDRE, box)
+        return TensorPolynomial(self.degrees, coef, LEGENDRE, self.box)
 
     def to_monomial(self, center) -> "TensorPolynomial":
         """Re-express in the shifted monomial basis around ``center``."""
@@ -191,11 +187,10 @@ class TensorPolynomial:
 def _fit_lp(f, r: MultiIndex, p: float, box: Parallelepiped,
             grid: tuple[int, ...]) -> tuple[TensorPolynomial, float]:
     rule = LOBATTO if p == math.inf else CLENSHAW_CURTIS
-    pts, wts = box_rule(box, rule, grid)
-    axes = [axis_rule(LOBATTO, g, *box.axis_interval(i))[0] for i, g in enumerate(grid)]
+    axes, wts = box_rule(box, rule, grid)
     design = tensor_product([_legendre_matrix(x, r[i], *box.axis_interval(i))
                              for i, x in enumerate(axes)])
-    fvals = np.asarray(f(pts), dtype=float)
+    fvals = grid_values(f, axes).reshape(-1)
     if p == math.inf:
         coef, disc = solve_minimax(design, fvals)
     else:
@@ -244,8 +239,9 @@ def best_approx(f, r, p: float, box: Parallelepiped,
 
 def _project_l2(f, r: MultiIndex, box: Parallelepiped,
                 quad: QuadratureSpec) -> tuple[TensorPolynomial, float]:
-    pts, wts = tensor_quadrature(box, quad)
-    fvals = np.asarray(f(pts), dtype=float)
+    axes, wts = tensor_quadrature(box, quad)
+    fvals = grid_values(f, axes).reshape(-1)
+    pts = tensor_grid(axes)
     mats = [
         _legendre_matrix(pts[:, i], r[i], *box.axis_interval(i)) for i in range(r.dim)
     ]

@@ -16,20 +16,21 @@ which realizes a valid smoother on each of the 2^d quarter-trimmed subboxes
 used by the subdivision argument.
 
 Everything reduces to separable offset/weight stencils applied to the base
-function, so norms over tensor grids evaluate the base function once on an
-expanded tensor grid and contract axis by axis.  One term is factored
-instead: the smoothing term ``||f - A_t f||`` of a bracket, for a base with a
-factor view (``FunctionSpec.factors``), is the outer product of 1-D stencil
-outputs, one per axis (:func:`_smoothed_lp_norm`).  Its weights sum to at
-most 2^k in absolute value whatever t is, so the factored form moves it at
-round-off only.  The derivative terms stay on the grid: their weights sum
-to about t^-r per axis, and the same change of round-off moved them by up to
-2% at small t, so factoring them changes the output.  The order of
-contraction does not tame the cancellation of the derivative stencils: the
-round-off of the base values is amplified by the product of the per-axis
-weight sums, about ``prod t_i^-r_i`` on the derivative axes, so at small t
-the mixed derivative norms carry a relative error far above the unit
-round-off (ROADMAP item 2).
+function, so a norm over the box takes the per-axis nodes and weights of
+:func:`whitney_lab.geometry.tensor_quadrature`, evaluates the base function
+once on those nodes expanded by the stencil offsets, and contracts axis by
+axis.  One term is factored instead: the smoothing term ``||f - A_t f||``
+of a bracket, for a base with a factor view (``FunctionSpec.factors``), is
+the outer product of 1-D stencil outputs, one per axis
+(:func:`_smoothed_lp_norm`).  Its weights sum to at most 2^k in absolute
+value whatever t is, so the factored form moves it at round-off only.  The
+derivative terms stay on the grid: their weights sum to about t^-r per axis,
+and the same change of round-off moved them by up to 2% at small t, so
+factoring them changes the output.  The order of contraction does not tame
+the cancellation of the derivative stencils: the round-off of the base
+values is amplified by the product of the per-axis weight sums, about
+``prod t_i^-r_i`` on the derivative axes, so at small t the mixed derivative
+norms carry a relative error far above the unit round-off (ROADMAP item 2).
 
 The same amplification makes the output bits depend on how the contraction
 is handed to BLAS.  Each contraction is one ``tensordot``, that is one
@@ -38,7 +39,7 @@ weights.  Which kernel treats a row, and so the last bit of its sum, depends
 on the matrix's shape, its storage order (row- or column-major) and the
 row's position in it: gemv gives the last rows of a matrix their own kernel.
 A block of grid rows (``_CHUNK_BUDGET`` values at most, whole rows of axis 0)
-is evaluated by :func:`broadcast_values` in the layout
+is evaluated by :func:`whitney_lab.geometry.broadcast_values` in the layout
 ``(n_0, n_1, l_1, ..., n_{d-1}, l_{d-1}, l_0)``, n_i the grid nodes and l_i
 the stencil offsets of axis i, so that ``l_0``, contracted first, is the
 last axis and BLAS gets a row-major view of the values rather than a
@@ -60,7 +61,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .differences import modulus, whitney_constant_sum, ModulusRequest
-from .functions import FunctionSpec, broadcast_values, grid_values
+from .functions import FunctionSpec
 from .geometry import (
     GAUSS,
     MultiIndex,
@@ -70,7 +71,9 @@ from .geometry import (
     as_multi_index,
     as_step_vector,
     axis_rule,
+    broadcast_values,
     grid_norm,
+    grid_values,
     lp_norm,
     subsets,
     tensor_quadrature,
@@ -261,8 +264,7 @@ def _smoothed_lp_norm(ops, base, p: float, domain: Parallelepiped,
     keep the grid contraction, because their weights sum to about t^-r and
     amplify the change of round-off into the output (module docstring).
     """
-    rule, nodes = quad.rule_for(p)
-    axes = [axis_rule(rule, n, *domain.axis_interval(i))[0] for i, n in enumerate(nodes)]
+    axes, wts = tensor_quadrature(domain, quad, p)
     factors = getattr(base, "factors", None)
     if subtract_base and factors is not None:
         vals = reduce(np.multiply.outer, [fac(x[:, None] + op.offsets) @ op.weights
@@ -271,7 +273,6 @@ def _smoothed_lp_norm(ops, base, p: float, domain: Parallelepiped,
         vals = _apply_on_tensor_grid(ops, base, axes)
     if subtract_base:
         vals = grid_values(base, axes) - vals
-    _, wts = tensor_quadrature(domain, quad, p)
     return grid_norm(vals.reshape(-1), wts, p)
 
 

@@ -104,15 +104,16 @@ class TestQuadrature:
         box = Parallelepiped([0.0], [2.0])
         quad = QuadratureSpec.for_dim(1, nodes=n)
         deg = 2 * n - 1
-        pts, wts = tensor_quadrature(box, quad)
-        got = float(wts @ pts[:, 0] ** deg)
+        (x,), wts = tensor_quadrature(box, quad)
+        got = float(wts @ x ** deg)
         assert got == pytest.approx(2.0 ** (deg + 1) / (deg + 1), rel=1e-12)
 
     def test_weights_positive_and_sum_to_volume(self, unit_box_2d, quad_2d):
-        pts, wts = tensor_quadrature(unit_box_2d, quad_2d)
+        axes, wts = tensor_quadrature(unit_box_2d, quad_2d)
         assert np.all(wts > 0)
         assert wts.sum() == pytest.approx(1.0, rel=1e-13)
-        assert pts.shape == (32 * 32, 2)
+        assert [x.shape for x in axes] == [(32,), (32,)]
+        assert wts.shape == (32 * 32,)
 
 
 class TestLpNorm:

@@ -1,7 +1,7 @@
 """Tensor-grid evaluation: ``grid_values`` gives the point-wise values bit for
-bit, so the stencil evaluator and the moduli kernel return the same bits for a
-corpus entry (axis by axis) and for the same entry behind a plain callable
-(the point-list fallback).  The one exception is the smoothing term
+bit, so the stencil evaluator, the moduli kernel, the norms and the fits
+return the same bits for a corpus entry (axis by axis) and for the same entry
+behind a plain callable (the point-list fallback).  The one exception is the smoothing term
 ``||f - A_t f||`` of an entry with ``factors``, computed from 1-D stencils: it
 agrees with the grid contraction within an a-priori round-off bound."""
 
@@ -15,11 +15,14 @@ from hypothesis import strategies as st
 
 from whitney_lab import differences, functions, smoother
 from whitney_lab.differences import ModulusRequest, modulus, p_mean_modulus
-from whitney_lab.functions import corpus, get_function, grid_values
+from whitney_lab.polyapprox import best_approx
+from whitney_lab.functions import corpus, get_function
 from whitney_lab.geometry import (
     Parallelepiped,
     QuadratureSpec,
     axis_rule,
+    grid_values,
+    lp_norm,
     subsets,
     tensor_grid,
     tensor_quadrature,
@@ -75,14 +78,13 @@ def _factor_bound(ops, f, p, domain, quad):
     subtract_base=True)``: ``64 eps prod_i ||w_i||_1 max|f|``, the max over the
     grid expanded by the stencil offsets, times ``(sum of the quadrature
     weights)^(1/p)``, the norm's Lipschitz constant in the sup norm."""
-    rule, nodes = quad.rule_for(p)
-    axes = [axis_rule(rule, n, *domain.axis_interval(i))[0] for i, n in enumerate(nodes)]
+    axes, wts = tensor_quadrature(domain, quad, p)
     expanded = [(x[:, None] + op.offsets).reshape(-1) for x, op in zip(axes, ops)]
     f_max = float(np.max(np.abs(grid_values(f, expanded))))
     bound = (64 * np.finfo(float).eps * f_max
              * math.prod(float(np.abs(op.weights).sum()) for op in ops))
     if p != math.inf:
-        bound *= float(tensor_quadrature(domain, quad, p)[1].sum()) ** (1 / p)
+        bound *= float(wts.sum()) ** (1 / p)
     return bound
 
 
@@ -141,6 +143,12 @@ def test_moduli_agree_on_both_paths(fid, p, chunks):
                 r_e = e.project(r)
                 assert (p_mean_modulus(f, r_e, t, p, box, quad, 3, 5)
                         == p_mean_modulus(_plain(f), r_e, t, p, box, quad, 3, 5))
+    # norms and fits evaluate through grid_values too
+    assert lp_norm(f, box, p, quad) == lp_norm(_plain(f), box, p, quad)
+    (poly, err), (plain_poly, plain_err) = [
+        best_approx(g, (2,) * d, p, box, (5,) * d, quad) for g in (f, _plain(f))]
+    assert err == plain_err
+    assert np.array_equal(poly.coefficients, plain_poly.coefficients)
 
 
 def _per_axis_contraction(ops, base, axis_points):

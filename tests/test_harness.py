@@ -101,6 +101,16 @@ class TestConfig:
         ({"t_min_factor": None}, "t_min_factor"),
         ({"jobs": "two"}, "jobs"),
         ({"box": {"lower": ["a"], "upper": [1.0]}}, "box"),
+        # bool is an int: JSON true/false used to pass as 1/0
+        ({"orders": [[True]]}, "orders"),
+        ({"p_values": [True]}, "p_values"),
+        ({"jobs": True}, "jobs"),
+        ({"t_sweep": True}, "t_sweep"),
+        ({"shrink_levels": False}, "shrink_levels"),
+        ({"t": [True]}, "t"),
+        ({"t_min_factor": True}, "t_min_factor"),
+        ({"resolutions": {"h_grid": True}}, "resolutions.h_grid"),
+        ({"box": {"lower": [False], "upper": [True]}}, "box"),
     ])
     def test_malformed_value_names_its_key(self, overrides, key):
         # int() / float() failures and silent truncation are config errors
@@ -459,12 +469,21 @@ class TestCli:
         {"output": {"fmt": "json"}},
         {"record_runtime": "false"},
         {"include_p_mean": 1},
+        {"orders": [[True]]},
+        {"p_values": [True]},
+        {"jobs": True},
+        {"t_sweep": True},
+        {"shrink_levels": False},
+        {"t": [True]},
+        {"box": {"lower": [False], "upper": [True]}},
     ], ids=["box-nan", "box-inf", "box-neg-inf", "shrink-levels-negative", "t-sweep-zero",
             "h-grid-1", "quad-nodes-0", "sup-nodes-1", "mean-nodes-0", "panel-nodes-0",
             "t-nan", "t-inf", "t-min-factor-nan", "t-min-factor-inf", "t-min-factor-0",
             "t-min-factor-negative", "shrink-levels-str", "h-grid-str", "order-str",
             "order-fraction", "box-str", "unknown-key", "deleted-subdivision-key",
-            "unknown-output-key", "record-runtime-str", "include-p-mean-int"])
+            "unknown-output-key", "record-runtime-str", "include-p-mean-int", "order-bool",
+            "p-bool", "jobs-bool", "t-sweep-bool", "shrink-levels-bool", "t-bool",
+            "box-bool"])
     def test_bad_config_value_exit_code_2(self, tmp_path, overrides):
         # each of these used to run (NaN/inf box, a truncated order), give an
         # empty sweep, or exit 1 with a traceback (a malformed number)

@@ -62,8 +62,8 @@ class TestTensorPolynomial:
 def test_legendre_basis_orthonormal(unit_box_1d, quad_1d):
     from whitney_lab.geometry import tensor_quadrature
 
-    pts, wts = tensor_quadrature(unit_box_1d, quad_1d)
-    V = _legendre_matrix(pts[:, 0], 5, 0.0, 1.0)
+    (x,), wts = tensor_quadrature(unit_box_1d, quad_1d)
+    V = _legendre_matrix(x, 5, 0.0, 1.0)
     gram = V.T @ (wts[:, None] * V)
     assert np.max(np.abs(gram - np.eye(5))) < 1e-12
 
@@ -131,12 +131,13 @@ class TestBestApprox:
             assert err <= lp_norm(f, unit_box_1d, p, quad_1d) + 1e-12
 
     def test_p2_residual_orthogonality(self, unit_box_2d, quad_2d):
-        from whitney_lab.geometry import tensor_quadrature
+        from whitney_lab.geometry import tensor_grid, tensor_quadrature
         from whitney_lab.polyapprox import _legendre_matrix as legmat
 
         f = get_function("exp_d2")
         poly, _ = best_approx(f, (2, 2), 2.0, unit_box_2d, quad=quad_2d)
-        pts, wts = tensor_quadrature(unit_box_2d, quad_2d)
+        axes, wts = tensor_quadrature(unit_box_2d, quad_2d)
+        pts = tensor_grid(axes)
         res = f(pts) - poly(pts)
         V1 = legmat(pts[:, 0], 2, 0.0, 1.0)
         V2 = legmat(pts[:, 1], 2, 0.0, 1.0)
