@@ -21,7 +21,6 @@ from .geometry import (
 )
 from .functions import CapabilityError, FunctionSpec, corpus, get_function, sobolev_norm
 from .differences import (
-    ModulusRequest,
     mixed_difference,
     modulus,
     p_mean_modulus,
@@ -41,7 +40,6 @@ from .smoother import (
     BracketViolation,
     DomainValidityError,
     KBracket,
-    KFuncConfig,
     bspline_eval,
     k_functional_bracket,
     smooth_mixed,

@@ -10,6 +10,12 @@ integrates ``[0, t_i]`` with doubled weights (tests check both against signed
 loops).  Every shifted box is an affine image of one reference grid, so
 :func:`_shift_norms` measures a whole step grid in a few array passes.
 
+The four moduli share one call form, ``(f, r, t, p, domain, *, quad=None,
+h_grid=DEFAULT_H_GRID)``, the p-mean ones with ``mean_nodes=DEFAULT_MEAN_NODES``
+besides.  The resolutions are keyword-only, so two integer resolutions can
+never be swapped by position.  ``quad=None`` is the default
+:class:`QuadratureSpec` of the dimension.
+
 Those passes take the steps in chunks of about ``_CHUNK_POINTS`` values of
 ``f`` (the ``T`` difference terms on the reference grid, per step), so that a
 chunk's values, about 512 KiB, stay in L2 while the difference and the norm
@@ -26,19 +32,16 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .functions import FunctionSpec
 from .geometry import (
     GAUSS,
     MultiIndex,
     Parallelepiped,
     QuadratureSpec,
     StepVector,
-    SubsetMask,
     _reference_weights,
     as_multi_index,
     as_step_vector,
@@ -51,7 +54,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "ModulusRequest",
     "mixed_difference",
     "modulus",
     "total_modulus",
@@ -62,8 +64,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-DEFAULT_H_GRID = 33
-DEFAULT_MEAN_NODES = 16
+DEFAULT_H_GRID = 33  # step values searched per active axis by the sup-type moduli
+DEFAULT_MEAN_NODES = 16  # Gauss nodes per half-axis of the p-mean step integral
 # values of f per chunk of _shift_norms (module docstring); on the moduli
 # workload 2^15 was slower, and 2^17 and 2^18 no faster but held more memory
 _CHUNK_POINTS = 1 << 16
@@ -150,81 +152,57 @@ def _shift_norms(f, r_e: MultiIndex, steps: np.ndarray, p: float,
     return out
 
 
-@dataclass
-class ModulusRequest:
-    """Inputs of one sup-type modulus evaluation.
+def modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec | None = None,
+            h_grid: int = DEFAULT_H_GRID) -> float:
+    """Sup-type mixed modulus of order ``r_e`` at step bound ``t``.
 
-    ``t`` is clamped componentwise to the box size (a larger search radius
-    adds nothing; the clamp is logged).  ``h_grid`` is the number of
+    The positive entries of ``r_e`` define the coordinate subset.  Discretized
+    sup over the non-negative step grid of the L_p norm of the mixed
+    difference over the shifted domain; empty shifted domains contribute
+    nothing.  ``t`` is clamped componentwise to the box size (a larger search
+    radius adds nothing; the clamp is logged).  ``h_grid`` is the number of
     equispaced step values searched per active axis, endpoints included.
     """
-
-    f: FunctionSpec
-    r: MultiIndex
-    e: SubsetMask
-    t: StepVector
-    p: float
-    domain: Parallelepiped
-    h_grid: int = DEFAULT_H_GRID
-    quad: QuadratureSpec | None = None
-
-    def __post_init__(self):
-        dim = getattr(self.f, "dimension", self.domain.dim)
-        self.r = as_multi_index(self.r, dim)
-        if not isinstance(self.e, SubsetMask):
-            self.e = SubsetMask(dim, self.e)
-        self.t = as_step_vector(self.t, dim)
-        if self.h_grid < 2:
-            raise ValueError("h_grid must be >= 2")
-        size = self.domain.size()
-        clamped = tuple(min(ti, si) for ti, si in zip(self.t, size))
-        if any(ci < ti for ci, ti in zip(clamped, self.t)):
-            log.info("clamping modulus step bound %s to box size %s", self.t.entries, clamped)
-            self.t = StepVector(clamped)
-        self.quad = self.quad or QuadratureSpec.for_dim(dim)
-
-
-def modulus(req: ModulusRequest) -> float:
-    """Sup-type mixed modulus of order ``r(e)`` at step bound ``t``.
-
-    Discretized sup over the non-negative step grid of the L_p norm of the
-    mixed difference over the shifted domain; empty shifted domains
-    contribute nothing.
-    """
-    if req.e.is_empty:
-        raise ValueError("modulus needs a non-empty coordinate subset")
-    r_e = req.e.project(req.r)
-    active = [i for i in range(r_e.dim) if r_e[i] > 0]
+    dim = getattr(f, "dimension", domain.dim)
+    r_e = as_multi_index(r_e, dim)
+    t = as_step_vector(t, dim)
+    active = [i for i in range(dim) if r_e[i] > 0]
     if not active:
-        # order zero on every requested axis: difference degenerates to zero
-        return 0.0
-    steps = np.zeros((req.h_grid ** len(active), r_e.dim))
-    steps[:, active] = tensor_grid([np.linspace(0.0, req.t[i], req.h_grid) for i in active])
+        raise ValueError("modulus needs an order with a positive entry")
+    if h_grid < 2:
+        raise ValueError("h_grid must be >= 2")
+    clamped = StepVector(tuple(min(ti, si) for ti, si in zip(t, domain.size())))
+    if clamped != t:
+        log.info("clamping modulus step bound %s to box size %s", t.entries, clamped.entries)
+    t = clamped
+    steps = np.zeros((h_grid ** len(active), dim))
+    steps[:, active] = tensor_grid([np.linspace(0.0, t[i], h_grid) for i in active])
     # empty boxes give 0 and a NaN norm raises, so the max starts at 0
-    best = np.max(_shift_norms(req.f, r_e, steps, req.p, req.domain, req.quad), initial=0.0)
-    return float(best if req.p == math.inf else best ** (1.0 / req.p))
+    best = np.max(_shift_norms(f, r_e, steps, p, domain, quad or QuadratureSpec.for_dim(dim)),
+                  initial=0.0)
+    return float(best if p == math.inf else best ** (1.0 / p))
 
 
-def total_modulus(f, r, t, p, domain, h_grid: int = DEFAULT_H_GRID,
-                  quad: QuadratureSpec | None = None) -> float:
+def total_modulus(f, r, t, p, domain, *, quad: QuadratureSpec | None = None,
+                  h_grid: int = DEFAULT_H_GRID) -> float:
     """Total mixed modulus: sum of the sup-type moduli over non-empty subsets."""
     r = as_multi_index(r, getattr(f, "dimension", domain.dim))
     if not r.is_positive():
         raise ValueError("total modulus needs r >= 1 on every axis")
-    return sum(modulus(ModulusRequest(f, r, e, t, p, domain, h_grid, quad))
+    return sum(modulus(f, e.project(r), t, p, domain, quad=quad, h_grid=h_grid)
                for e in subsets(r.dim))
 
 
-def p_mean_modulus(f, r_e, t, p, domain, quad: QuadratureSpec | None = None,
-                   mean_nodes: int = DEFAULT_MEAN_NODES,
-                   h_grid: int = DEFAULT_H_GRID) -> float:
+def p_mean_modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec | None = None,
+                   h_grid: int = DEFAULT_H_GRID,
+                   mean_nodes: int = DEFAULT_MEAN_NODES) -> float:
     """p-mean modulus of order ``r_e``: step-integrated variant of the sup modulus.
 
     Computes ``((prod_{active} t_i^-1) * int_{|h_i|<=t_i} int |diff|^p dx dh)^(1/p)``
     over the signed step box of the active axes.  The integrand is even in each
-    ``h_i`` (module docstring), so one Gauss-Legendre panel on ``[0, t_i]``,
-    ending at the generic kink h = 0, carries doubled weights.  At p = inf the
-    value is :func:`modulus` with the same ``h_grid``, bit for bit.
+    ``h_i`` (module docstring), so one ``mean_nodes``-point Gauss-Legendre panel
+    on ``[0, t_i]``, ending at the generic kink h = 0, carries doubled weights.
+    At p = inf the value is :func:`modulus` with the same ``h_grid``, bit for bit.
 
     The normalization divides by ``prod t_i``, not by the signed box measure
     ``prod 2 t_i``, so the folded form reads ``w_e^p = 2^|e| * (mean over
@@ -239,8 +217,7 @@ def p_mean_modulus(f, r_e, t, p, domain, quad: QuadratureSpec | None = None,
     if not active:
         raise ValueError("p-mean modulus needs a non-empty active subset")
     if p == math.inf:
-        return modulus(ModulusRequest(f, r_e, SubsetMask(dim, active), t, p, domain,
-                                      h_grid, quad))
+        return modulus(f, r_e, t, p, domain, quad=quad, h_grid=h_grid)
     quad = quad or QuadratureSpec.for_dim(dim)
     if any(t[i] == 0.0 for i in active):
         return 0.0  # limit convention: vanishing step box
@@ -253,14 +230,15 @@ def p_mean_modulus(f, r_e, t, p, domain, quad: QuadratureSpec | None = None,
     return max(scale * acc, 0.0) ** (1.0 / p)
 
 
-def total_p_mean_modulus(f, r, t, p, domain, quad: QuadratureSpec | None = None,
-                         mean_nodes: int = DEFAULT_MEAN_NODES,
-                         h_grid: int = DEFAULT_H_GRID) -> float:
+def total_p_mean_modulus(f, r, t, p, domain, *, quad: QuadratureSpec | None = None,
+                         h_grid: int = DEFAULT_H_GRID,
+                         mean_nodes: int = DEFAULT_MEAN_NODES) -> float:
     """Total p-mean modulus: sum of p-mean moduli over non-empty subsets."""
     r = as_multi_index(r, getattr(f, "dimension", domain.dim))
     if not r.is_positive():
         raise ValueError("total p-mean modulus needs r >= 1 on every axis")
-    return sum(p_mean_modulus(f, e.project(r), t, p, domain, quad, mean_nodes, h_grid)
+    return sum(p_mean_modulus(f, e.project(r), t, p, domain, quad=quad, h_grid=h_grid,
+                              mean_nodes=mean_nodes)
                for e in subsets(r.dim))
 
 

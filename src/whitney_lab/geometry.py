@@ -263,6 +263,10 @@ class Parallelepiped:
         return self
 
 
+DEFAULT_QUAD_NODES = 32  # Gauss-Legendre nodes per axis of the finite-p norms
+DEFAULT_SUP_NODES = 65  # Chebyshev-Lobatto nodes per axis of the sup norm
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Deterministic tensor quadrature controlling every norm evaluation.
@@ -278,7 +282,7 @@ class QuadratureSpec:
     def __init__(self, nodes_per_axis, sup_nodes_per_axis=None):
         nodes = tuple(int(n) for n in np.atleast_1d(nodes_per_axis))
         if sup_nodes_per_axis is None:
-            sup = tuple(65 for _ in nodes)
+            sup = tuple(DEFAULT_SUP_NODES for _ in nodes)
         else:
             sup = tuple(int(n) for n in np.atleast_1d(sup_nodes_per_axis))
             if len(sup) == 1 and len(nodes) > 1:
@@ -293,7 +297,8 @@ class QuadratureSpec:
         object.__setattr__(self, "sup_nodes_per_axis", sup)
 
     @classmethod
-    def for_dim(cls, dim: int, nodes: int = 32, sup_nodes: int = 65) -> "QuadratureSpec":
+    def for_dim(cls, dim: int, nodes: int = DEFAULT_QUAD_NODES,
+                sup_nodes: int = DEFAULT_SUP_NODES) -> "QuadratureSpec":
         return cls((nodes,) * dim, (sup_nodes,) * dim)
 
     @property

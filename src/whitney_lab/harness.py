@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .differences import (
-    ModulusRequest,
+    DEFAULT_H_GRID,
+    DEFAULT_MEAN_NODES,
     modulus,
     p_mean_modulus,
     total_modulus,
@@ -31,6 +32,8 @@ from .differences import (
 )
 from .functions import FunctionSpec, get_function
 from .geometry import (
+    DEFAULT_QUAD_NODES,
+    DEFAULT_SUP_NODES,
     GeometryError,
     Parallelepiped,
     QuadratureSpec,
@@ -43,7 +46,7 @@ from .polyapprox import (
     taylor_poly,
     taylor_remainder_bound,
 )
-from .smoother import BracketViolation, KFuncConfig, k_functional_bracket
+from .smoother import DEFAULT_PANEL_NODES, BracketViolation, k_functional_bracket
 from .simplex import SimplexError
 
 __all__ = [
@@ -74,14 +77,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Resolutions:
-    """Discretization knobs; defaults match the module-level defaults."""
+    """Discretization knobs; the defaults are those of the modules that use them."""
 
-    h_grid: int = 33
-    quad_nodes: int = 32
-    sup_nodes: int = 65
+    h_grid: int = DEFAULT_H_GRID
+    quad_nodes: int = DEFAULT_QUAD_NODES
+    sup_nodes: int = DEFAULT_SUP_NODES
     minimax_grid: int = 0  # 0 = automatic (max(4 r_i, 17) per axis)
-    panel_nodes: int = 16
-    mean_nodes: int = 16
+    panel_nodes: int = DEFAULT_PANEL_NODES
+    mean_nodes: int = DEFAULT_MEAN_NODES
 
     def quad_for(self, dim: int) -> QuadratureSpec:
         return QuadratureSpec.for_dim(dim, self.quad_nodes, self.sup_nodes)
@@ -113,8 +116,11 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         try:
             box_raw = raw["box"]
-            box = Parallelepiped(*[[_number(f"box.{k}", v) for v in box_raw[k]]
-                                   for k in ("lower", "upper")])
+            bounds = [box_raw[k] for k in ("lower", "upper")]
+            if not all(isinstance(b, list) for b in bounds):
+                raise ConfigError(f"box.lower and box.upper must be lists, got {bounds}")
+            box = Parallelepiped(*[[_number(f"box.{k}", v) for v in b]
+                                   for k, b in zip(("lower", "upper"), bounds)])
         except (KeyError, TypeError, ValueError, GeometryError) as exc:
             raise ConfigError(f"invalid or missing box: {exc}") from exc
         if not all(math.isfinite(v) for v in box.lower + box.upper):
@@ -155,7 +161,7 @@ class ExperimentConfig:
         _known_keys("resolution", res_raw, Resolutions.__dataclass_fields__)
         resolutions = Resolutions(**{k: _number(f"resolutions.{k}", v, int)
                                      for k, v in res_raw.items()})
-        if resolutions.h_grid < 2:  # the bound ModulusRequest enforces
+        if resolutions.h_grid < 2:  # the bound modulus enforces
             raise ConfigError(f"h_grid must be >= 2, got {resolutions.h_grid}")
         try:  # QuadratureSpec's bounds; panel and mean nodes are Gauss counts too
             for n in (resolutions.quad_nodes, resolutions.panel_nodes, resolutions.mean_nodes):
@@ -209,14 +215,6 @@ class ExperimentConfig:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
 
-    def kfunc_config(self, dim: int) -> KFuncConfig:
-        res = self.resolutions
-        return KFuncConfig(
-            quad=res.quad_for(dim),
-            h_grid=res.h_grid,
-            panel_nodes=res.panel_nodes,
-        )
-
 
 # the top-level keys of a config document; any other key is a config error
 _CONFIG_KEYS = ("function_ids", "orders", "p_values", "box", "dimensions", "shrink_levels",
@@ -243,11 +241,12 @@ def _flag(raw: dict, key: str, default: bool) -> bool:
 
 def _number(key: str, value, kind: type = float):
     """``value`` as a ``kind`` (float or int), or a config error naming ``key``:
-    a non-number (JSON ``true``/``false`` too, though ``bool`` is an ``int``),
-    NaN, or a fraction where an int is due (never truncated)."""
+    a non-number (JSON ``true``/``false`` too, though ``bool`` is an ``int``, and
+    a numeric string such as ``"2"``), NaN, or a fraction where an int is due
+    (never truncated)."""
     try:
         number = kind(value)
-        exact = number == float(value) and not isinstance(value, bool)
+        exact = number == float(value) and not isinstance(value, (bool, str))
     except (TypeError, ValueError, OverflowError):
         exact = False
     if not exact:
@@ -394,12 +393,12 @@ def _whitney_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p:
     res = cfg.resolutions
     quad = res.quad_for(f.dimension)
     _, err = best_approx(f, r, p, box, grid=res.fit_grid(r), quad=quad)
-    omega = total_modulus(f, r, t, p, box, res.h_grid, quad)
+    omega = total_modulus(f, r, t, p, box, quad=quad, h_grid=res.h_grid)
     margin = omega - whitney_constant_sum(r) * err
     pairs = [("E_r", err), ("Omega", omega)]
     if cfg.include_p_mean:
         w_total = omega if p == math.inf else total_p_mean_modulus(
-            f, r, t, p, box, quad, res.mean_nodes, res.h_grid)
+            f, r, t, p, box, quad=quad, h_grid=res.h_grid, mean_nodes=res.mean_nodes)
         pairs += [("W", w_total), ("ratio_E_over_W", _na_ratio(err, w_total))]
     pairs += [("margin", margin), ("ratio_E_over_Omega", _na_ratio(err, omega))]
     return pairs, margin > MARGIN_TOL * (1.0 + omega)
@@ -407,7 +406,9 @@ def _whitney_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p:
 
 def _johnen_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p: float,
                  box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[tuple], bool]:
-    bracket = k_functional_bracket(f, r, t, p, box, cfg.kfunc_config(f.dimension))
+    res = cfg.resolutions
+    bracket = k_functional_bracket(f, r, t, p, box, quad=res.quad_for(f.dimension),
+                                   h_grid=res.h_grid, panel_nodes=res.panel_nodes)
     details = bracket.details
     omega = details["omega_total"]
     pairs = [
@@ -457,10 +458,10 @@ def _modulus_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p:
     pairs = []
     for e in subsets(f.dimension):
         r_e = e.project(r)
-        omega = modulus(ModulusRequest(f, r, e, t, p, box, res.h_grid, quad))
+        omega = modulus(f, r_e, t, p, box, quad=quad, h_grid=res.h_grid)
         # at p = inf the p-mean modulus is this sup-type modulus, bit for bit
         w = omega if p == math.inf else p_mean_modulus(
-            f, r_e, t, p, box, quad, res.mean_nodes, res.h_grid)
+            f, r_e, t, p, box, quad=quad, h_grid=res.h_grid, mean_nodes=res.mean_nodes)
         pairs += [("omega", omega, r_e.entries), ("w", w, r_e.entries)]
     return pairs + [(total, sum(v for q, v, _ in pairs if q == term))
                     for total, term in (("Omega", "omega"), ("W", "w"))], False
@@ -475,7 +476,9 @@ def _bestapprox_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...],
 
 def _kfunc_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p: float,
                 box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[tuple], bool]:
-    bracket = k_functional_bracket(f, r, t, p, box, cfg.kfunc_config(f.dimension))
+    res = cfg.resolutions
+    bracket = k_functional_bracket(f, r, t, p, box, quad=res.quad_for(f.dimension),
+                                   h_grid=res.h_grid, panel_nodes=res.panel_nodes)
     return [("K_lower", bracket.lower), ("K_upper", bracket.upper)], False
 
 

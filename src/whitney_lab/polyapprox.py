@@ -218,7 +218,8 @@ def best_approx(f, r, p: float, box: Parallelepiped,
     if quad is None:
         quad = QuadratureSpec.for_dim(r.dim)
     if p == 2:
-        return _project_l2(f, r, box, quad)
+        poly = _project_l2(f, r, box, quad)
+        return poly, lp_norm(lambda q: np.asarray(f(q)) - poly(q), box, 2, quad)
     if p not in (1.0, math.inf):
         raise ValueError("best approximation is computed only for p in {1, 2, inf}")
     if grid is None:
@@ -238,7 +239,8 @@ def best_approx(f, r, p: float, box: Parallelepiped,
 
 
 def _project_l2(f, r: MultiIndex, box: Parallelepiped,
-                quad: QuadratureSpec) -> tuple[TensorPolynomial, float]:
+                quad: QuadratureSpec) -> TensorPolynomial:
+    """The orthogonal Legendre projection of f onto the order-r class."""
     axes, wts = tensor_quadrature(box, quad)
     fvals = grid_values(f, axes).reshape(-1)
     pts = tensor_grid(axes)
@@ -249,9 +251,7 @@ def _project_l2(f, r: MultiIndex, box: Parallelepiped,
     for V in mats[1:]:
         T = np.einsum("n...,nb->n...b", T, V)
     coef = T.reshape(len(fvals), -1).sum(axis=0).reshape(r.entries)
-    poly = TensorPolynomial(r.entries, coef, LEGENDRE, box)
-    err = lp_norm(lambda q: np.asarray(f(q)) - poly(q), box, 2, quad)
-    return poly, err
+    return TensorPolynomial(r.entries, coef, LEGENDRE, box)
 
 
 def taylor_poly(f: FunctionSpec, k, x0, box: Parallelepiped) -> TensorPolynomial:

@@ -50,6 +50,11 @@ the one of the interleaved layout ``(n_0, l_0, n_1, l_1, ...)`` with each
 are that contraction's.  The block rule is fixed for the same reason: another
 budget moves the block edges, hence the matrices, hence the last bits, and
 the derivative stencils amplify those into the output.
+
+:func:`k_functional_bracket` takes the call form of the moduli,
+``(f, r, t, p, box, *, quad=None, h_grid=DEFAULT_H_GRID,
+panel_nodes=DEFAULT_PANEL_NODES)``, with keyword-only resolutions; its helpers
+take ``quad`` and ``panel_nodes`` directly.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .differences import modulus, whitney_constant_sum, ModulusRequest
+from .differences import DEFAULT_H_GRID, modulus, whitney_constant_sum
 from .functions import FunctionSpec
 from .geometry import (
     GAUSS,
@@ -88,13 +93,12 @@ __all__ = [
     "smooth_univariate",
     "smooth_mixed",
     "smoothed_derivative",
-    "KFuncConfig",
     "KBracket",
     "k_functional_bracket",
     "subdivision_boxes",
 ]
 
-DEFAULT_PANEL_NODES = 16
+DEFAULT_PANEL_NODES = 16  # Gauss nodes per knot interval of the B-spline average
 _CHUNK_BUDGET = 1 << 22  # max elements evaluated per base-function call
 _BOX_NORMS_CACHE = 256  # (f, r, p, box, quad) keys; the steps of a sweep share theirs
 
@@ -356,33 +360,25 @@ def smoothed_derivative(f, r, t, e: SubsetMask, box: Parallelepiped,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class KFuncConfig:
-    """Norm resolutions of bracket computations."""
-
-    quad: QuadratureSpec | None = None
-    h_grid: int = 33
-    panel_nodes: int = DEFAULT_PANEL_NODES
-
-    def quad_for(self, dim: int) -> QuadratureSpec:
-        return self.quad if self.quad is not None else QuadratureSpec.for_dim(dim)
-
-
-@dataclass
 class KBracket:
     """Two-sided bracket for the mixed K-functional at weights t^r.
 
     ``witness`` names the candidate achieving the upper bound.  The lower
     bound is the exact modulus-based constant times the total modulus, so
-    ``lower <= upper`` is a hard invariant, enforced at construction.
+    ``lower <= upper`` is a hard invariant, enforced at construction up to
+    round-off: ``1e-9`` relative to ``upper`` plus ``1e-12 * norm``, where
+    ``norm`` is ``||f||_p`` (the ``zero`` candidate), so the allowance scales
+    with f.
     """
 
     lower: float
     upper: float
     witness: str
     details: dict = field(default_factory=dict)
+    norm: float = 0.0
 
     def __post_init__(self):
-        if self.lower > self.upper * (1.0 + 1e-9) + 1e-12:
+        if self.lower > self.upper * (1.0 + 1e-9) + 1e-12 * self.norm:
             raise BracketViolation(
                 f"bracket inverted: lower={self.lower} > upper={self.upper}")
 
@@ -399,7 +395,7 @@ def _box_norms(f: FunctionSpec, r: MultiIndex, p, box: Parallelepiped,
     if sobolev:
         derivs = tuple(lp_norm(f.derivative_fn(e.project(r)), box, p, quad)
                        for e in subsets(r.dim))
-    proj, _ = _project_l2(f, r, box, quad)
+    proj = _project_l2(f, r, box, quad)
     polys = [("projection", lp_norm(lambda q: np.asarray(f(q)) - proj(q), box, p, quad))]
     if sobolev:
         tp = taylor_poly(f, r, np.asarray(box.lower), box)
@@ -407,10 +403,10 @@ def _box_norms(f: FunctionSpec, r: MultiIndex, p, box: Parallelepiped,
     return norm, derivs, tuple(polys)
 
 
-def _box_candidates(f: FunctionSpec, r: MultiIndex, t, p, box, cfg: KFuncConfig):
+def _box_candidates(f: FunctionSpec, r: MultiIndex, t, p, box, quad: QuadratureSpec):
     """Candidates valid on the whole given box (no smoother): g = 0, g = f
     (weights ``t^r(e)`` on the memoized derivative norms), the polynomials."""
-    norm, derivs, polys = _box_norms(f, r, p, box, cfg.quad_for(r.dim))
+    norm, derivs, polys = _box_norms(f, r, p, box, quad)
     cands = [("zero", norm)]
     if derivs is not None:
         t = as_step_vector(t, r.dim)
@@ -424,7 +420,7 @@ def _box_candidates(f: FunctionSpec, r: MultiIndex, t, p, box, cfg: KFuncConfig)
 
 
 def _directional_upper(f: FunctionSpec, r: MultiIndex, t, sigma: tuple[int, ...],
-                       p, box, cfg: KFuncConfig):
+                       p, box, quad: QuadratureSpec, panel_nodes: int):
     """Functional value of the signed smoother, measured on its validity box.
 
     The validity box and each axis's smoothing and derivative stencils are
@@ -433,10 +429,9 @@ def _directional_upper(f: FunctionSpec, r: MultiIndex, t, sigma: tuple[int, ...]
     :func:`smoothed_derivative` builds for e, so each term has the bits of
     that reference path.
     """
-    quad = cfg.quad_for(r.dim)
     t = as_step_vector(t, r.dim)
     signed = [s * ti for s, ti in zip(sigma, t)]
-    smooth, domain = _signed_ops_and_domain(r, signed, box, cfg.panel_nodes)
+    smooth, domain = _signed_ops_and_domain(r, signed, box, panel_nodes)
     deriv = [_derivative_op(r[i], ti) for i, ti in enumerate(signed)]
     value = _smoothed_lp_norm(smooth, f, p, domain, quad, subtract_base=True)
     f_minus_g = value
@@ -464,8 +459,9 @@ def subdivision_boxes(box: Parallelepiped) -> dict[tuple[int, ...], Parallelepip
     return out
 
 
-def k_functional_bracket(f: FunctionSpec, r, t, p: float, box: Parallelepiped,
-                         cfg: KFuncConfig | None = None) -> KBracket:
+def k_functional_bracket(f: FunctionSpec, r, t, p: float, box: Parallelepiped, *,
+                         quad: QuadratureSpec | None = None, h_grid: int = DEFAULT_H_GRID,
+                         panel_nodes: int = DEFAULT_PANEL_NODES) -> KBracket:
     """Computable bracket for the mixed K-functional at weights t^r.
 
     The functional of a candidate g is ``||f - g||_p`` plus the sum over
@@ -481,21 +477,23 @@ def k_functional_bracket(f: FunctionSpec, r, t, p: float, box: Parallelepiped,
     ``r <= f.r_max``), ``smoother_subdivision`` when some ``|t_i|`` exceeds
     the smoother's validity bound ``(b_i - a_i) / (4 r_i^2)``.
     ``details["candidates"]`` lists exactly the candidates evaluated.
+
+    ``quad`` (default: :meth:`QuadratureSpec.for_dim`) measures every norm,
+    ``h_grid`` is the step grid of the moduli (:func:`modulus`), and
+    ``panel_nodes`` the Gauss nodes per knot interval of the smoother.
     """
-    cfg = cfg or KFuncConfig()
     r = as_multi_index(r, f.dimension)
     t = as_step_vector(t, f.dimension)
     if any(ti <= 0 for ti in t):
         raise ValueError("bracket needs t > 0 componentwise")
-    quad = cfg.quad_for(r.dim)
-    omega_terms = {}
-    for e in subsets(r.dim):
-        omega_terms[e.sorted_axes()] = modulus(
-            ModulusRequest(f, r, e, t, p, box, cfg.h_grid, quad))
+    quad = quad or QuadratureSpec.for_dim(r.dim)
+    omega_terms = {e.sorted_axes(): modulus(f, e.project(r), t, p, box, quad=quad,
+                                            h_grid=h_grid)
+                   for e in subsets(r.dim)}
     omega_total = float(sum(omega_terms.values()))
     lower = omega_total / whitney_constant_sum(r)
 
-    candidates = list(_box_candidates(f, r, t, p, box, cfg))
+    candidates = _box_candidates(f, r, t, p, box, quad)
     details: dict = {"omega_total": omega_total, "omega_terms": omega_terms}
     if all(_in_smoother_range(*box.axis_interval(i), r[i], t[i]) for i in range(r.dim)):
         boxes = subdivision_boxes(box)
@@ -503,8 +501,8 @@ def k_functional_bracket(f: FunctionSpec, r, t, p: float, box: Parallelepiped,
         for key, sub_box in boxes.items():
             sigma = tuple(1 if i in key else -1 for i in range(r.dim))
             value, f_minus_g, deriv_terms = _directional_upper(
-                f, r, t, sigma, p, box, cfg)
-            direct = min(v for _, v in _box_candidates(f, r, t, p, sub_box, cfg))
+                f, r, t, sigma, p, box, quad, panel_nodes)
+            direct = min(v for _, v in _box_candidates(f, r, t, p, sub_box, quad))
             sub_uppers[key] = min(value, direct)
             if key == tuple(range(r.dim)):  # forward smoother: proof-chain diagnostics
                 details["f_minus_g"] = f_minus_g
@@ -513,4 +511,5 @@ def k_functional_bracket(f: FunctionSpec, r, t, p: float, box: Parallelepiped,
         candidates.append(("smoother_subdivision", float(sum(sub_uppers.values()))))
     details["candidates"] = dict(candidates)
     witness, upper = min(candidates, key=lambda kv: kv[1])
-    return KBracket(lower=lower, upper=float(upper), witness=witness, details=details)
+    return KBracket(lower=lower, upper=float(upper), witness=witness, details=details,
+                    norm=details["candidates"]["zero"])

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from whitney_lab.differences import (
-    ModulusRequest,
     modulus,
     p_mean_modulus,
     total_modulus,
@@ -26,7 +25,7 @@ from whitney_lab.functions import corpus, get_function
 from whitney_lab.geometry import Parallelepiped, QuadratureSpec, SubsetMask, subsets
 from whitney_lab.harness import ExperimentConfig, run_johnen, run_lemma21, run_taylor, run_whitney
 from whitney_lab.polyapprox import best_approx, equioscillation_count
-from whitney_lab.smoother import KFuncConfig, k_functional_bracket, smooth_mixed, smooth_univariate, smoothed_derivative
+from whitney_lab.smoother import k_functional_bracket, smooth_mixed, smooth_univariate, smoothed_derivative
 
 INF = math.inf
 
@@ -115,8 +114,8 @@ def test_criterion_2_annihilation():
             assert err <= tol, (fid, r, p, err)
             worst_e = max(worst_e, err)
         for p in (1.0, 2.0, INF):
-            om = total_modulus(f, r, delta, p, box, 9, quad)
-            w = total_p_mean_modulus(f, r, delta, p, box, quad, 8, 9)
+            om = total_modulus(f, r, delta, p, box, quad=quad, h_grid=9)
+            w = total_p_mean_modulus(f, r, delta, p, box, quad=quad, h_grid=9, mean_nodes=8)
             assert om <= 1e-10 and w <= 1e-10, (fid, r, p, om, w)
             worst_m = max(worst_m, om, w)
     assert _report(2, True, f"E_r, Omega, W all vanish on the polynomial "
@@ -135,14 +134,13 @@ def test_criterion_3_analytic_oracles():
     _, e_inf = best_approx(fx, (1,), INF, box1, quad=quad1)
     assert e_inf == pytest.approx(0.5, abs=1e-4)
 
-    om = modulus(ModulusRequest(fx, (1,), SubsetMask(1, [0]), (1.0,), INF,
-                                box1, 33, quad1))
+    om = modulus(fx, (1,), (1.0,), INF, box1, quad=quad1, h_grid=33)
     assert om == pytest.approx(1.0, abs=1e-4)
 
     _, e_l2 = best_approx(fx, (1,), 2.0, box1, quad=quad1)
     assert e_l2 == pytest.approx((1.0 / 12.0) ** 0.5, abs=1e-4)
 
-    w1 = p_mean_modulus(fx, (1,), (1.0,), 1.0, box1, quad1)
+    w1 = p_mean_modulus(fx, (1,), (1.0,), 1.0, box1, quad=quad1)
     assert w1 == pytest.approx(1.0 / 3.0, abs=1e-4)
 
     cheb_box = Parallelepiped([-1.0], [1.0])
@@ -153,7 +151,7 @@ def test_criterion_3_analytic_oracles():
 
     f11 = get_function("poly_d2_deg11")
     om2 = total_modulus(f11, (1, 1), (1.0, 1.0), INF, Parallelepiped.unit(2),
-                        17, QuadratureSpec.for_dim(2, 24, 33))
+                        quad=QuadratureSpec.for_dim(2, 24, 33), h_grid=17)
     assert om2 == pytest.approx(3.0, abs=1e-4)
 
     assert _report(3, True, "six analytic oracle values reproduced to 1e-4")
@@ -243,7 +241,7 @@ def _bracket_sweep(fids, d, orders, cfg, t_factors):
                 ratios = []
                 for s in t_factors:
                     t = tuple(s * tbar)
-                    br = k_functional_bracket(f, r, t, p, box, cfg)
+                    br = k_functional_bracket(f, r, t, p, box, **cfg)
                     assert br.lower <= br.upper * (1 + 1e-9) + 1e-12
                     om = br.details["omega_total"]
                     if om > 1e-12:
@@ -258,20 +256,17 @@ def test_criterion_5_kfunctional_bracket():
     t_factors = np.logspace(-1, 0, 12)
     spreads = {}
 
-    cfg_d1 = KFuncConfig(quad=QuadratureSpec.for_dim(1, 32, 129), h_grid=17,
-                         panel_nodes=12)
+    cfg_d1 = dict(quad=QuadratureSpec.for_dim(1, 32, 129), h_grid=17, panel_nodes=12)
     spreads.update(_bracket_sweep(_ids(1), 1, [(1,), (2,)], cfg_d1, t_factors))
 
     smooth_ids = [fid for fid in _ids(2) if fid != "abspow_d2"]
-    cfg_d2 = KFuncConfig(quad=QuadratureSpec.for_dim(2, 24, 33), h_grid=9,
-                         panel_nodes=10)
+    cfg_d2 = dict(quad=QuadratureSpec.for_dim(2, 24, 33), h_grid=9, panel_nodes=10)
     spreads.update(_bracket_sweep(smooth_ids, 2, [(1, 1), (2, 2)], cfg_d2,
                                   t_factors))
 
     # the kink entries need scale-resolving grids: their difference profiles
     # concentrate on O(t)-wide sets that coarse tensor grids alias
-    cfg_kink = KFuncConfig(quad=QuadratureSpec.for_dim(2, 40, 129), h_grid=9,
-                           panel_nodes=8)
+    cfg_kink = dict(quad=QuadratureSpec.for_dim(2, 40, 129), h_grid=9, panel_nodes=8)
     spreads.update(_bracket_sweep(["abspow_d2"], 2, [(1, 1), (2, 2)], cfg_kink,
                                   t_factors))
 
@@ -354,8 +349,8 @@ def _sweep_7(p_values):
 def _w_omega_pairs(p_values):
     pairs = []
     for (fid, r, p), f, t, box, quad, h_grid in _sweep_7(p_values):
-        om = total_modulus(f, r, t, p, box, h_grid, quad)
-        w = total_p_mean_modulus(f, r, t, p, box, quad, 8, h_grid)
+        om = total_modulus(f, r, t, p, box, quad=quad, h_grid=h_grid)
+        w = total_p_mean_modulus(f, r, t, p, box, quad=quad, h_grid=h_grid, mean_nodes=8)
         pairs.append(((fid, r, p), w, om))
     return pairs
 
@@ -378,8 +373,9 @@ def test_criterion_7a_integrated_le_sup_as_stated():
         _, r, p = key
         w, om = 0.0, 0.0
         for e in subsets(len(r)):
-            w_e = p_mean_modulus(f, e.project(r), t, p, box, quad, 8, h_grid)
-            om_e = modulus(ModulusRequest(f, r, e, t, p, box, h_grid, quad))
+            w_e = p_mean_modulus(f, e.project(r), t, p, box, quad=quad, h_grid=h_grid,
+                                 mean_nodes=8)
+            om_e = modulus(f, e.project(r), t, p, box, quad=quad, h_grid=h_grid)
             terms.append((key + (e.sorted_axes(),), w_e,
                           2.0 ** (len(e.axes) / p) * om_e))
             w, om = w + w_e, om + om_e

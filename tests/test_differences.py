@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 
 from whitney_lab import differences
 from whitney_lab.differences import (
-    ModulusRequest,
     mixed_difference,
     modulus,
     p_mean_modulus,
@@ -62,37 +62,53 @@ class TestMixedDifference:
 class TestModulus:
     def test_polynomial_annihilation(self, unit_box_1d, quad_1d):
         f = get_function("poly_d1_deg1")
-        req = ModulusRequest(f, (2,), SubsetMask(1, [0]), (1.0,), INF,
-                             unit_box_1d, 17, quad_1d)
-        assert modulus(req) < 1e-12
+        assert modulus(f, (2,), (1.0,), INF, unit_box_1d, quad=quad_1d, h_grid=17) < 1e-12
 
     def test_linear_sup_modulus_reaches_one(self, unit_box_1d, quad_1d):
         # at h = 1 the shifted domain is the single point {0} where the
         # difference still equals 1
         f = get_function("poly_d1_deg1")
-        req = ModulusRequest(f, (1,), SubsetMask(1, [0]), (1.0,), INF,
-                             unit_box_1d, 33, quad_1d)
-        assert modulus(req) == pytest.approx(1.0, abs=1e-12)
+        got = modulus(f, (1,), (1.0,), INF, unit_box_1d, quad=quad_1d, h_grid=33)
+        assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_l1_modulus_quarter(self, unit_box_1d, quad_1d):
         # ||h||_{1,[0,1-h]} = h (1 - h), maximized at h = 1/2
         f = get_function("poly_d1_deg1")
-        req = ModulusRequest(f, (1,), SubsetMask(1, [0]), (1.0,), 1.0,
-                             unit_box_1d, 33, quad_1d)
-        assert modulus(req) == pytest.approx(0.25, abs=1e-10)
+        got = modulus(f, (1,), (1.0,), 1.0, unit_box_1d, quad=quad_1d, h_grid=33)
+        assert got == pytest.approx(0.25, abs=1e-10)
 
-    def test_empty_subset_rejected(self, unit_box_1d, quad_1d):
-        f = get_function("poly_d1_deg1")
-        req = ModulusRequest(f, (1,), SubsetMask.empty(1), (1.0,), INF,
-                             unit_box_1d, 9, quad_1d)
-        with pytest.raises(ValueError):
-            modulus(req)
+    def test_empty_subset_rejected(self, unit_box_1d, unit_box_2d, quad_1d):
+        # an order with no positive entry has no subset; it used to give 0.0 silently
+        with pytest.raises(ValueError, match="positive entry"):
+            modulus(get_function("poly_d1_deg1"), (0,), (1.0,), INF, unit_box_1d,
+                    quad=quad_1d, h_grid=9)
+        with pytest.raises(ValueError, match="positive entry"):
+            modulus(get_function("exp_d2"), (0, 0), (1.0, 1.0), INF, unit_box_2d)
 
-    def test_step_bound_clamped_to_box(self, unit_box_1d, quad_1d):
+    def test_h_grid_below_two_rejected(self, unit_box_1d, quad_1d):
+        with pytest.raises(ValueError, match="h_grid"):
+            modulus(get_function("exp_d1"), (1,), (1.0,), INF, unit_box_1d,
+                    quad=quad_1d, h_grid=1)
+
+    def test_step_bound_clamped_to_box(self, unit_box_1d, quad_1d, caplog):
         f = get_function("poly_d1_deg1")
-        req = ModulusRequest(f, (1,), SubsetMask(1, [0]), (7.0,), INF,
-                             unit_box_1d, 9, quad_1d)
-        assert req.t.entries == (1.0,)
+        with caplog.at_level(logging.INFO, logger="whitney_lab.differences"):
+            got = modulus(f, (1,), (7.0,), INF, unit_box_1d, quad=quad_1d, h_grid=9)
+        assert "clamping modulus step bound (7.0,) to box size (1.0,)" in caplog.text
+        assert got == modulus(f, (1,), (1.0,), INF, unit_box_1d, quad=quad_1d, h_grid=9)
+
+    def test_resolutions_are_keyword_only(self, unit_box_1d, quad_1d):
+        # the old positional order put h_grid before quad for total_modulus and
+        # after it for total_p_mean_modulus
+        f = get_function("exp_d1")
+        with pytest.raises(TypeError):
+            total_modulus(f, (1,), (0.5,), INF, unit_box_1d, 33, quad_1d)
+        with pytest.raises(TypeError):
+            total_p_mean_modulus(f, (1,), (0.5,), 2.0, unit_box_1d, quad_1d, 16, 33)
+        with pytest.raises(TypeError):
+            modulus(f, (1,), (0.5,), INF, unit_box_1d, quad_1d)
+        with pytest.raises(TypeError):
+            p_mean_modulus(f, (1,), (0.5,), 2.0, unit_box_1d, quad_1d)
 
     def test_signed_step_search_matches_nonnegative_grid(self, quad_2d_fast):
         # brute force over every sign pattern; the change of variables makes
@@ -105,9 +121,8 @@ class TestModulus:
             ("abspow_d2", [1], (2, 2), 1.0),
         ]:
             f = get_function(fid)
-            mask = SubsetMask(2, e)
-            got = modulus(ModulusRequest(f, r, mask, t, p, box, 5, quad_2d_fast))
-            r_e = mask.project(r)
+            r_e = SubsetMask(2, e).project(r)
+            got = modulus(f, r_e, t, p, box, quad=quad_2d_fast, h_grid=5)
             active = [i for i in range(2) if r_e[i] > 0]
             best = 0.0
             grids = [np.linspace(0, t[i], 5) for i in active]
@@ -128,102 +143,96 @@ class TestModulus:
 class TestTotalModulus:
     def test_polynomial_gives_zero(self, unit_box_2d, quad_2d_fast):
         f = get_function("poly_d2_deg11")
-        got = total_modulus(f, (2, 2), (1.0, 1.0), INF, unit_box_2d, 9, quad_2d_fast)
+        got = total_modulus(f, (2, 2), (1.0, 1.0), INF, unit_box_2d, quad=quad_2d_fast,
+                            h_grid=9)
         assert got < 1e-12
 
     def test_d1_total_is_single_term(self, unit_box_1d, quad_1d):
         f = get_function("exp_d1")
-        total = total_modulus(f, (2,), (0.5,), 2.0, unit_box_1d, 17, quad_1d)
-        single = modulus(ModulusRequest(f, (2,), SubsetMask(1, [0]), (0.5,), 2.0,
-                                        unit_box_1d, 17, quad_1d))
+        total = total_modulus(f, (2,), (0.5,), 2.0, unit_box_1d, quad=quad_1d, h_grid=17)
+        single = modulus(f, (2,), (0.5,), 2.0, unit_box_1d, quad=quad_1d, h_grid=17)
         assert total == single
 
     def test_bilinear_total_is_three(self, unit_box_2d, quad_2d):
         f = get_function("poly_d2_deg11")
-        got = total_modulus(f, (1, 1), (1.0, 1.0), INF, unit_box_2d, 17, quad_2d)
+        got = total_modulus(f, (1, 1), (1.0, 1.0), INF, unit_box_2d, quad=quad_2d, h_grid=17)
         assert got == pytest.approx(3.0, abs=1e-10)
 
     def test_monotone_in_t(self, unit_box_1d, quad_1d):
         # the step-grid discretization of the sup can dip by a grid-resolution
         # amount when the maximizer is interior, so allow a small relative slack
         f = get_function("runge_d1")
-        values = [total_modulus(f, (2,), (t,), 2.0, unit_box_1d, 17, quad_1d)
+        values = [total_modulus(f, (2,), (t,), 2.0, unit_box_1d, quad=quad_1d, h_grid=17)
                   for t in (0.1, 0.2, 0.4, 0.8, 1.0)]
         assert all(a <= b * 1.02 + 1e-12 for a, b in zip(values, values[1:]))
         # at sup-norm the exp maximizer sits at the endpoint step, which every
         # grid contains, so there the discretized sup is exactly monotone
         exact = [total_modulus(get_function("exp_d1"), (1,), (t,), INF,
-                               unit_box_1d, 17, quad_1d)
+                               unit_box_1d, quad=quad_1d, h_grid=17)
                  for t in (0.1, 0.2, 0.4, 0.8, 1.0)]
         assert all(a <= b + 1e-12 for a, b in zip(exact, exact[1:]))
 
     def test_bounded_by_difference_sum(self, unit_box_1d, quad_1d):
         f = get_function("sin_d1")
         r = (3,)
-        got = modulus(ModulusRequest(f, r, SubsetMask(1, [0]), (1.0,), INF,
-                                     unit_box_1d, 17, quad_1d))
+        got = modulus(f, r, (1.0,), INF, unit_box_1d, quad=quad_1d, h_grid=17)
         bound = 2.0 ** 3 * lp_norm(f, unit_box_1d, INF, quad_1d)
         assert got <= bound + 1e-10
 
     def test_subadditive_and_homogeneous(self, unit_box_1d, quad_1d):
         f = get_function("exp_d1")
         g = get_function("sin_d1")
-        e = SubsetMask(1, [0])
 
-        def make(spec):
-            return ModulusRequest(spec, (2,), e, (0.7,), INF, unit_box_1d, 17, quad_1d)
+        def omega(spec):
+            return modulus(spec, (2,), (0.7,), INF, unit_box_1d, quad=quad_1d, h_grid=17)
 
-        both = modulus(ModulusRequest(lambda q: f(q) + g(q), (2,), e, (0.7,), INF,
-                                      unit_box_1d, 17, quad_1d))
-        assert both <= modulus(make(f)) + modulus(make(g)) + 1e-10
+        both = omega(lambda q: f(q) + g(q))
+        assert both <= omega(f) + omega(g) + 1e-10
         c = -3.7
-        scaled = modulus(ModulusRequest(lambda q: c * f(q), (2,), e, (0.7,), INF,
-                                        unit_box_1d, 17, quad_1d))
-        assert scaled == pytest.approx(abs(c) * modulus(make(f)), rel=1e-10)
+        scaled = omega(lambda q: c * f(q))
+        assert scaled == pytest.approx(abs(c) * omega(f), rel=1e-10)
 
     def test_adding_polynomial_leaves_modulus_unchanged(self, unit_box_1d, quad_1d):
         f = get_function("runge_d1")
         phi = tensor_polynomial_spec("shift", [[5.0, -2.0, 3.0]])  # degree 2 < r = 3
-        e = SubsetMask(1, [0])
-        base = modulus(ModulusRequest(f, (3,), e, (0.6,), 2.0, unit_box_1d, 17, quad_1d))
-        shifted = modulus(ModulusRequest(lambda q: f(q) + phi(q), (3,), e, (0.6,),
-                                         2.0, unit_box_1d, 17, quad_1d))
+        base = modulus(f, (3,), (0.6,), 2.0, unit_box_1d, quad=quad_1d, h_grid=17)
+        shifted = modulus(lambda q: f(q) + phi(q), (3,), (0.6,), 2.0, unit_box_1d,
+                          quad=quad_1d, h_grid=17)
         assert shifted == pytest.approx(base, rel=1e-8)
 
 
 class TestPMeanModulus:
     def test_polynomial_gives_zero(self, unit_box_1d, quad_1d):
         f = get_function("poly_d1_deg1")
-        assert p_mean_modulus(f, (2,), (1.0,), 1.0, unit_box_1d, quad_1d) < 1e-12
+        assert p_mean_modulus(f, (2,), (1.0,), 1.0, unit_box_1d, quad=quad_1d) < 1e-12
 
     def test_linear_l1_closed_form(self, unit_box_1d, quad_1d):
         # (1/t) int_{-1}^{1} int_{Q_h} |h| dx dh = 2 int_0^1 h (1-h) dh = 1/3
         f = get_function("poly_d1_deg1")
-        got = p_mean_modulus(f, (1,), (1.0,), 1.0, unit_box_1d, quad_1d)
+        got = p_mean_modulus(f, (1,), (1.0,), 1.0, unit_box_1d, quad=quad_1d)
         assert got == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_p_inf_coincides_with_sup_modulus(self, unit_box_1d, quad_1d):
         f = get_function("runge_d1")
-        sup = modulus(ModulusRequest(f, (2,), SubsetMask(1, [0]), (0.5,), INF,
-                                     unit_box_1d, 33, quad_1d))
-        mean = p_mean_modulus(f, (2,), (0.5,), INF, unit_box_1d, quad_1d, h_grid=33)
+        sup = modulus(f, (2,), (0.5,), INF, unit_box_1d, quad=quad_1d, h_grid=33)
+        mean = p_mean_modulus(f, (2,), (0.5,), INF, unit_box_1d, quad=quad_1d, h_grid=33)
         assert mean == sup
 
     def test_zero_scale_limit_convention(self, unit_box_1d, quad_1d):
         f = get_function("exp_d1")
-        assert p_mean_modulus(f, (1,), (0.0,), 2.0, unit_box_1d, quad_1d) == 0.0
+        assert p_mean_modulus(f, (1,), (0.0,), 2.0, unit_box_1d, quad=quad_1d) == 0.0
 
     def test_total_p_mean_linear_single_term(self, unit_box_1d, quad_1d):
         f = get_function("poly_d1_deg1")
-        got = total_p_mean_modulus(f, (1,), (1.0,), 1.0, unit_box_1d, quad_1d)
+        got = total_p_mean_modulus(f, (1,), (1.0,), 1.0, unit_box_1d, quad=quad_1d)
         assert got == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_total_p_mean_at_inf_equals_total(self, unit_box_2d, quad_2d_fast):
         f = get_function("sinprod_d2")
         t = (0.5, 0.5)
-        a = total_p_mean_modulus(f, (1, 1), t, INF, unit_box_2d, quad_2d_fast,
+        a = total_p_mean_modulus(f, (1, 1), t, INF, unit_box_2d, quad=quad_2d_fast,
                                  h_grid=9)
-        b = total_modulus(f, (1, 1), t, INF, unit_box_2d, 9, quad_2d_fast)
+        b = total_modulus(f, (1, 1), t, INF, unit_box_2d, quad=quad_2d_fast, h_grid=9)
         assert a == b
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -232,9 +241,8 @@ class TestPMeanModulus:
         # normalization divides by t, so the sharp termwise bound carries a
         # factor 2^(|e|/p)
         f = get_function("exp_d1")
-        mean = p_mean_modulus(f, (1,), (0.8,), p, unit_box_1d, quad_1d)
-        sup = modulus(ModulusRequest(f, (1,), SubsetMask(1, [0]), (0.8,), p,
-                                     unit_box_1d, 33, quad_1d))
+        mean = p_mean_modulus(f, (1,), (0.8,), p, unit_box_1d, quad=quad_1d)
+        sup = modulus(f, (1,), (0.8,), p, unit_box_1d, quad=quad_1d, h_grid=33)
         assert mean <= 2.0 ** (1.0 / p) * sup + 1e-10
 
 
@@ -244,21 +252,18 @@ class TestNaNNorms:
 
     @pytest.mark.parametrize("p", [1.0, 2.0, INF])
     def test_modulus_raises_naming_the_step(self, unit_box_1d, quad_1d, p):
-        req = ModulusRequest(self.NAN_TAIL, (1,), SubsetMask(1, [0]), (0.5,), p,
-                             unit_box_1d, 33, quad_1d)
         with pytest.raises(FloatingPointError, match=r"NaN norm .* at step \(0\.0,\)"):
-            modulus(req)
+            modulus(self.NAN_TAIL, (1,), (0.5,), p, unit_box_1d, quad=quad_1d, h_grid=33)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, INF])
     def test_p_mean_modulus_raises(self, unit_box_1d, quad_1d, p):
         with pytest.raises(FloatingPointError, match="NaN norm"):
-            p_mean_modulus(self.NAN_TAIL, (1,), (0.5,), p, unit_box_1d, quad_1d)
+            p_mean_modulus(self.NAN_TAIL, (1,), (0.5,), p, unit_box_1d, quad=quad_1d)
 
     def test_nan_outside_every_shifted_box_is_not_seen(self, quad_1d):
         # with h <= 0.1 every node x and x + h of a shifted box lies in [0, 0.9]
         box = Parallelepiped([0.0], [0.9])
-        got = modulus(ModulusRequest(self.NAN_TAIL, (1,), SubsetMask(1, [0]), (0.1,), INF,
-                                     box, 33, quad_1d))
+        got = modulus(self.NAN_TAIL, (1,), (0.1,), INF, box, quad=quad_1d, h_grid=33)
         assert got == pytest.approx(0.1, rel=1e-12)
 
 
@@ -273,9 +278,10 @@ def _moduli_reprs(f, d, quad, h_grid, mean_nodes):
         for t in [(0.05, 0.1)[:d], (0.25, 0.3)[:d], (0.5, 0.8)[:d]]:  # up to empty boxes
             for e in subsets(d):
                 for p in (1.0, 2.0, INF):
-                    out.append(repr(modulus(ModulusRequest(f, r, e, t, p, box, h_grid, quad))))
-                    out.append(repr(p_mean_modulus(f, e.project(r), t, p, box, quad,
-                                                   mean_nodes, h_grid)))
+                    r_e = e.project(r)
+                    out.append(repr(modulus(f, r_e, t, p, box, quad=quad, h_grid=h_grid)))
+                    out.append(repr(p_mean_modulus(f, r_e, t, p, box, quad=quad, h_grid=h_grid,
+                                                   mean_nodes=mean_nodes)))
     return out
 
 

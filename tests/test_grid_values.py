@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whitney_lab import differences, functions, smoother
-from whitney_lab.differences import ModulusRequest, modulus, p_mean_modulus
+from whitney_lab.differences import modulus, p_mean_modulus
 from whitney_lab.polyapprox import best_approx
 from whitney_lab.functions import corpus, get_function
 from whitney_lab.geometry import (
@@ -28,7 +28,6 @@ from whitney_lab.geometry import (
     tensor_quadrature,
 )
 from whitney_lab.smoother import (
-    KFuncConfig,
     _apply_at_points,
     _apply_on_tensor_grid,
     _smoothed_lp_norm,
@@ -138,11 +137,12 @@ def test_moduli_agree_on_both_paths(fid, p, chunks):
     for r in [(1,) * d, (3, 2)[:d]]:
         for t in [(0.05, 0.1)[:d], (0.5, 0.8)[:d]]:  # small steps and empty boxes
             for e in subsets(d):
-                reqs = [ModulusRequest(g, r, e, t, p, box, 5, quad) for g in (f, _plain(f))]
-                assert modulus(reqs[0]) == modulus(reqs[1])
                 r_e = e.project(r)
-                assert (p_mean_modulus(f, r_e, t, p, box, quad, 3, 5)
-                        == p_mean_modulus(_plain(f), r_e, t, p, box, quad, 3, 5))
+                assert (modulus(f, r_e, t, p, box, quad=quad, h_grid=5)
+                        == modulus(_plain(f), r_e, t, p, box, quad=quad, h_grid=5))
+                assert (p_mean_modulus(f, r_e, t, p, box, quad=quad, h_grid=5, mean_nodes=3)
+                        == p_mean_modulus(_plain(f), r_e, t, p, box, quad=quad, h_grid=5,
+                                          mean_nodes=3))
     # norms and fits evaluate through grid_values too
     assert lp_norm(f, box, p, quad) == lp_norm(_plain(f), box, p, quad)
     (poly, err), (plain_poly, plain_err) = [
@@ -244,17 +244,17 @@ def test_bracket_moves_only_its_smoothing_term(case):
     r = tuple(min(ri, 2) for ri in r)  # the modulus terms stay cheap
     t = tuple(max(abs(ti), 1e-3 * s / (4 * ri * ri))
               for ti, s, ri in zip(t, box.size(), r))  # t > 0, in the smoother's range
-    cfg = KFuncConfig(quad=QuadratureSpec.for_dim(f.dimension, 6, 7), h_grid=5, panel_nodes=3)
-    got = k_functional_bracket(f, r, t, p, box, cfg)
-    generic = k_functional_bracket(dataclasses.replace(f, factors=None), r, t, p, box, cfg)
+    cfg = dict(quad=QuadratureSpec.for_dim(f.dimension, 6, 7), h_grid=5, panel_nodes=3)
+    got = k_functional_bracket(f, r, t, p, box, **cfg)
+    generic = k_functional_bracket(dataclasses.replace(f, factors=None), r, t, p, box, **cfg)
     for key in ("deriv_terms", "omega_terms", "omega_total"):
         assert repr(got.details[key]) == repr(generic.details[key])
     assert repr(got.lower) == repr(generic.lower)
     bounds = {}
     for key in subdivision_boxes(box):
         signed = [ti if i in key else -ti for i, ti in enumerate(t)]
-        g = smooth_mixed(f, r, signed, box, cfg.panel_nodes)
-        bounds[key] = _factor_bound(g.ops, f, p, g.domain, cfg.quad)
+        g = smooth_mixed(f, r, signed, box, cfg["panel_nodes"])
+        bounds[key] = _factor_bound(g.ops, f, p, g.domain, cfg["quad"])
     forward = tuple(range(f.dimension))
     assert abs(got.details["f_minus_g"] - generic.details["f_minus_g"]) <= bounds[forward]
     for key, bound in bounds.items():

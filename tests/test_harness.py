@@ -111,6 +111,14 @@ class TestConfig:
         ({"t_min_factor": True}, "t_min_factor"),
         ({"resolutions": {"h_grid": True}}, "resolutions.h_grid"),
         ({"box": {"lower": [False], "upper": [True]}}, "box"),
+        # a numeric string used to be read as its number, a box bound per character
+        ({"orders": [["2"]]}, "orders"),
+        ({"jobs": "2"}, "jobs"),
+        ({"t_sweep": "3"}, "t_sweep"),
+        ({"t": ["0.5"]}, "t"),
+        ({"resolutions": {"h_grid": "9"}}, "resolutions.h_grid"),
+        ({"box": {"lower": "0", "upper": "1"}}, "box"),
+        ({"box": {"lower": ["0"], "upper": ["1"]}}, "box"),
     ])
     def test_malformed_value_names_its_key(self, overrides, key):
         # int() / float() failures and silent truncation are config errors
@@ -476,6 +484,13 @@ class TestCli:
         {"shrink_levels": False},
         {"t": [True]},
         {"box": {"lower": [False], "upper": [True]}},
+        {"orders": [["2"]]},
+        {"jobs": "2"},
+        {"t_sweep": "3"},
+        {"t": ["0.5"]},
+        {"resolutions": {"h_grid": "9"}},
+        {"box": {"lower": "0", "upper": "1"}},
+        {"box": {"lower": ["0"], "upper": ["1"]}},
     ], ids=["box-nan", "box-inf", "box-neg-inf", "shrink-levels-negative", "t-sweep-zero",
             "h-grid-1", "quad-nodes-0", "sup-nodes-1", "mean-nodes-0", "panel-nodes-0",
             "t-nan", "t-inf", "t-min-factor-nan", "t-min-factor-inf", "t-min-factor-0",
@@ -483,7 +498,8 @@ class TestCli:
             "order-fraction", "box-str", "unknown-key", "deleted-subdivision-key",
             "unknown-output-key", "record-runtime-str", "include-p-mean-int", "order-bool",
             "p-bool", "jobs-bool", "t-sweep-bool", "shrink-levels-bool", "t-bool",
-            "box-bool"])
+            "box-bool", "order-numeric-str", "jobs-numeric-str", "t-sweep-numeric-str",
+            "t-numeric-str", "h-grid-numeric-str", "box-bound-str", "box-entry-numeric-str"])
     def test_bad_config_value_exit_code_2(self, tmp_path, overrides):
         # each of these used to run (NaN/inf box, a truncated order), give an
         # empty sweep, or exit 1 with a traceback (a malformed number)

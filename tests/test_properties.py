@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whitney_lab.differences import (
-    ModulusRequest,
     mixed_difference,
     modulus,
     p_mean_modulus,
@@ -57,8 +56,8 @@ def test_polynomial_class_is_annihilated(case):
     box, quad = poly.box, QuadratureSpec.for_dim(len(r), 6, 9)
     # round-off of differences and fits at the problem's scale
     tol = 1e-11 * (1.0 + lp_norm(poly, box, math.inf, quad)) * (1.0 + box.volume())
-    assert total_modulus(poly, r, t, p, box, 5, quad) <= tol
-    assert total_p_mean_modulus(poly, r, t, p, box, quad, 3, 5) <= tol
+    assert total_modulus(poly, r, t, p, box, quad=quad, h_grid=5) <= tol
+    assert total_p_mean_modulus(poly, r, t, p, box, quad=quad, h_grid=5, mean_nodes=3) <= tol
     _, err = best_approx(poly, r, p, box, quad=quad)
     assert err <= tol
 
@@ -128,12 +127,12 @@ def _steps(r_e, axis_nodes):
 def test_batched_modulus_matches_per_step_loop(case):
     f, r, e, t, p, box = case
     quad, h_grid = QuadratureSpec.for_dim(box.dim, 5, 7), 5
-    req = ModulusRequest(f, r, e, t, p, box, h_grid, quad)  # clamps t to the box size
     r_e = e.project(r)
-    grids = [np.linspace(0.0, req.t[i], h_grid) for i in e.sorted_axes()]
+    t_max = [min(ti, si) for ti, si in zip(t, box.size())]  # modulus clamps t to the box
+    grids = [np.linspace(0.0, t_max[i], h_grid) for i in e.sorted_axes()]
     norms = _loop_norms(f, r_e, list(_steps(r_e, grids)), p, box, quad)
     expected = max(0.0, float(np.max(norms ** (1.0 / p if p < math.inf else 1.0))))
-    got = modulus(req)
+    got = modulus(f, r_e, t, p, box, quad=quad, h_grid=h_grid)
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
@@ -143,9 +142,9 @@ def test_folded_p_mean_matches_signed_step_box(case):
     f, r, e, t, p, box = case
     quad, mean_nodes, h_grid = QuadratureSpec.for_dim(box.dim, 5, 7), 3, 5
     r_e = e.project(r)
-    got = p_mean_modulus(f, r_e, t, p, box, quad, mean_nodes, h_grid)
+    got = p_mean_modulus(f, r_e, t, p, box, quad=quad, h_grid=h_grid, mean_nodes=mean_nodes)
     if p == math.inf:
-        expected = modulus(ModulusRequest(f, r, e, t, p, box, h_grid, quad))
+        expected = modulus(f, r_e, t, p, box, quad=quad, h_grid=h_grid)
         assert got == expected
         return
     # the step integral over the full signed box, split into two panels at h = 0
@@ -178,6 +177,6 @@ def test_total_modulus_is_monotone_in_t(case, n):
     f, r, _, t, p, box = case
     t = tuple(0.5 * ti for ti in t)  # 2t stays inside the box
     quad = QuadratureSpec.for_dim(box.dim, 5, 7)
-    small = total_modulus(f, r, t, p, box, n, quad)
-    large = total_modulus(f, r, tuple(2.0 * ti for ti in t), p, box, 2 * n - 1, quad)
+    small = total_modulus(f, r, t, p, box, quad=quad, h_grid=n)
+    large = total_modulus(f, r, tuple(2.0 * ti for ti in t), p, box, quad=quad, h_grid=2 * n - 1)
     assert small <= large * (1.0 + 1e-12)

@@ -20,7 +20,6 @@ from whitney_lab.smoother import (
     BracketViolation,
     DomainValidityError,
     KBracket,
-    KFuncConfig,
     _smoothed_lp_norm,
     bspline_eval,
     k_functional_bracket,
@@ -268,7 +267,7 @@ class TestSubdivision:
         ratio = self._ratio("runge_d1", 2.0, 17, unit_box_1d)
         assert np.isfinite(ratio) and ratio > 0
         br = k_functional_bracket(get_function("runge_d1"), (2,), (0.01,), 2.0,
-                                  unit_box_1d, KFuncConfig(quad=quad_1d, h_grid=17))
+                                  unit_box_1d, quad=quad_1d, h_grid=17)
         assert set(br.details["subdomain_uppers"]) == {(), (0,)}
 
 
@@ -278,13 +277,13 @@ class TestKBracket:
 
         zero = tensor_polynomial_spec("zero", [[0.0]])
         br = k_functional_bracket(zero, (1,), (0.1,), INF, unit_box_1d,
-                                  KFuncConfig(quad=quad_1d, h_grid=9))
+                                  quad=quad_1d, h_grid=9)
         assert br.lower == 0.0 and br.upper == 0.0
 
     def test_upper_bounded_by_function_norm(self, unit_box_1d, quad_1d):
         f = get_function("abspow_d1")
         br = k_functional_bracket(f, (1,), (0.05,), 2.0, unit_box_1d,
-                                  KFuncConfig(quad=quad_1d, h_grid=9))
+                                  quad=quad_1d, h_grid=9)
         assert br.upper <= lp_norm(f, unit_box_1d, 2.0, quad_1d) + 1e-12
 
     def test_d1_linear_hand_bracket(self, unit_box_1d, quad_1d):
@@ -292,7 +291,7 @@ class TestKBracket:
         # lower = omega / (1 + 2) = 1/3 and g = f gives the value 1
         f = get_function("poly_d1_deg1")
         br = k_functional_bracket(f, (1,), (1.0,), INF, unit_box_1d,
-                                  KFuncConfig(quad=quad_1d, h_grid=33))
+                                  quad=quad_1d, h_grid=33)
         assert br.lower == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert br.details["candidates"]["identity"] == pytest.approx(1.0, abs=1e-10)
         assert 1.0 / 3.0 - 1e-12 <= br.upper <= 1.0 + 1e-10
@@ -301,25 +300,49 @@ class TestKBracket:
         with pytest.raises(BracketViolation):
             KBracket(lower=1.0, upper=0.5, witness="bogus")
 
+    def test_inversion_floor_scales_with_the_norm(self):
+        # an inversion far below the old absolute 1e-12 is real when ||f|| is 1e-13
+        with pytest.raises(BracketViolation):
+            KBracket(lower=1e-14, upper=0.0, witness="zero", norm=1e-13)
+        # round-off of a modulus at ||f|| = 5e5 exceeds 1e-12 but not 1e-12 ||f||
+        KBracket(lower=4.7e-11, upper=0.0, witness="zero", norm=5e5)
+
+    @pytest.mark.parametrize("scale", [1e6, 1e-15])
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    def test_linear_function_at_any_scale(self, unit_box_1d, scale, p):
+        # the modulus of s x is round-off and the upper bracket is 0; at s = 1e6
+        # that round-off used to raise a false BracketViolation
+        from whitney_lab.functions import tensor_polynomial_spec
+
+        f = tensor_polynomial_spec("lin", [[0.0, scale]])
+        br = k_functional_bracket(f, (2,), (0.01,), p, unit_box_1d)
+        assert br.norm == br.details["candidates"]["zero"] > 0.0
+        assert br.lower <= br.upper * (1 + 1e-9) + 1e-12 * br.norm
+
     def test_invalid_t_rejected(self, unit_box_1d, quad_1d):
         with pytest.raises(ValueError):
             k_functional_bracket(get_function("exp_d1"), (1,), (0.0,), 2.0,
-                                 unit_box_1d, KFuncConfig(quad=quad_1d))
+                                 unit_box_1d, quad=quad_1d)
+
+    def test_resolutions_are_keyword_only(self, unit_box_1d, quad_1d):
+        with pytest.raises(TypeError):
+            k_functional_bracket(get_function("exp_d1"), (1,), (0.01,), 2.0,
+                                 unit_box_1d, quad_1d)
 
     @pytest.mark.parametrize("fid,p", [("exp_d1", INF), ("runge_d1", 2.0),
                                        ("abspow_d1", 1.0)])
     def test_lower_le_upper_across_scales(self, unit_box_1d, quad_1d, fid, p):
         f = get_function(fid)
-        cfg = KFuncConfig(quad=quad_1d, h_grid=17, panel_nodes=12)
         for s in np.logspace(-2, 0, 6):
             t = s / 16.0  # inside the validity range for r = 2
-            br = k_functional_bracket(f, (2,), (t,), p, unit_box_1d, cfg)
+            br = k_functional_bracket(f, (2,), (t,), p, unit_box_1d, quad=quad_1d, h_grid=17,
+                                      panel_nodes=12)
             assert br.lower <= br.upper * (1 + 1e-9) + 1e-12
 
     def test_smoother_candidate_wins_at_small_scale(self, unit_box_1d, quad_1d):
         f = get_function("abspow_d1")  # no identity/taylor candidates here
-        cfg = KFuncConfig(quad=quad_1d, h_grid=17, panel_nodes=12)
-        br = k_functional_bracket(f, (1,), (0.002,), 2.0, unit_box_1d, cfg)
+        br = k_functional_bracket(f, (1,), (0.002,), 2.0, unit_box_1d, quad=quad_1d, h_grid=17,
+                                  panel_nodes=12)
         assert br.witness == "smoother_subdivision"
         assert "subdomain_uppers" in br.details
 
@@ -338,7 +361,7 @@ class TestDirectionalUpper:
 
     @staticmethod
     def _cfg(dim):
-        return KFuncConfig(quad=QuadratureSpec.for_dim(dim, 8, 9), h_grid=5, panel_nodes=4)
+        return dict(quad=QuadratureSpec.for_dim(dim, 8, 9), h_grid=5, panel_nodes=4)
 
     @pytest.mark.parametrize("case", list(CASES))
     @pytest.mark.parametrize("p", [1.0, 2.0, INF])
@@ -346,19 +369,19 @@ class TestDirectionalUpper:
     def test_terms_match_the_reference_path(self, case, p, at_bound):
         f, r, box = self.CASES[case]
         cfg = self._cfg(box.dim)
-        quad = cfg.quad_for(box.dim)
+        quad, panel_nodes = cfg["quad"], cfg["panel_nodes"]
         bound = [(b - a) / (4.0 * k * k) for (a, b), k in
                  zip(map(box.axis_interval, range(box.dim)), r)]
         t = bound if at_bound else [0.3 * tb for tb in bound]
         for sigma in itertools.product((1, -1), repeat=box.dim):
             value, f_minus_g, deriv_terms = smoother._directional_upper(
-                f, MultiIndex(r), t, sigma, p, box, cfg)
+                f, MultiIndex(r), t, sigma, p, box, quad, panel_nodes)
             signed = [s * ti for s, ti in zip(sigma, t)]
-            g = smooth_mixed(f, r, signed, box, cfg.panel_nodes)
+            g = smooth_mixed(f, r, signed, box, panel_nodes)
             expect = _smoothed_lp_norm(g.ops, f, p, g.domain, quad, subtract_base=True)
             assert repr(f_minus_g) == repr(expect)
             for e in subsets(box.dim):
-                gd = smoothed_derivative(f, r, signed, e, box, cfg.panel_nodes)
+                gd = smoothed_derivative(f, r, signed, e, box, panel_nodes)
                 weight = float(np.prod([t[i] ** r[i] for i in e.sorted_axes()]))
                 term = weight * _smoothed_lp_norm(gd.ops, f, p, gd.domain, quad)
                 assert repr(deriv_terms[e.sorted_axes()]) == repr(term)
@@ -375,7 +398,7 @@ class TestDirectionalUpper:
 
         monkeypatch.setattr(smoother, "_signed_ops_and_domain", counted)
         f, r, box = self.CASES["sinprod_d2"]
-        br = k_functional_bracket(f, r, (0.01, 0.01), 2.0, box, self._cfg(2))
+        br = k_functional_bracket(f, r, (0.01, 0.01), 2.0, box, **self._cfg(2))
         assert "subdomain_uppers" in br.details
         assert len(calls) == 4  # one per sigma, not one per sigma and subset
 
@@ -384,16 +407,16 @@ class TestBoxNormCache:
     """The t-independent norms of the box candidates are memoized per
     ``(f, r, p, box, quad)``; a sweep on a warm cache gives the cold bits."""
 
-    CFG = KFuncConfig(quad=QuadratureSpec.for_dim(2, 8, 9), h_grid=5, panel_nodes=4)
+    CFG = dict(quad=QuadratureSpec.for_dim(2, 8, 9), h_grid=5, panel_nodes=4)
     BOX = Parallelepiped([0.0, 0.1], [1.0, 0.9])
 
     def _sweep(self, f, steps, p):
         smoother._box_norms.cache_clear()
-        warm = [k_functional_bracket(f, (2, 2), t, p, self.BOX, self.CFG) for t in steps]
+        warm = [k_functional_bracket(f, (2, 2), t, p, self.BOX, **self.CFG) for t in steps]
         info = smoother._box_norms.cache_info()
         for t, result in zip(steps, warm):
             smoother._box_norms.cache_clear()
-            cold = k_functional_bracket(f, (2, 2), t, p, self.BOX, self.CFG)
+            cold = k_functional_bracket(f, (2, 2), t, p, self.BOX, **self.CFG)
             assert repr(result) == repr(cold)  # repr spells every float's bits
         return info.hits, info.misses
 
