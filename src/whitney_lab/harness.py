@@ -131,7 +131,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         _known_keys("config", raw, _CONFIG_KEYS)
         dim = box.dim
-        ids = tuple(raw.get("function_ids", ()))
+        ids = tuple(_list(raw, "function_ids"))
         if not ids:
             raise ConfigError("function_ids must be a non-empty list")
         for fid in ids:
@@ -142,11 +142,11 @@ class ExperimentConfig:
             if f.dimension != dim:
                 raise ConfigError(
                     f"{fid} has dimension {f.dimension}, box has dimension {dim}")
-        dims = raw.get("dimensions")
+        dims = _list(raw, "dimensions", None)
         if dims is not None and list(dims) != [dim]:
             raise ConfigError(f"dimensions {dims} inconsistent with box dimension {dim}")
         orders = []
-        for r in raw.get("orders", ()):
+        for r in _list(raw, "orders"):
             r = tuple(_number("orders", v, int)
                       for v in (r if isinstance(r, (list, tuple)) else [r]))
             if len(r) != dim or any(v < 1 for v in r):
@@ -154,7 +154,7 @@ class ExperimentConfig:
             orders.append(r)
         if not orders:
             raise ConfigError("orders must be a non-empty list")
-        p_values = tuple(_parse_p(p) for p in raw.get("p_values", ()))
+        p_values = tuple(_parse_p(p) for p in _list(raw, "p_values"))
         if not p_values:
             raise ConfigError("p_values must be a non-empty list")
         res_raw = raw.get("resolutions", {})
@@ -236,6 +236,15 @@ def _flag(raw: dict, key: str, default: bool) -> bool:
     value = raw.get(key, default)
     if not isinstance(value, bool):
         raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _list(raw: dict, key: str, default=()):
+    """The list under ``key`` (``default`` when absent), or a config error naming
+    ``key``: a scalar or a string is not read as a list of its characters."""
+    value = raw.get(key, default)
+    if value is not default and not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
     return value
 
 

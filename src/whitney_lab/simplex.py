@@ -10,6 +10,14 @@ Pricing is Dantzig's rule by default; after a run of degenerate pivots the
 solver switches to Bland's rule, which guarantees no cycling.  Both front
 ends start from a feasible slack basis (in the minimax LP the bound variable
 replaces the slack of the most violated row), so no artificial phase is needed.
+
+Each pivot recomputes what its decisions read: the two solves with the block,
+``pi`` and the reduced costs, the entering column and the ratio test.  The
+structural columns ``A_S`` and the unit rows ``U = A_S[urows]`` are kept while
+the structural set is unchanged; a slack replacing a slack (the L1 fit's
+breakpoint walk, most pivots) moves one row of ``U``, of ``pi`` on the unit
+rows and of the free-row set.  Every array keeps the row order a rebuild
+would give, because BLAS gemv rounds a row by its position in the matrix.
 """
 
 from __future__ import annotations
@@ -55,28 +63,31 @@ def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
     basis = np.array(basis, dtype=int)
 
     def factor():
-        """``a -> B^-1 a`` (in basis-position order) and the multipliers pi."""
+        """The basis bookkeeping, built anew: the structural and unit positions,
+        the unit rows and signs, the free rows (left to the structural block),
+        ``A_S``, its unit rows ``U`` and ``pi`` on the unit rows (0 elsewhere)."""
         unit = basis >= n
-        struct = basis[~unit]
-        urows, usigns = rows[basis[unit] - n], signs[basis[unit] - n]
+        spos, upos = np.flatnonzero(~unit), np.flatnonzero(unit)
+        urows, usigns = rows[basis[upos] - n], signs[basis[upos] - n]
         free = np.ones(m, dtype=bool)
-        free[urows] = False  # rows left to the structural block
-        A_S = A[:, struct]
-        block = A_S[free]
+        free[urows] = False
+        A_S = A[:, basis[spos]]
+        pi_u = np.zeros(m)
+        pi_u[urows] = usigns * cost[basis[upos]]
+        return spos, upos, urows, usigns, free, A_S, A_S[urows], pi_u
 
-        def ftran(a: np.ndarray) -> np.ndarray:
-            xs = np.linalg.solve(block, a[free])
-            d = np.empty(m)
-            d[~unit] = xs
-            d[unit] = usigns * (a[urows] - A_S[urows] @ xs)
-            return d
+    spos, upos, urows, usigns, free, A_S, U, pi_u = factor()
+    fidx = free.nonzero()[0]
+    block = A_S[fidx]
 
-        pi = np.zeros(m)
-        pi[urows] = usigns * cost[basis[unit]]
-        pi[free] = np.linalg.solve(block.T, cost[struct] - pi @ A_S)
-        return ftran, pi
+    def ftran(a: np.ndarray) -> np.ndarray:
+        """``B^-1 a``, in basis-position order."""
+        xs = np.linalg.solve(block, a.take(fidx))
+        d = np.empty(m)
+        d[spos] = xs
+        d[upos] = usigns * (a.take(urows) - U @ xs)
+        return d
 
-    ftran, pi = factor()
     rhs = ftran(np.asarray(b, dtype=float))
     if np.any(rhs < -1e-7):
         raise SimplexError("initial basis is not feasible")
@@ -90,25 +101,30 @@ def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
         x[basis] = rhs
         return x
 
+    reduced = np.empty(cost.size)  # structural, then slack: argmin ties go to the first
+    cost_x, cost_l, red_x, red_l = cost[:n], cost[n:], reduced[:n], reduced[n:]
+    positions = np.arange(m)
     bland, stall = False, 0
     for _ in range(max_iter):
-        reduced = np.concatenate([cost[:n] - pi @ A, cost[n:] - signs * pi[rows]])
+        pi = pi_u.copy()
+        pi[fidx] = np.linalg.solve(block.T, cost[basis[spos]] - pi_u @ A_S)
+        np.subtract(cost_x, pi @ A, out=red_x)
+        np.subtract(cost_l, signs * pi.take(rows), out=red_l)
         if bland:
-            negs = np.nonzero(reduced < -opt_tol)[0]
+            negs = np.flatnonzero(reduced < -opt_tol)
             if negs.size == 0:
                 break
             col = int(negs[0])
         else:
-            col = int(np.argmin(reduced))
+            col = int(reduced.argmin())
             if reduced[col] >= -opt_tol:
                 break
         column = ftran(A[:, col] if col < n
-                       else signs[col - n] * (np.arange(m) == rows[col - n]))
+                       else signs[col - n] * (positions == rows[col - n]))
         positive = column > PIVOT_TOL * (1.0 + np.abs(column).max())
-        if not np.any(positive):
+        if not positive.any():
             raise SimplexError("LP is unbounded", current_x(), float(cost[basis] @ rhs))
-        ratios = np.full(m, np.inf)
-        ratios[positive] = rhs[positive] / column[positive]
+        ratios = np.divide(rhs, column, out=np.full(m, np.inf), where=positive)
         best = ratios.min()
         candidates = np.nonzero(ratios <= best + PIVOT_TOL * (1.0 + best))[0]
         if candidates.size == 0 or not np.isfinite(best):
@@ -123,14 +139,26 @@ def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
             row = int(min(pool, key=lambda i: basis[i]))
         else:
             # stability: among tied ratios pivot on the largest column entry
-            row = int(candidates[int(np.argmax(column[candidates]))])
+            row = int(candidates[column[candidates].argmax()])
         stall = stall + 1 if best <= PIVOT_TOL else 0
         bland = stall > max(STALL_LIMIT, 2 * m)
         step = rhs[row] / column[row]
         rhs -= step * column
         rhs[row] = step
+        slack_for_slack = col >= n and basis[row] >= n
         basis[row] = col
-        ftran, pi = factor()
+        if slack_for_slack:  # A_S stays; one row of U, of pi_u and of free moves
+            j = int(upos.searchsorted(row))
+            out_row, in_row = urows[j], rows[col - n]
+            urows[j], usigns[j] = in_row, signs[col - n]
+            U[j] = A_S[in_row]
+            pi_u[out_row], free[out_row] = 0.0, True
+            pi_u[in_row], free[in_row] = usigns[j] * cost[col], False
+        else:  # the old arrays go first, or the rebuild doubles the peak memory
+            del A_S, U, block
+            spos, upos, urows, usigns, free, A_S, U, pi_u = factor()
+        fidx = free.nonzero()[0]
+        block = A_S[fidx]
     else:
         x = current_x()
         raise SimplexError("iteration cap reached", x, float(cost @ x))

@@ -125,6 +125,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{key} |^invalid or missing {key}"):
             _cfg(**overrides)
 
+    @pytest.mark.parametrize("key,value", [
+        ("orders", 2), ("dimensions", 1), ("function_ids", "exp_d1"), ("p_values", "inf"),
+    ])
+    def test_list_key_given_a_scalar_names_its_key(self, key, value):
+        # a scalar raised TypeError (exit 1); a string was read per character
+        with pytest.raises(ConfigError, match=f"^{key} must be a list, got {value!r}$"):
+            _cfg(**{key: value})
+
     def test_whole_float_order_is_accepted(self):
         assert _cfg(orders=[[2.0]]).orders == ((2,),)
 
@@ -433,6 +441,22 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"
 
+    def test_whitney_sweep_runs_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: the fits (minimax and weighted
+        # L1) run their own simplex, with scipy made unimportable
+        cfg = self._write_config(tmp_path, function_ids=["exp_d1"], orders=[[2]],
+                                 p_values=[1], shrink_levels=0)
+        out = tmp_path / "noscipy.csv"
+        code = ("import sys; sys.modules['scipy'] = None\n"
+                "from whitney_lab import cli\n"
+                f"sys.exit(cli.main(['whitney', '--config', {str(cfg)!r}, '--out', {str(out)!r}]))")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=cli_env())
+        assert res.returncode == 0, res.stderr
+        lines = out.read_text().splitlines()
+        assert len(lines) > 1 and not any(",error," in line for line in lines)
+        assert any(",E_r," in line for line in lines)
+
     def test_json_format_flag(self, tmp_path):
         cfg = self._write_config(tmp_path)
         out = tmp_path / "rows.json"
@@ -491,6 +515,8 @@ class TestCli:
         {"resolutions": {"h_grid": "9"}},
         {"box": {"lower": "0", "upper": "1"}},
         {"box": {"lower": ["0"], "upper": ["1"]}},
+        {"orders": 2},
+        {"dimensions": 1},
     ], ids=["box-nan", "box-inf", "box-neg-inf", "shrink-levels-negative", "t-sweep-zero",
             "h-grid-1", "quad-nodes-0", "sup-nodes-1", "mean-nodes-0", "panel-nodes-0",
             "t-nan", "t-inf", "t-min-factor-nan", "t-min-factor-inf", "t-min-factor-0",
@@ -499,7 +525,8 @@ class TestCli:
             "unknown-output-key", "record-runtime-str", "include-p-mean-int", "order-bool",
             "p-bool", "jobs-bool", "t-sweep-bool", "shrink-levels-bool", "t-bool",
             "box-bool", "order-numeric-str", "jobs-numeric-str", "t-sweep-numeric-str",
-            "t-numeric-str", "h-grid-numeric-str", "box-bound-str", "box-entry-numeric-str"])
+            "t-numeric-str", "h-grid-numeric-str", "box-bound-str", "box-entry-numeric-str",
+            "orders-scalar", "dimensions-scalar"])
     def test_bad_config_value_exit_code_2(self, tmp_path, overrides):
         # each of these used to run (NaN/inf box, a truncated order), give an
         # empty sweep, or exit 1 with a traceback (a malformed number)

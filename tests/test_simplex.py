@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from whitney_lab.simplex import (
     SimplexError,
@@ -100,3 +103,32 @@ def test_weighted_l1_value_is_residual_of_its_coefficients():
     w = np.array([1.0, 0.5, 0.25, 1.0])
     coef, value = solve_weighted_l1(design, y, w)
     assert value == float(w @ np.abs(y - design @ coef))
+
+
+@st.composite
+def _l1_problems(draw):
+    """A small weighted-L1 fit, with entries zero or of size at least 1/8."""
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(k + 1, 12))
+    entries = st.one_of(st.just(0.0), st.floats(0.125, 4.0), st.floats(-4.0, -0.125))
+    design = draw(hnp.arrays(np.float64, (m, k), elements=entries))
+    assume(np.linalg.matrix_rank(design) == k and np.linalg.cond(design) < 1e6)
+    targets = draw(hnp.arrays(np.float64, m, elements=entries))
+    weights = draw(hnp.arrays(np.float64, m, elements=st.floats(0.01, 1.0)))
+    return design, targets, weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(_l1_problems())
+def test_implicit_slacks_match_slack_columns_in_A(problem):
+    # solve_weighted_l1's LP, once with its slacks implicit and once with the
+    # same +e_j and -e_j columns written into A: the same optimum
+    design, targets, weights = problem
+    m, k = design.shape
+    A = np.hstack([design, -design])
+    cost = np.concatenate([np.zeros(2 * k), weights, weights])
+    basis = np.where(targets >= 0.0, 2 * k + np.arange(m), 2 * k + m + np.arange(m))
+    rows, signs = np.tile(np.arange(m), 2), np.repeat([1.0, -1.0], m)
+    _, implicit = simplex_solve(A, targets, cost, basis, slacks=(rows, signs))
+    _, explicit = simplex_solve(np.hstack([A, np.eye(m), -np.eye(m)]), targets, cost, basis)
+    assert abs(implicit - explicit) <= 1e-9 * (1.0 + abs(explicit))

@@ -81,3 +81,26 @@ def test_weighted_l1_optimum_matches_highs(problem):
     coef, value = solve_weighted_l1(design, targets, weights)
     assert _close(value, _l1_oracle(design, targets, weights), targets)
     assert _close(float(weights @ np.abs(targets - design @ coef)), value, targets)
+
+
+def test_weighted_median_walks_many_breakpoints():
+    # k = 1: the fit walks from coefficient 0 across the sorted targets to the
+    # weighted median, one slack-for-slack pivot per breakpoint crossed
+    rng = np.random.default_rng(11)
+    m = 169
+    design = np.ones((m, 1))
+    targets = 5.0 + rng.standard_normal(m)
+    weights = rng.uniform(0.1, 1.0, m)
+    coef, value = solve_weighted_l1(design, targets, weights)
+    assert _close(value, _l1_oracle(design, targets, weights), targets)
+    assert _close(float(weights @ np.abs(targets - design @ coef)), value, targets)
+
+
+def test_minimax_with_a_thousand_rows():
+    # 500 points give 1,000 LP rows: -u <= targets - design @ coef <= u
+    xs = np.linspace(-1.0, 1.0, 500)
+    design = np.polynomial.legendre.legvander(xs, 4)
+    targets = np.exp(xs) + np.abs(xs - 0.3) ** 0.5
+    coef, value = solve_minimax(design, targets)
+    assert _close(value, _minimax_oracle(design, targets), targets)
+    assert _close(np.abs(targets - design @ coef).max(), value, targets)
