@@ -6,8 +6,8 @@ Usage::
         --config <path> [--out <path>] [--format csv|json] [--jobs N]
 
 Exit codes: 0 on success, 1 on a hard assertion failure (lower-bound margin
-or bracket violation), 2 on configuration errors.  ``WHITNEY_LAB_THREADS``
-is the fallback for ``--jobs``.
+or bracket violation), 2 on configuration errors and on an unwritable output
+path.  ``WHITNEY_LAB_THREADS`` is the fallback for ``--jobs``.
 """
 
 from __future__ import annotations
@@ -58,9 +58,13 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.output_path is None:
             raise ConfigError("no output path: set output.path in the config or pass --out")
         result = EXPERIMENTS[args.experiment](cfg)
-        emit(result.rows, cfg.output_path, cfg.output_format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        emit(result.rows, cfg.output_path, cfg.output_format)
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"{args.experiment}: wrote {len(result.rows)} rows to {cfg.output_path}")
     if result.hard_failure:

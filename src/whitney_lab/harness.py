@@ -163,6 +163,9 @@ class ExperimentConfig:
                                      for k, v in res_raw.items()})
         if resolutions.h_grid < 2:  # the bound modulus enforces
             raise ConfigError(f"h_grid must be >= 2, got {resolutions.h_grid}")
+        if resolutions.minimax_grid < 0:
+            raise ConfigError(f"resolutions.minimax_grid must be >= 0 (0 = automatic), "
+                              f"got {resolutions.minimax_grid}")
         try:  # QuadratureSpec's bounds; panel and mean nodes are Gauss counts too
             for n in (resolutions.quad_nodes, resolutions.panel_nodes, resolutions.mean_nodes):
                 QuadratureSpec.for_dim(1, n, resolutions.sup_nodes)
@@ -173,6 +176,9 @@ class ExperimentConfig:
         fmt = out.get("format", "csv")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {fmt!r}")
+        path = out.get("path")
+        if not isinstance(path, (str, type(None))):  # open() reads an int as a descriptor
+            raise ConfigError(f"output.path must be a string, got {path!r}")
         t = raw.get("t")
         if t is not None:
             t = tuple(_number("t", v) for v in (t if isinstance(t, (list, tuple)) else [t]))
@@ -196,7 +202,7 @@ class ExperimentConfig:
             t_sweep=t_sweep,
             t=t,
             resolutions=resolutions,
-            output_path=out.get("path"),
+            output_path=path,
             output_format=fmt,
             jobs=_number("jobs", raw.get("jobs", 1), int),
             include_p_mean=_flag(raw, "include_p_mean", True),

@@ -3,8 +3,9 @@
 Polynomial classes are indexed by an order vector r: coordinate degree at
 most ``r_i - 1`` in variable ``x_i``.  All fitting happens in the shifted
 tensor Legendre basis, orthonormal on the reference box, never in raw
-monomials; Taylor polynomials are built in a shifted monomial basis around
-their anchor and converted afterwards.
+monomials, and :class:`TensorPolynomial` stores that basis only.  Taylor
+polynomials are built in monomials around their anchor and converted to it
+one axis at a time.
 
 Best approximation is computed where a finite convex program exists:
 orthogonal projection for p = 2, and discrete minimax / weighted L1 linear
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import CapabilityError, FunctionSpec
+from .functions import CapabilityError, FunctionSpec, _pts
 from .geometry import (
     CLENSHAW_CURTIS,
     GAUSS,
@@ -50,9 +51,6 @@ __all__ = [
     "derivative_inequality_ratios",
 ]
 
-LEGENDRE = "legendre_shifted"
-MONOMIAL = "monomial_shifted"
-
 
 def _legendre_matrix(x: np.ndarray, count: int, a: float, b: float) -> np.ndarray:
     """Orthonormal shifted Legendre values, columns 0..count-1, on [a, b]."""
@@ -69,119 +67,47 @@ def _legendre_matrix(x: np.ndarray, count: int, a: float, b: float) -> np.ndarra
     return V
 
 
-def _monomial_matrix(x: np.ndarray, count: int, center: float) -> np.ndarray:
-    V = np.empty((x.size, count))
-    V[:, 0] = 1.0
-    y = x - center
+def _mono_to_leg_matrix(count: int, a: float, b: float, center: float) -> np.ndarray:
+    """Legendre coefficients on [a, b] of the monomials ``(x - center)^j``, j < count,
+    by Gauss projection (exact: the products have degree below 2 count)."""
+    xq, wq = axis_rule(GAUSS, count + 1, a, b)
+    Vm = np.empty((xq.size, count))
+    Vm[:, 0] = 1.0
+    y = xq - center
     for j in range(1, count):
-        V[:, j] = V[:, j - 1] * y
-    return V
+        Vm[:, j] = Vm[:, j - 1] * y
+    return _legendre_matrix(xq, count, a, b).T @ (wq[:, None] * Vm)
 
 
 @dataclass(frozen=True)
 class TensorPolynomial:
-    """Element of the class with coordinate degree < degrees[i] per axis.
+    """Element of the class with coordinate degree < coefficients.shape[i] per axis.
 
-    ``coefficients`` is a dense tensor of shape ``degrees`` in either the
-    shifted orthonormal Legendre basis of ``box`` or the shifted monomial
-    basis around ``center``.  Evaluation is exact for the stored basis.
+    ``coefficients`` is a dense tensor in the orthonormal shifted Legendre
+    basis of ``box``, one tensor axis per coordinate.
     """
 
-    degrees: tuple[int, ...]
     coefficients: np.ndarray
-    basis: str
     box: Parallelepiped
-    center: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        degrees = tuple(int(d) for d in self.degrees)
-        object.__setattr__(self, "degrees", degrees)
         coef = np.asarray(self.coefficients, dtype=float)
-        if coef.shape != degrees:
-            raise ValueError(f"coefficients shape {coef.shape} != degrees {degrees}")
+        if coef.ndim != self.box.dim:
+            raise ValueError(f"coefficients shape {coef.shape} does not match the "
+                             f"{self.box.dim}-dimensional box")
         object.__setattr__(self, "coefficients", coef)
-        if self.basis not in (LEGENDRE, MONOMIAL):
-            raise ValueError(f"unknown basis {self.basis!r}")
-        if self.basis == MONOMIAL and self.center is None:
-            raise ValueError("monomial_shifted basis needs a center")
-        if len(degrees) != self.box.dim:
-            raise ValueError("degrees and reference box dimension mismatch")
 
-    @property
-    def dim(self) -> int:
-        return len(self.degrees)
-
-    def _points(self, x) -> np.ndarray:
-        pts = np.asarray(x, dtype=float)
-        if pts.ndim == 0:
-            pts = pts.reshape(1, 1)
-        elif pts.ndim == 1:
-            pts = pts.reshape(1, -1) if pts.size == self.dim else pts.reshape(-1, 1)
-        return pts
-
-    def evaluate(self, x) -> np.ndarray:
+    def __call__(self, x) -> np.ndarray:
         """Tensor-contracted basis evaluation at one point or an (N, d) array."""
-        pts = self._points(x)
-        if self.basis == MONOMIAL:
-            return self._evaluate_monomial(pts)
+        pts = _pts(x, self.box.dim)
         mats = [
-            _legendre_matrix(pts[:, i], self.degrees[i], *self.box.axis_interval(i))
-            for i in range(self.dim)
+            _legendre_matrix(pts[:, i], n, *self.box.axis_interval(i))
+            for i, n in enumerate(self.coefficients.shape)
         ]
         T = np.einsum("a...,na->n...", self.coefficients, mats[0])
         for V in mats[1:]:
             T = np.einsum("na...,na->n...", T, V)
         return T
-
-    def _evaluate_monomial(self, pts: np.ndarray) -> np.ndarray:
-        # Horner fold, one axis at a time, innermost axis first
-        n = pts.shape[0]
-        T = np.broadcast_to(self.coefficients, (n,) + self.degrees)
-        for axis in range(self.dim - 1, -1, -1):
-            y = pts[:, axis] - self.center[axis]
-            y = y.reshape((n,) + (1,) * (T.ndim - 2))
-            res = T[..., -1]
-            for m in range(T.shape[-1] - 2, -1, -1):
-                res = res * y + T[..., m]
-            T = res
-        return T
-
-    def __call__(self, x) -> np.ndarray:
-        return self.evaluate(x)
-
-    def _mono_to_leg_matrix(self, axis: int) -> np.ndarray:
-        a, b = self.box.axis_interval(axis)
-        count = self.degrees[axis]
-        xq, wq = axis_rule(GAUSS, count + 1, a, b)
-        Vl = _legendre_matrix(xq, count, a, b)
-        Vm = _monomial_matrix(xq, count, self.center[axis])
-        return Vl.T @ (wq[:, None] * Vm)
-
-    def to_legendre(self) -> "TensorPolynomial":
-        """Rebase into the shifted Legendre representation of its own box."""
-        if self.basis == LEGENDRE:
-            return self
-        coef = self.coefficients
-        for axis in range(self.dim):
-            M = self._mono_to_leg_matrix(axis)
-            coef = np.moveaxis(np.tensordot(M, coef, axes=(1, axis)), 0, axis)
-        return TensorPolynomial(self.degrees, coef, LEGENDRE, self.box)
-
-    def to_monomial(self, center) -> "TensorPolynomial":
-        """Re-express in the shifted monomial basis around ``center``."""
-        center = tuple(float(c) for c in np.atleast_1d(center))
-        if self.basis == MONOMIAL and center == self.center:
-            return self
-        if self.basis == MONOMIAL:
-            return self.to_legendre().to_monomial(center)
-        helper = TensorPolynomial(self.degrees, self.coefficients, MONOMIAL,
-                                  self.box, center)
-        coef = self.coefficients
-        for axis in range(self.dim):
-            M = helper._mono_to_leg_matrix(axis)
-            coef = np.moveaxis(np.tensordot(np.linalg.inv(M), coef, axes=(1, axis)),
-                               0, axis)
-        return TensorPolynomial(self.degrees, coef, MONOMIAL, self.box, center)
 
 
 def _fit_lp(f, r: MultiIndex, p: float, box: Parallelepiped,
@@ -195,7 +121,7 @@ def _fit_lp(f, r: MultiIndex, p: float, box: Parallelepiped,
         coef, disc = solve_minimax(design, fvals)
     else:
         coef, disc = solve_weighted_l1(design, fvals, wts)
-    poly = TensorPolynomial(r.entries, coef.reshape(r.entries), LEGENDRE, box)
+    poly = TensorPolynomial(coef.reshape(r.entries), box)
     return poly, disc
 
 
@@ -251,7 +177,7 @@ def _project_l2(f, r: MultiIndex, box: Parallelepiped,
     for V in mats[1:]:
         T = np.einsum("n...,nb->n...b", T, V)
     coef = T.reshape(len(fvals), -1).sum(axis=0).reshape(r.entries)
-    return TensorPolynomial(r.entries, coef, LEGENDRE, box)
+    return TensorPolynomial(coef, box)
 
 
 def taylor_poly(f: FunctionSpec, k, x0, box: Parallelepiped) -> TensorPolynomial:
@@ -259,8 +185,8 @@ def taylor_poly(f: FunctionSpec, k, x0, box: Parallelepiped) -> TensorPolynomial
 
     ``T_k(f, x0, x) = sum over 0 <= s < k of f^(s)(x0) * prod (x_i - x0_i)^s_i / s_i!``
     (strict componentwise bound, so the result lies in the order-k class).
-    Built in the shifted monomial basis at the anchor, then rebased to the
-    Legendre representation on the box.
+    Built in the shifted monomial basis at the anchor, then converted to the
+    Legendre basis of the box one axis at a time.
     """
     k = as_multi_index(k, f.dimension)
     if not k.is_positive():
@@ -274,8 +200,10 @@ def taylor_poly(f: FunctionSpec, k, x0, box: Parallelepiped) -> TensorPolynomial
     for s in np.ndindex(*k.entries):
         fact = float(np.prod([math.factorial(si) for si in s]))
         coef[s] = float(f.derivative(MultiIndex(s), x0.reshape(1, -1))[0]) / fact
-    mono = TensorPolynomial(k.entries, coef, MONOMIAL, box, tuple(x0))
-    return mono.to_legendre()
+    for axis in range(k.dim):
+        M = _mono_to_leg_matrix(k[axis], *box.axis_interval(axis), x0[axis])
+        coef = np.moveaxis(np.tensordot(M, coef, axes=(1, axis)), 0, axis)
+    return TensorPolynomial(coef, box)
 
 
 def taylor_remainder_bound(f: FunctionSpec, r, p: float, box: Parallelepiped,

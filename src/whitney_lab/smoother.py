@@ -66,7 +66,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .differences import DEFAULT_H_GRID, modulus, whitney_constant_sum
-from .functions import FunctionSpec
+from .functions import FunctionSpec, _pts
 from .geometry import (
     GAUSS,
     MultiIndex,
@@ -201,9 +201,7 @@ class SmoothedFunction:
     dimension: int
 
     def __call__(self, x) -> np.ndarray:
-        pts = np.asarray(x, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(1, -1) if pts.size == self.dimension else pts.reshape(-1, 1)
+        pts = _pts(x, self.dimension)
         if not (np.all(pts >= np.asarray(self.domain.lower) - 1e-10)
                 and np.all(pts <= np.asarray(self.domain.upper) + 1e-10)):
             raise DomainValidityError("evaluation outside the operator validity box")

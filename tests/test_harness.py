@@ -119,6 +119,10 @@ class TestConfig:
         ({"resolutions": {"h_grid": "9"}}, "resolutions.h_grid"),
         ({"box": {"lower": "0", "upper": "1"}}, "box"),
         ({"box": {"lower": ["0"], "upper": ["1"]}}, "box"),
+        # open() read an int path as a file descriptor; a negative grid ran as automatic
+        ({"output": {"path": 7}}, "output.path"),
+        ({"output": {"path": True}}, "output.path"),
+        ({"resolutions": {"minimax_grid": -4}}, "resolutions.minimax_grid"),
     ])
     def test_malformed_value_names_its_key(self, overrides, key):
         # int() / float() failures and silent truncation are config errors
@@ -517,6 +521,9 @@ class TestCli:
         {"box": {"lower": ["0"], "upper": ["1"]}},
         {"orders": 2},
         {"dimensions": 1},
+        {"output": {"path": 7}},
+        {"output": {"path": True}},
+        {"resolutions": {"minimax_grid": -4}},
     ], ids=["box-nan", "box-inf", "box-neg-inf", "shrink-levels-negative", "t-sweep-zero",
             "h-grid-1", "quad-nodes-0", "sup-nodes-1", "mean-nodes-0", "panel-nodes-0",
             "t-nan", "t-inf", "t-min-factor-nan", "t-min-factor-inf", "t-min-factor-0",
@@ -526,7 +533,8 @@ class TestCli:
             "p-bool", "jobs-bool", "t-sweep-bool", "shrink-levels-bool", "t-bool",
             "box-bool", "order-numeric-str", "jobs-numeric-str", "t-sweep-numeric-str",
             "t-numeric-str", "h-grid-numeric-str", "box-bound-str", "box-entry-numeric-str",
-            "orders-scalar", "dimensions-scalar"])
+            "orders-scalar", "dimensions-scalar", "output-path-int", "output-path-bool",
+            "minimax-grid-negative"])
     def test_bad_config_value_exit_code_2(self, tmp_path, overrides):
         # each of these used to run (NaN/inf box, a truncated order), give an
         # empty sweep, or exit 1 with a traceback (a malformed number)
@@ -555,6 +563,15 @@ class TestCli:
         cfg = self._write_config(tmp_path)
         res = self._run("whitney", "--config", str(cfg))
         assert res.returncode == 2
+
+    def test_unwritable_output_path_exit_code_2(self, tmp_path):
+        # emit's RuntimeError used to end in a traceback and exit 1
+        cfg = self._write_config(tmp_path, orders=[[1]], p_values=[2])
+        out = tmp_path / "missing" / "x.csv"
+        res = self._run("bestapprox", "--config", str(cfg), "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"error: cannot write output file {out}: ")
+        assert res.stderr.count("\n") == 1  # one line, no traceback
 
 
 class TestHardFailures:

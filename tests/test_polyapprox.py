@@ -6,8 +6,6 @@ import pytest
 from whitney_lab.functions import CapabilityError, get_function
 from whitney_lab.geometry import Parallelepiped, QuadratureSpec, _cc_weights, lp_norm
 from whitney_lab.polyapprox import (
-    LEGENDRE,
-    MONOMIAL,
     TensorPolynomial,
     _legendre_matrix,
     best_approx,
@@ -16,47 +14,42 @@ from whitney_lab.polyapprox import (
     taylor_poly,
     taylor_remainder_bound,
 )
+from whitney_lab.smoother import smooth_univariate
 
 INF = math.inf
 
 
 class TestTensorPolynomial:
     def test_zero_coefficients_evaluate_to_zero(self, unit_box_2d):
-        poly = TensorPolynomial((2, 2), np.zeros((2, 2)), LEGENDRE, unit_box_2d)
+        poly = TensorPolynomial(np.zeros((2, 2)), unit_box_2d)
         pts = np.array([[0.1, 0.2], [0.9, 0.4]])
         assert np.all(poly(pts) == 0.0)
 
-    def test_monomial_one_plus_x(self, unit_box_1d):
-        poly = TensorPolynomial((2,), np.array([1.0, 1.0]), MONOMIAL, unit_box_1d,
-                                center=(0.0,))
-        assert float(poly([[0.5]])[0]) == pytest.approx(1.5)
-
-    def test_monomial_bilinear(self, unit_box_2d):
-        coef = np.zeros((2, 2))
-        coef[1, 1] = 1.0
-        poly = TensorPolynomial((2, 2), coef, MONOMIAL, unit_box_2d, center=(0.0, 0.0))
-        assert float(poly([[0.3, 0.4]])[0]) == pytest.approx(0.12)
-
-    def test_basis_round_trip(self, unit_box_2d):
-        rng = np.random.default_rng(11)
-        coef = rng.normal(size=(3, 4))
-        poly = TensorPolynomial((3, 4), coef, MONOMIAL, unit_box_2d, center=(0.2, 0.7))
-        back = poly.to_legendre().to_monomial((0.2, 0.7))
-        assert np.max(np.abs(back.coefficients - coef)) < 1e-10 * (
-            1 + np.max(np.abs(coef)))
-        pts = rng.uniform(0, 1, size=(20, 2))
-        assert np.allclose(poly(pts), poly.to_legendre()(pts), rtol=1e-11, atol=1e-12)
-
-    def test_shape_validation(self, unit_box_1d):
+    def test_shape_validation(self, unit_box_1d, unit_box_2d):
+        # one coefficient axis per coordinate of the box
         with pytest.raises(ValueError):
-            TensorPolynomial((3,), np.zeros(2), LEGENDRE, unit_box_1d)
+            TensorPolynomial(np.zeros(3), unit_box_2d)
+        with pytest.raises(ValueError):
+            TensorPolynomial(np.zeros((3, 2)), unit_box_1d)
 
     def test_membership_differencing_annihilates(self, unit_box_1d):
         from whitney_lab.differences import mixed_difference
 
-        poly = TensorPolynomial((3,), np.array([0.3, -1.0, 2.0]), LEGENDRE, unit_box_1d)
+        poly = TensorPolynomial(np.array([0.3, -1.0, 2.0]), unit_box_1d)
         vals = mixed_difference(poly, (3,), (0.2,), np.linspace(0, 0.4, 7).reshape(-1, 1))
         assert np.max(np.abs(vals)) < 1e-12
+
+
+@pytest.mark.parametrize("kind,d", [("polynomial", 2), ("polynomial", 1), ("smoothed", 1)])
+def test_extra_point_column_is_rejected(kind, d):
+    # (N, d + 1) points were evaluated on their first d columns
+    box = Parallelepiped([0.0] * d, [1.0] * d)
+    if kind == "polynomial":
+        fn = TensorPolynomial(np.ones((2,) * d), box)
+    else:
+        fn = smooth_univariate(get_function("exp_d1"), 2, 0.01, 0, box)
+    with pytest.raises(ValueError, match=r"points must have shape \(N, %d\)" % d):
+        fn(np.full((2, d + 1), 0.5))
 
 
 def test_legendre_basis_orthonormal(unit_box_1d, quad_1d):
@@ -168,9 +161,12 @@ class TestBestApprox:
 
 
 class TestTaylor:
-    def test_reproduces_polynomials(self, unit_box_2d, quad_2d_fast):
-        f = get_function("poly_d2_deg11")
-        tp = taylor_poly(f, (2, 2), (0.0, 0.0), unit_box_2d)
+    @pytest.mark.parametrize("fid,r", [("poly_d2_deg11", (2, 2)), ("poly_d2_deg32", (4, 3))])
+    @pytest.mark.parametrize("anchor", [(0.0, 0.0), (0.2, 0.7)])
+    def test_reproduces_polynomials(self, unit_box_2d, quad_2d_fast, fid, r, anchor):
+        # an interior anchor makes the monomial-to-Legendre conversion do work
+        f = get_function(fid)
+        tp = taylor_poly(f, r, anchor, unit_box_2d)
         err = lp_norm(lambda q: f(q) - tp(q), unit_box_2d, INF, quad_2d_fast)
         assert err < 1e-12
 

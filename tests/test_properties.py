@@ -28,7 +28,7 @@ from whitney_lab.geometry import (
     lp_power_integral,
     shifted_domain,
 )
-from whitney_lab.polyapprox import LEGENDRE, TensorPolynomial, best_approx
+from whitney_lab.polyapprox import TensorPolynomial, best_approx
 from whitney_lab.smoother import _identity_op, _smoothed_lp_norm
 
 PS = [1.0, 2.0, math.inf]
@@ -46,7 +46,7 @@ def polynomial_cases(draw):
                                     max_size=int(np.prod(r))))).reshape(r)
     t = tuple(draw(st.floats(0.05, 1.0)) * s for s in size)
     p = draw(st.sampled_from(PS))
-    return TensorPolynomial(r, coef, LEGENDRE, box), r, t, p
+    return TensorPolynomial(coef, box), r, t, p
 
 
 @settings(max_examples=20, deadline=None)
@@ -92,7 +92,7 @@ def modulus_cases(draw):
         degrees = tuple(ri + 1 for ri in r)
         coef = np.asarray(draw(st.lists(st.floats(-2.0, 2.0), min_size=int(np.prod(degrees)),
                                         max_size=int(np.prod(degrees))))).reshape(degrees)
-        poly = TensorPolynomial(degrees, coef, LEGENDRE, box)
+        poly = TensorPolynomial(coef, box)
         smooth = get_function(SMOOTH_ID[d])
         f = lambda x: poly(x) + smooth(x)  # noqa: E731
     else:
