@@ -13,7 +13,6 @@ from .geometry import (
     MultiIndex,
     Parallelepiped,
     QuadratureSpec,
-    StepVector,
     SubsetMask,
     lp_norm,
     shifted_domain,

@@ -10,11 +10,10 @@ integrates ``[0, t_i]`` with doubled weights (tests check both against signed
 loops).  Every shifted box is an affine image of one reference grid, so
 :func:`_shift_norms` measures a whole step grid in a few array passes.
 
-The four moduli share one call form, ``(f, r, t, p, domain, *, quad=None,
-h_grid=DEFAULT_H_GRID)``, the p-mean ones with ``mean_nodes=DEFAULT_MEAN_NODES``
-besides.  The resolutions are keyword-only, so two integer resolutions can
-never be swapped by position.  ``quad=None`` is the default
-:class:`QuadratureSpec` of the dimension.
+The four moduli share one call form, ``(f, r, t, p, domain, *,
+quad=QuadratureSpec(), h_grid=DEFAULT_H_GRID)``, the p-mean ones with
+``mean_nodes=DEFAULT_MEAN_NODES`` besides.  The resolutions are keyword-only,
+so two integer resolutions can never be swapped by position.
 
 Those passes take the steps in chunks of about ``_CHUNK_POINTS`` values of
 ``f`` (the ``T`` difference terms on the reference grid, per step), so that a
@@ -41,10 +40,9 @@ from .geometry import (
     MultiIndex,
     Parallelepiped,
     QuadratureSpec,
-    StepVector,
     _reference_weights,
     as_multi_index,
-    as_step_vector,
+    as_steps,
     axis_rule,
     grid_values,
     lp_norm,  # unused here; bench/tests/test_spantrace.py checks its binding is traced
@@ -95,7 +93,7 @@ def mixed_difference(f, r_e, h, x) -> np.ndarray:
     ``x + j h`` (componentwise ``0 <= j <= r_e``) must be evaluatable.
     """
     r_e = as_multi_index(r_e)
-    h = as_step_vector(h, r_e.dim).array()
+    h = np.asarray(as_steps(h, r_e.dim))
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if pts.shape[1] != r_e.dim:
         pts = pts.reshape(-1, r_e.dim)
@@ -122,7 +120,7 @@ def _shift_norms(f, r_e: MultiIndex, steps: np.ndarray, p: float,
     hi = np.where(y >= 0, domain.upper - y, domain.upper)
     keep = np.flatnonzero(~np.any(lo > hi, axis=1))
     half, mid = 0.5 * (hi[keep] - lo[keep]), 0.5 * (lo[keep] + hi[keep])
-    rule, nodes = quad.rule_for(p)
+    rule, nodes = quad.rule_for(p, r_e.dim)
     ref_wts = _reference_weights(rule, nodes)
     n_ref = math.prod(nodes)
     # per kept step: box nodes (K, 1, n_i), difference offsets (K, T, 1), box scale
@@ -152,7 +150,7 @@ def _shift_norms(f, r_e: MultiIndex, steps: np.ndarray, p: float,
     return out
 
 
-def modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec | None = None,
+def modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
             h_grid: int = DEFAULT_H_GRID) -> float:
     """Sup-type mixed modulus of order ``r_e`` at step bound ``t``.
 
@@ -165,25 +163,24 @@ def modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec | None = None,
     """
     dim = getattr(f, "dimension", domain.dim)
     r_e = as_multi_index(r_e, dim)
-    t = as_step_vector(t, dim)
+    t = as_steps(t, dim)
     active = [i for i in range(dim) if r_e[i] > 0]
     if not active:
         raise ValueError("modulus needs an order with a positive entry")
     if h_grid < 2:
         raise ValueError("h_grid must be >= 2")
-    clamped = StepVector(tuple(min(ti, si) for ti, si in zip(t, domain.size())))
+    clamped = tuple(min(ti, float(si)) for ti, si in zip(t, domain.size()))
     if clamped != t:
-        log.info("clamping modulus step bound %s to box size %s", t.entries, clamped.entries)
+        log.info("clamping modulus step bound %s to box size %s", t, clamped)
     t = clamped
     steps = np.zeros((h_grid ** len(active), dim))
     steps[:, active] = tensor_grid([np.linspace(0.0, t[i], h_grid) for i in active])
     # empty boxes give 0 and a NaN norm raises, so the max starts at 0
-    best = np.max(_shift_norms(f, r_e, steps, p, domain, quad or QuadratureSpec.for_dim(dim)),
-                  initial=0.0)
+    best = np.max(_shift_norms(f, r_e, steps, p, domain, quad), initial=0.0)
     return float(best if p == math.inf else best ** (1.0 / p))
 
 
-def total_modulus(f, r, t, p, domain, *, quad: QuadratureSpec | None = None,
+def total_modulus(f, r, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
                   h_grid: int = DEFAULT_H_GRID) -> float:
     """Total mixed modulus: sum of the sup-type moduli over non-empty subsets."""
     r = as_multi_index(r, getattr(f, "dimension", domain.dim))
@@ -193,7 +190,7 @@ def total_modulus(f, r, t, p, domain, *, quad: QuadratureSpec | None = None,
                for e in subsets(r.dim))
 
 
-def p_mean_modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec | None = None,
+def p_mean_modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
                    h_grid: int = DEFAULT_H_GRID,
                    mean_nodes: int = DEFAULT_MEAN_NODES) -> float:
     """p-mean modulus of order ``r_e``: step-integrated variant of the sup modulus.
@@ -212,13 +209,12 @@ def p_mean_modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec | None = None,
     """
     dim = getattr(f, "dimension", domain.dim)
     r_e = as_multi_index(r_e, dim)
-    t = as_step_vector(t, dim)
+    t = as_steps(t, dim)
     active = [i for i in range(r_e.dim) if r_e[i] > 0]
     if not active:
         raise ValueError("p-mean modulus needs a non-empty active subset")
     if p == math.inf:
         return modulus(f, r_e, t, p, domain, quad=quad, h_grid=h_grid)
-    quad = quad or QuadratureSpec.for_dim(dim)
     if any(t[i] == 0.0 for i in active):
         return 0.0  # limit convention: vanishing step box
     panels = [axis_rule(GAUSS, mean_nodes, 0.0, t[i]) for i in active]
@@ -230,7 +226,7 @@ def p_mean_modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec | None = None,
     return max(scale * acc, 0.0) ** (1.0 / p)
 
 
-def total_p_mean_modulus(f, r, t, p, domain, *, quad: QuadratureSpec | None = None,
+def total_p_mean_modulus(f, r, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
                          h_grid: int = DEFAULT_H_GRID,
                          mean_nodes: int = DEFAULT_MEAN_NODES) -> float:
     """Total p-mean modulus: sum of p-mean moduli over non-empty subsets."""

@@ -6,8 +6,9 @@ Chebyshev-Lobatto grid for sup norms (it includes the boundary, where extrema
 of the functions under study frequently sit), and that grid with
 Clenshaw-Curtis weights for the discrete L1 fits.  A tensor rule has one
 form: the :func:`axis_rule` nodes of each axis plus the tensor weights, first
-axis slowest (:func:`box_rule`, :func:`tensor_quadrature`).  A function is
-evaluated on such a grid only through :func:`grid_values` (or
+axis slowest (:func:`box_rule`, :func:`tensor_quadrature`), its node counts
+per axis from a :class:`QuadratureSpec`, which serves every dimension.  A
+function is evaluated on such a grid only through :func:`grid_values` (or
 :func:`broadcast_values`, for coordinates shaped to broadcast): norms
 (:func:`lp_norm`), fits, stencils and the moduli kernel alike.  A corpus
 entry's ``grid_evaluator`` then costs one 1-D evaluation per node and axis;
@@ -33,10 +34,10 @@ __all__ = [
     "GeometryError",
     "MultiIndex",
     "SubsetMask",
-    "StepVector",
     "Parallelepiped",
     "QuadratureSpec",
     "subsets",
+    "as_steps",
     "shifted_domain",
     "lp_norm",
     "lp_power_integral",
@@ -166,40 +167,15 @@ def subsets(dim: int, include_empty: bool = False) -> list[SubsetMask]:
     return out
 
 
-@dataclass(frozen=True)
-class StepVector:
-    """Vector of real steps (difference steps, K-functional weights, box sizes)."""
-
-    entries: tuple[float, ...]
-
-    def __init__(self, entries: Iterable[float]):
-        ent = _as_float_tuple(entries)
-        if len(ent) == 0:
-            raise GeometryError("StepVector needs at least one entry")
-        object.__setattr__(self, "entries", ent)
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> float:
-        return self.entries[i]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.entries, dtype=float)
-
-
-def as_step_vector(value, dim: int | None = None) -> StepVector:
-    step = value if isinstance(value, StepVector) else StepVector(np.atleast_1d(value))
-    if dim is not None and step.dim != dim:
-        raise GeometryError(f"expected a {dim}-dimensional step, got {step.dim}")
-    return step
+def as_steps(value, dim: int | None = None) -> tuple[float, ...]:
+    """Steps (difference steps, K-functional weights, box sizes) as a non-empty
+    tuple of Python floats, ``dim`` long when given."""
+    steps = _as_float_tuple(np.atleast_1d(value))
+    if len(steps) == 0:
+        raise GeometryError("steps need at least one entry")
+    if dim is not None and len(steps) != dim:
+        raise GeometryError(f"expected a {dim}-dimensional step, got {len(steps)}")
+    return steps
 
 
 @dataclass(frozen=True)
@@ -269,47 +245,25 @@ DEFAULT_SUP_NODES = 65  # Chebyshev-Lobatto nodes per axis of the sup norm
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Deterministic tensor quadrature controlling every norm evaluation.
+    """Node counts per axis of the tensor rules that measure every norm:
+    ``nodes`` Gauss-Legendre nodes for finite p, ``sup_nodes``
+    Chebyshev-Lobatto nodes (endpoints included) for p = infinity.  Every axis
+    gets the same counts, so one spec serves boxes of every dimension."""
 
-    ``nodes_per_axis`` drives the Gauss-Legendre rule used for finite p;
-    ``sup_nodes_per_axis`` drives the Chebyshev-Lobatto grid (endpoints
-    included) used for p = infinity.
-    """
+    nodes: int = DEFAULT_QUAD_NODES
+    sup_nodes: int = DEFAULT_SUP_NODES
 
-    nodes_per_axis: tuple[int, ...]
-    sup_nodes_per_axis: tuple[int, ...]
-
-    def __init__(self, nodes_per_axis, sup_nodes_per_axis=None):
-        nodes = tuple(int(n) for n in np.atleast_1d(nodes_per_axis))
-        if sup_nodes_per_axis is None:
-            sup = tuple(DEFAULT_SUP_NODES for _ in nodes)
-        else:
-            sup = tuple(int(n) for n in np.atleast_1d(sup_nodes_per_axis))
-            if len(sup) == 1 and len(nodes) > 1:
-                sup = sup * len(nodes)
-        if len(nodes) == 1 and len(sup) > 1:
-            nodes = nodes * len(sup)
-        if len(nodes) != len(sup):
-            raise GeometryError("nodes_per_axis and sup_nodes_per_axis disagree on dimension")
-        if any(n < 1 for n in nodes) or any(n < 2 for n in sup):
+    def __post_init__(self):
+        if not all(isinstance(n, (int, np.integer)) for n in (self.nodes, self.sup_nodes)):
+            raise GeometryError(f"node counts must be integers: {self}")
+        if self.nodes < 1 or self.sup_nodes < 2:
             raise GeometryError("need >= 1 Gauss node and >= 2 sup-grid nodes per axis")
-        object.__setattr__(self, "nodes_per_axis", nodes)
-        object.__setattr__(self, "sup_nodes_per_axis", sup)
 
-    @classmethod
-    def for_dim(cls, dim: int, nodes: int = DEFAULT_QUAD_NODES,
-                sup_nodes: int = DEFAULT_SUP_NODES) -> "QuadratureSpec":
-        return cls((nodes,) * dim, (sup_nodes,) * dim)
-
-    @property
-    def dim(self) -> int:
-        return len(self.nodes_per_axis)
-
-    def rule_for(self, p: float) -> tuple[str, tuple[int, ...]]:
-        """The tensor rule and node counts that measure the L_p norm."""
+    def rule_for(self, p: float, dim: int) -> tuple[str, tuple[int, ...]]:
+        """The tensor rule and per-axis node counts of the L_p norm in ``dim`` dimensions."""
         if p == math.inf:
-            return LOBATTO, self.sup_nodes_per_axis
-        return GAUSS, self.nodes_per_axis
+            return LOBATTO, (self.sup_nodes,) * dim
+        return GAUSS, (self.nodes,) * dim
 
 
 # 1-D rules on [-1, 1]: Gauss-Legendre nodes and weights, the Chebyshev-Lobatto
@@ -438,7 +392,7 @@ def tensor_quadrature(domain: Parallelepiped, quad: QuadratureSpec,
                       p: float = 1.0) -> tuple[list[np.ndarray], np.ndarray | None]:
     """The grid that measures L_p on the box: tensor Gauss-Legendre nodes and
     weights for finite p, the Chebyshev-Lobatto sup grid (no weights) for p = inf."""
-    return box_rule(domain, *quad.rule_for(p))
+    return box_rule(domain, *quad.rule_for(p, domain.dim))
 
 
 def grid_norm(vals: np.ndarray, wts: np.ndarray | None, p: float) -> float:
@@ -460,7 +414,7 @@ def shifted_domain(domain: Parallelepiped, step) -> Parallelepiped | None:
     satisfies both constraints); a zero-width axis is kept as a valid
     degenerate interval.
     """
-    y = as_step_vector(step, domain.dim).array()
+    y = np.asarray(as_steps(step, domain.dim))
     lo = np.asarray(domain.lower, dtype=float).copy()
     hi = np.asarray(domain.upper, dtype=float).copy()
     lo[y < 0] = lo[y < 0] - y[y < 0]

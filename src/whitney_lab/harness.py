@@ -86,8 +86,9 @@ class Resolutions:
     panel_nodes: int = DEFAULT_PANEL_NODES
     mean_nodes: int = DEFAULT_MEAN_NODES
 
-    def quad_for(self, dim: int) -> QuadratureSpec:
-        return QuadratureSpec.for_dim(dim, self.quad_nodes, self.sup_nodes)
+    @property
+    def quad(self) -> QuadratureSpec:
+        return QuadratureSpec(self.quad_nodes, self.sup_nodes)
 
     def fit_grid(self, r: tuple[int, ...]) -> tuple[int, ...] | None:
         if self.minimax_grid <= 0:
@@ -168,7 +169,7 @@ class ExperimentConfig:
                               f"got {resolutions.minimax_grid}")
         try:  # QuadratureSpec's bounds; panel and mean nodes are Gauss counts too
             for n in (resolutions.quad_nodes, resolutions.panel_nodes, resolutions.mean_nodes):
-                QuadratureSpec.for_dim(1, n, resolutions.sup_nodes)
+                QuadratureSpec(n, resolutions.sup_nodes)
         except GeometryError as exc:
             raise ConfigError(f"resolutions {res_raw}: {exc}") from exc
         out = raw.get("output", {})
@@ -406,7 +407,7 @@ def _task_frames(experiment: str, cfg: ExperimentConfig, r: tuple[int, ...]
 def _whitney_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p: float,
                   box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[tuple], bool]:
     res = cfg.resolutions
-    quad = res.quad_for(f.dimension)
+    quad = res.quad
     _, err = best_approx(f, r, p, box, grid=res.fit_grid(r), quad=quad)
     omega = total_modulus(f, r, t, p, box, quad=quad, h_grid=res.h_grid)
     margin = omega - whitney_constant_sum(r) * err
@@ -422,7 +423,7 @@ def _whitney_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p:
 def _johnen_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p: float,
                  box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[tuple], bool]:
     res = cfg.resolutions
-    bracket = k_functional_bracket(f, r, t, p, box, quad=res.quad_for(f.dimension),
+    bracket = k_functional_bracket(f, r, t, p, box, quad=res.quad,
                                    h_grid=res.h_grid, panel_nodes=res.panel_nodes)
     details = bracket.details
     omega = details["omega_total"]
@@ -447,7 +448,7 @@ def _johnen_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p: 
 
 def _taylor_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p: float,
                  box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[tuple], bool]:
-    quad = cfg.resolutions.quad_for(f.dimension)
+    quad = cfg.resolutions.quad
     tp = taylor_poly(f, r, box.lower, box)
     err = lp_norm(lambda q: np.asarray(f(q)) - tp(q), box, p, quad)
     bound = taylor_remainder_bound(f, r, p, box, quad)
@@ -457,7 +458,7 @@ def _taylor_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p: 
 
 def _lemma21_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p: float,
                   box: Parallelepiped, t: tuple[float]) -> tuple[list[tuple], bool]:
-    quad = cfg.resolutions.quad_for(1)
+    quad = cfg.resolutions.quad
     pairs = []
     for k in range(r[0]):
         ratio_lp, ratio_sup = derivative_inequality_ratios(f, r[0], k, t[0], p, box, quad)
@@ -469,7 +470,7 @@ def _lemma21_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p:
 def _modulus_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p: float,
                   box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[tuple], bool]:
     res = cfg.resolutions
-    quad = res.quad_for(f.dimension)
+    quad = res.quad
     pairs = []
     for e in subsets(f.dimension):
         r_e = e.project(r)
@@ -485,14 +486,14 @@ def _modulus_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p:
 def _bestapprox_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p: float,
                      box: Parallelepiped, t: None) -> tuple[list[tuple], bool]:
     res = cfg.resolutions
-    _, err = best_approx(f, r, p, box, grid=res.fit_grid(r), quad=res.quad_for(f.dimension))
+    _, err = best_approx(f, r, p, box, grid=res.fit_grid(r), quad=res.quad)
     return [("E_r", err)], False
 
 
 def _kfunc_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p: float,
                 box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[tuple], bool]:
     res = cfg.resolutions
-    bracket = k_functional_bracket(f, r, t, p, box, quad=res.quad_for(f.dimension),
+    bracket = k_functional_bracket(f, r, t, p, box, quad=res.quad,
                                    h_grid=res.h_grid, panel_nodes=res.panel_nodes)
     return [("K_lower", bracket.lower), ("K_upper", bracket.upper)], False
 

@@ -10,8 +10,8 @@ one axis at a time.
 Best approximation is computed where a finite convex program exists:
 orthogonal projection for p = 2, and discrete minimax / weighted L1 linear
 programs on Chebyshev-Lobatto grids (solved by the in-repo revised simplex)
-for p = inf and p = 1.  Reported errors are always re-measured continuously
-through :func:`whitney_lab.geometry.lp_norm` on the residual.
+for p = inf and p = 1.  Reported errors are always re-measured on the
+residual through :func:`whitney_lab.geometry.lp_norm`.
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ class TensorPolynomial:
 
     def __post_init__(self):
         coef = np.asarray(self.coefficients, dtype=float)
-        if coef.ndim != self.box.dim:
-            raise ValueError(f"coefficients shape {coef.shape} does not match the "
-                             f"{self.box.dim}-dimensional box")
+        if coef.ndim != self.box.dim or 0 in coef.shape:
+            raise ValueError(f"coefficients shape {coef.shape} needs one non-empty axis "
+                             f"per coordinate of the {self.box.dim}-dimensional box")
         object.__setattr__(self, "coefficients", coef)
 
     def __call__(self, x) -> np.ndarray:
@@ -125,24 +125,24 @@ def _fit_lp(f, r: MultiIndex, p: float, box: Parallelepiped,
     return poly, disc
 
 
-def best_approx(f, r, p: float, box: Parallelepiped,
+def best_approx(f, r, p: float, box: Parallelepiped, *,
                 grid: tuple[int, ...] | None = None,
-                quad: QuadratureSpec | None = None) -> tuple[TensorPolynomial, float]:
+                quad: QuadratureSpec = QuadratureSpec()) -> tuple[TensorPolynomial, float]:
     """Best approximation from the order-r tensor polynomial class in L_p.
 
     Supported p: 2 (orthogonal Legendre projection via quadrature inner
     products), inf (discrete minimax on a Chebyshev-Lobatto tensor grid), and
-    1 (discrete weighted L1 with Clenshaw-Curtis weights).  The returned error
-    is the continuously re-measured residual norm, which always dominates the
-    discrete optimum; if the two disagree by more than 2% the grid is doubled
-    once automatically.
+    1 (discrete weighted L1 with Clenshaw-Curtis weights) on ``grid``, one
+    node count per axis (default ``max(4 r_i, 17)``).  The returned error is
+    the residual re-measured by :func:`lp_norm` on the norm's own grid
+    (``quad``); it may lie on either side of the discrete optimum (at p = 1 it
+    has come out below it).  If the two differ by more than 2% of the larger,
+    the fit is redone once on the doubled grid.
     """
-    r = as_multi_index(r)
+    r = as_multi_index(r, box.dim)
     if not r.is_positive():
         raise ValueError("best_approx needs r >= 1 on every axis")
     box.require_positive_size()
-    if quad is None:
-        quad = QuadratureSpec.for_dim(r.dim)
     if p == 2:
         poly = _project_l2(f, r, box, quad)
         return poly, lp_norm(lambda q: np.asarray(f(q)) - poly(q), box, 2, quad)
@@ -150,9 +150,10 @@ def best_approx(f, r, p: float, box: Parallelepiped,
         raise ValueError("best approximation is computed only for p in {1, 2, inf}")
     if grid is None:
         grid = tuple(max(4 * ri, 17) for ri in r.entries)
-    grid = tuple(int(g) for g in np.atleast_1d(np.asarray(grid)))
-    if len(grid) == 1 and r.dim > 1:
-        grid = grid * r.dim
+    grid = tuple(int(g) for g in np.atleast_1d(grid))
+    if len(grid) != box.dim:
+        raise ValueError(f"grid {grid} needs one node count per axis of the "
+                         f"{box.dim}-dimensional box")
     if any(g < 2 * ri for g, ri in zip(grid, r.entries)):
         raise ValueError(f"grid {grid} too coarse for orders {r.entries}")
     poly, disc = _fit_lp(f, r, p, box, grid)
@@ -207,7 +208,7 @@ def taylor_poly(f: FunctionSpec, k, x0, box: Parallelepiped) -> TensorPolynomial
 
 
 def taylor_remainder_bound(f: FunctionSpec, r, p: float, box: Parallelepiped,
-                           quad: QuadratureSpec | None = None) -> float:
+                           quad: QuadratureSpec = QuadratureSpec()) -> float:
     """Sum over non-empty subsets e of ``prod_{i in e} size_i^{r_i} * ||f^(r(e))||_p``.
 
     This is the constant-free right-hand side of the Taylor error bound; the
@@ -217,8 +218,6 @@ def taylor_remainder_bound(f: FunctionSpec, r, p: float, box: Parallelepiped,
     r = as_multi_index(r, f.dimension)
     if not f.is_sobolev:
         raise CapabilityError(f"{f.id} does not expose the derivatives the bound needs")
-    if quad is None:
-        quad = QuadratureSpec.for_dim(f.dimension)
     size = box.size()
     total = 0.0
     for e in subsets(f.dimension):
@@ -247,7 +246,7 @@ def equioscillation_count(residual, E: float, box: Parallelepiped,
 
 def derivative_inequality_ratios(f: FunctionSpec, r: int, k: int, t: float,
                                  p: float, box: Parallelepiped,
-                                 quad: QuadratureSpec | None = None) -> tuple[float, float]:
+                                 quad: QuadratureSpec = QuadratureSpec()) -> tuple[float, float]:
     """Univariate derivative-inequality ratios at scale t.
 
     Returns ``(t^k ||f^(k)||_p / D, t^(k+1/p) ||f^(k)||_inf / D)`` with
@@ -258,8 +257,6 @@ def derivative_inequality_ratios(f: FunctionSpec, r: int, k: int, t: float,
         raise ValueError("derivative inequality ratios are univariate")
     if not 0 <= k < r:
         raise ValueError("need 0 <= k < r")
-    if quad is None:
-        quad = QuadratureSpec.for_dim(1)
     inv_p = 0.0 if p == math.inf else 1.0 / p
     denom = lp_norm(f, box, p, quad) + t ** r * lp_norm(f.derivative_fn((r,)), box, p, quad)
     num_p = t ** k * lp_norm(f.derivative_fn((k,)), box, p, quad)

@@ -52,7 +52,7 @@ budget moves the block edges, hence the matrices, hence the last bits, and
 the derivative stencils amplify those into the output.
 
 :func:`k_functional_bracket` takes the call form of the moduli,
-``(f, r, t, p, box, *, quad=None, h_grid=DEFAULT_H_GRID,
+``(f, r, t, p, box, *, quad=QuadratureSpec(), h_grid=DEFAULT_H_GRID,
 panel_nodes=DEFAULT_PANEL_NODES)``, with keyword-only resolutions; its helpers
 take ``quad`` and ``panel_nodes`` directly.
 """
@@ -74,7 +74,7 @@ from .geometry import (
     QuadratureSpec,
     SubsetMask,
     as_multi_index,
-    as_step_vector,
+    as_steps,
     axis_rule,
     broadcast_values,
     grid_norm,
@@ -305,7 +305,7 @@ def smooth_univariate(f, k: int, t: float, axis: int, box: Parallelepiped,
 def _signed_ops_and_domain(r: MultiIndex, t, box: Parallelepiped, panel_nodes: int):
     """The smoothing stencil of each axis at the signed steps t, and the
     validity box they share."""
-    t = as_step_vector(t, r.dim)
+    t = as_steps(t, r.dim)
     ops = []
     lo, hi = list(box.lower), list(box.upper)
     for i in range(r.dim):
@@ -346,7 +346,7 @@ def smoothed_derivative(f, r, t, e: SubsetMask, box: Parallelepiped,
         e = SubsetMask(box.dim, e)
     if e.is_empty:
         raise ValueError("smoothed_derivative needs a non-empty subset")
-    t = as_step_vector(t, box.dim)
+    t = as_steps(t, box.dim)
     smooth, domain = _signed_ops_and_domain(r, t, box, panel_nodes)
     ops = tuple(_derivative_op(r[i], t[i]) if i in e.axes else op
                 for i, op in enumerate(smooth))
@@ -407,7 +407,7 @@ def _box_candidates(f: FunctionSpec, r: MultiIndex, t, p, box, quad: QuadratureS
     norm, derivs, polys = _box_norms(f, r, p, box, quad)
     cands = [("zero", norm)]
     if derivs is not None:
-        t = as_step_vector(t, r.dim)
+        t = as_steps(t, r.dim)
         total = 0.0
         for e, deriv in zip(subsets(r.dim), derivs):
             weight = float(np.prod([t[i] ** r[i] for i in e.sorted_axes()]))
@@ -427,7 +427,7 @@ def _directional_upper(f: FunctionSpec, r: MultiIndex, t, sigma: tuple[int, ...]
     :func:`smoothed_derivative` builds for e, so each term has the bits of
     that reference path.
     """
-    t = as_step_vector(t, r.dim)
+    t = as_steps(t, r.dim)
     signed = [s * ti for s, ti in zip(sigma, t)]
     smooth, domain = _signed_ops_and_domain(r, signed, box, panel_nodes)
     deriv = [_derivative_op(r[i], ti) for i, ti in enumerate(signed)]
@@ -458,7 +458,7 @@ def subdivision_boxes(box: Parallelepiped) -> dict[tuple[int, ...], Parallelepip
 
 
 def k_functional_bracket(f: FunctionSpec, r, t, p: float, box: Parallelepiped, *,
-                         quad: QuadratureSpec | None = None, h_grid: int = DEFAULT_H_GRID,
+                         quad: QuadratureSpec = QuadratureSpec(), h_grid: int = DEFAULT_H_GRID,
                          panel_nodes: int = DEFAULT_PANEL_NODES) -> KBracket:
     """Computable bracket for the mixed K-functional at weights t^r.
 
@@ -476,15 +476,14 @@ def k_functional_bracket(f: FunctionSpec, r, t, p: float, box: Parallelepiped, *
     the smoother's validity bound ``(b_i - a_i) / (4 r_i^2)``.
     ``details["candidates"]`` lists exactly the candidates evaluated.
 
-    ``quad`` (default: :meth:`QuadratureSpec.for_dim`) measures every norm,
-    ``h_grid`` is the step grid of the moduli (:func:`modulus`), and
-    ``panel_nodes`` the Gauss nodes per knot interval of the smoother.
+    ``quad`` measures every norm, ``h_grid`` is the step grid of the moduli
+    (:func:`modulus`), and ``panel_nodes`` the Gauss nodes per knot interval
+    of the smoother.
     """
     r = as_multi_index(r, f.dimension)
-    t = as_step_vector(t, f.dimension)
+    t = as_steps(t, f.dimension)
     if any(ti <= 0 for ti in t):
         raise ValueError("bracket needs t > 0 componentwise")
-    quad = quad or QuadratureSpec.for_dim(r.dim)
     omega_terms = {e.sorted_axes(): modulus(f, e.project(r), t, p, box, quad=quad,
                                             h_grid=h_grid)
                    for e in subsets(r.dim)}

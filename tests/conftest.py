@@ -19,14 +19,14 @@ def unit_box_2d():
 
 @pytest.fixture(scope="session")
 def quad_1d():
-    return QuadratureSpec.for_dim(1)
+    return QuadratureSpec()
 
 
 @pytest.fixture(scope="session")
 def quad_2d():
-    return QuadratureSpec.for_dim(2)
+    return QuadratureSpec()
 
 
 @pytest.fixture(scope="session")
 def quad_2d_fast():
-    return QuadratureSpec.for_dim(2, nodes=16, sup_nodes=17)
+    return QuadratureSpec(nodes=16, sup_nodes=17)

@@ -106,7 +106,7 @@ def test_criterion_2_annihilation():
         assert f.in_poly_class(r)
         d = f.dimension
         box = Parallelepiped.unit(d)
-        quad = QuadratureSpec.for_dim(d, 24, 33)
+        quad = QuadratureSpec(24, 33)
         delta = tuple(box.size())
         for p in (1.0, 2.0, INF):
             _, err = best_approx(f, r, p, box, quad=quad)
@@ -128,7 +128,7 @@ def test_criterion_2_annihilation():
 
 def test_criterion_3_analytic_oracles():
     box1 = Parallelepiped.unit(1)
-    quad1 = QuadratureSpec.for_dim(1)
+    quad1 = QuadratureSpec()
     fx = get_function("poly_d1_deg1")
 
     _, e_inf = best_approx(fx, (1,), INF, box1, quad=quad1)
@@ -151,7 +151,7 @@ def test_criterion_3_analytic_oracles():
 
     f11 = get_function("poly_d2_deg11")
     om2 = total_modulus(f11, (1, 1), (1.0, 1.0), INF, Parallelepiped.unit(2),
-                        quad=QuadratureSpec.for_dim(2, 24, 33), h_grid=17)
+                        quad=QuadratureSpec(24, 33), h_grid=17)
     assert om2 == pytest.approx(3.0, abs=1e-4)
 
     assert _report(3, True, "six analytic oracle values reproduced to 1e-4")
@@ -256,17 +256,17 @@ def test_criterion_5_kfunctional_bracket():
     t_factors = np.logspace(-1, 0, 12)
     spreads = {}
 
-    cfg_d1 = dict(quad=QuadratureSpec.for_dim(1, 32, 129), h_grid=17, panel_nodes=12)
+    cfg_d1 = dict(quad=QuadratureSpec(32, 129), h_grid=17, panel_nodes=12)
     spreads.update(_bracket_sweep(_ids(1), 1, [(1,), (2,)], cfg_d1, t_factors))
 
     smooth_ids = [fid for fid in _ids(2) if fid != "abspow_d2"]
-    cfg_d2 = dict(quad=QuadratureSpec.for_dim(2, 24, 33), h_grid=9, panel_nodes=10)
+    cfg_d2 = dict(quad=QuadratureSpec(24, 33), h_grid=9, panel_nodes=10)
     spreads.update(_bracket_sweep(smooth_ids, 2, [(1, 1), (2, 2)], cfg_d2,
                                   t_factors))
 
     # the kink entries need scale-resolving grids: their difference profiles
     # concentrate on O(t)-wide sets that coarse tensor grids alias
-    cfg_kink = dict(quad=QuadratureSpec.for_dim(2, 40, 129), h_grid=9, panel_nodes=8)
+    cfg_kink = dict(quad=QuadratureSpec(40, 129), h_grid=9, panel_nodes=8)
     spreads.update(_bracket_sweep(["abspow_d2"], 2, [(1, 1), (2, 2)], cfg_kink,
                                   t_factors))
 
@@ -335,7 +335,7 @@ def _sweep_7(p_values):
     """The criterion-7 sweep: d = 1, 2, the full corpus, r = (k,)*d, t = box size."""
     for d in (1, 2):
         box = Parallelepiped.unit(d)
-        quad = QuadratureSpec.for_dim(d, 24 if d == 1 else 20, 33)
+        quad = QuadratureSpec(24 if d == 1 else 20, 33)
         h_grid = 17 if d == 1 else 9
         for fid in _ids(d):
             f = get_function(fid)

@@ -295,7 +295,7 @@ def test_chunk_budget_keeps_every_bit(monkeypatch, fid, plain, nodes):
     f = get_function(fid)
     g = (lambda q: f(q)) if plain else f  # a plain callable gets the point list
     quad_nodes, sup_nodes, h_grid, mean_nodes = nodes
-    quad = QuadratureSpec.for_dim(f.dimension, quad_nodes, sup_nodes)
+    quad = QuadratureSpec(quad_nodes, sup_nodes)
     results = []
     for budget in _BUDGETS:
         monkeypatch.setattr(differences, "_CHUNK_POINTS", budget)

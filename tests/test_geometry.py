@@ -97,12 +97,16 @@ class TestShiftedDomain:
 class TestQuadrature:
     def test_spec_validation(self):
         with pytest.raises(GeometryError):
-            QuadratureSpec((0,))
+            QuadratureSpec(0)
+        with pytest.raises(GeometryError):
+            QuadratureSpec(4, 1)  # the sup grid needs both endpoints
+        with pytest.raises(GeometryError):
+            QuadratureSpec(2.5)  # a count, not a float that fails only when used
 
     @pytest.mark.parametrize("n", [2, 5, 16, 32])
     def test_gauss_exactness_to_degree_2n_minus_1(self, n):
         box = Parallelepiped([0.0], [2.0])
-        quad = QuadratureSpec.for_dim(1, nodes=n)
+        quad = QuadratureSpec(nodes=n)
         deg = 2 * n - 1
         (x,), wts = tensor_quadrature(box, quad)
         got = float(wts @ x ** deg)

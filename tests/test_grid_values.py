@@ -102,7 +102,7 @@ def test_stencils_agree_on_both_paths(fid, chunks):
     d = f.dimension
     box = Parallelepiped([0.1] * d, [0.9] * d)
     r, t = (2,) * d, (0.04, -0.03)[:d]
-    quad = QuadratureSpec.for_dim(d, 5, 7)
+    quad = QuadratureSpec(5, 7)
     stencils = [smooth_mixed(f, r, t, box, 4)]
     stencils += [smoothed_derivative(f, r, t, e, box, 4) for e in subsets(d)]
     pts = np.random.default_rng(0).uniform(0.3, 0.6, size=(11, d))
@@ -133,7 +133,7 @@ def test_moduli_agree_on_both_paths(fid, p, chunks):
     f = get_function(fid)
     d = f.dimension
     box = Parallelepiped([-0.2] * d, [0.7] * d)
-    quad = QuadratureSpec.for_dim(d, 5, 7)
+    quad = QuadratureSpec(5, 7)
     for r in [(1,) * d, (3, 2)[:d]]:
         for t in [(0.05, 0.1)[:d], (0.5, 0.8)[:d]]:  # small steps and empty boxes
             for e in subsets(d):
@@ -146,7 +146,7 @@ def test_moduli_agree_on_both_paths(fid, p, chunks):
     # norms and fits evaluate through grid_values too
     assert lp_norm(f, box, p, quad) == lp_norm(_plain(f), box, p, quad)
     (poly, err), (plain_poly, plain_err) = [
-        best_approx(g, (2,) * d, p, box, (5,) * d, quad) for g in (f, _plain(f))]
+        best_approx(g, (2,) * d, p, box, grid=(5,) * d, quad=quad) for g in (f, _plain(f))]
     assert err == plain_err
     assert np.array_equal(poly.coefficients, plain_poly.coefficients)
 
@@ -230,7 +230,7 @@ def smoothing_cases(draw):
 def test_factored_smoothing_term_matches_the_grid_contraction(case, panel_nodes, nodes):
     f, box, r, t, p = case
     g = smooth_mixed(f, r, t, box, panel_nodes)
-    quad = QuadratureSpec.for_dim(f.dimension, nodes, nodes + 1)
+    quad = QuadratureSpec(nodes, nodes + 1)
     args = (p, g.domain, quad, True)
     got = _smoothed_lp_norm(g.ops, f, *args)
     generic = _smoothed_lp_norm(g.ops, dataclasses.replace(f, factors=None), *args)
@@ -244,7 +244,7 @@ def test_bracket_moves_only_its_smoothing_term(case):
     r = tuple(min(ri, 2) for ri in r)  # the modulus terms stay cheap
     t = tuple(max(abs(ti), 1e-3 * s / (4 * ri * ri))
               for ti, s, ri in zip(t, box.size(), r))  # t > 0, in the smoother's range
-    cfg = dict(quad=QuadratureSpec.for_dim(f.dimension, 6, 7), h_grid=5, panel_nodes=3)
+    cfg = dict(quad=QuadratureSpec(6, 7), h_grid=5, panel_nodes=3)
     got = k_functional_bracket(f, r, t, p, box, **cfg)
     generic = k_functional_bracket(dataclasses.replace(f, factors=None), r, t, p, box, **cfg)
     for key in ("deriv_terms", "omega_terms", "omega_total"):

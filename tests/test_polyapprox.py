@@ -31,6 +31,9 @@ class TestTensorPolynomial:
             TensorPolynomial(np.zeros(3), unit_box_2d)
         with pytest.raises(ValueError):
             TensorPolynomial(np.zeros((3, 2)), unit_box_1d)
+        # and at least one coefficient on each; evaluation would fail otherwise
+        with pytest.raises(ValueError):
+            TensorPolynomial(np.zeros((0, 2)), unit_box_2d)
 
     def test_membership_differencing_annihilates(self, unit_box_1d):
         from whitney_lab.differences import mixed_difference
@@ -94,7 +97,7 @@ class TestBestApprox:
         # 0.104473.  A solver change that moves this value must do so on purpose.
         f = get_function("sinprod_d2")
         _, err = best_approx(f, (2, 2), 1.0, unit_box_2d, grid=(13, 13),
-                             quad=QuadratureSpec.for_dim(2, 20, 33))
+                             quad=QuadratureSpec(20, 33))
         assert err == pytest.approx(0.10455518605723034, rel=1e-9)
 
     def test_linear_minimax_constant_half(self, unit_box_1d, quad_1d):
@@ -158,6 +161,21 @@ class TestBestApprox:
     def test_grid_too_coarse(self, unit_box_1d):
         with pytest.raises(ValueError):
             best_approx(get_function("exp_d1"), (3,), INF, unit_box_1d, grid=(5,))
+
+    @pytest.mark.parametrize("r,grid,match", [
+        ((2,), None, "2-dimensional index"),
+        ((2, 2), (13, 13, 13), "per axis"),
+        ((2, 2), (13,), "per axis"),
+        ((2, 2), 13, "per axis"),
+    ], ids=["order_1d", "grid_3d", "grid_1d", "grid_int"])
+    def test_order_and_grid_must_match_the_box(self, unit_box_2d, r, grid, match):
+        # each is named, not a quadrature mismatch and not broadcast to every axis
+        with pytest.raises(ValueError, match=match):
+            best_approx(get_function("exp_d2"), r, INF, unit_box_2d, grid=grid)
+
+    def test_grid_and_quad_are_keyword_only(self, unit_box_2d, quad_2d):
+        with pytest.raises(TypeError):
+            best_approx(get_function("exp_d2"), (2, 2), INF, unit_box_2d, (13, 13), quad_2d)
 
 
 class TestTaylor:

@@ -53,7 +53,7 @@ def polynomial_cases(draw):
 @given(polynomial_cases())
 def test_polynomial_class_is_annihilated(case):
     poly, r, t, p = case
-    box, quad = poly.box, QuadratureSpec.for_dim(len(r), 6, 9)
+    box, quad = poly.box, QuadratureSpec(6, 9)
     # round-off of differences and fits at the problem's scale
     tol = 1e-11 * (1.0 + lp_norm(poly, box, math.inf, quad)) * (1.0 + box.volume())
     assert total_modulus(poly, r, t, p, box, quad=quad, h_grid=5) <= tol
@@ -66,7 +66,7 @@ def test_polynomial_class_is_annihilated(case):
 @given(polynomial_cases())
 def test_identity_stencil_norm_is_lp_norm(case):
     poly, r, _, p = case
-    box, quad = poly.box, QuadratureSpec.for_dim(len(r), 6, 9)
+    box, quad = poly.box, QuadratureSpec(6, 9)
     ops = tuple(_identity_op() for _ in r)
     assert _smoothed_lp_norm(ops, poly, p, box, quad) == pytest.approx(
         lp_norm(poly, box, p, quad), rel=1e-12, abs=1e-300)
@@ -126,7 +126,7 @@ def _steps(r_e, axis_nodes):
 @given(modulus_cases())
 def test_batched_modulus_matches_per_step_loop(case):
     f, r, e, t, p, box = case
-    quad, h_grid = QuadratureSpec.for_dim(box.dim, 5, 7), 5
+    quad, h_grid = QuadratureSpec(5, 7), 5
     r_e = e.project(r)
     t_max = [min(ti, si) for ti, si in zip(t, box.size())]  # modulus clamps t to the box
     grids = [np.linspace(0.0, t_max[i], h_grid) for i in e.sorted_axes()]
@@ -140,7 +140,7 @@ def test_batched_modulus_matches_per_step_loop(case):
 @given(modulus_cases())
 def test_folded_p_mean_matches_signed_step_box(case):
     f, r, e, t, p, box = case
-    quad, mean_nodes, h_grid = QuadratureSpec.for_dim(box.dim, 5, 7), 3, 5
+    quad, mean_nodes, h_grid = QuadratureSpec(5, 7), 3, 5
     r_e = e.project(r)
     got = p_mean_modulus(f, r_e, t, p, box, quad=quad, h_grid=h_grid, mean_nodes=mean_nodes)
     if p == math.inf:
@@ -176,7 +176,7 @@ def test_total_modulus_is_monotone_in_t(case, n):
     # the grid of n steps on [0, t] is every other step of 2n - 1 on [0, 2t]
     f, r, _, t, p, box = case
     t = tuple(0.5 * ti for ti in t)  # 2t stays inside the box
-    quad = QuadratureSpec.for_dim(box.dim, 5, 7)
+    quad = QuadratureSpec(5, 7)
     small = total_modulus(f, r, t, p, box, quad=quad, h_grid=n)
     large = total_modulus(f, r, tuple(2.0 * ti for ti in t), p, box, quad=quad, h_grid=2 * n - 1)
     assert small <= large * (1.0 + 1e-12)

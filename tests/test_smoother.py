@@ -359,17 +359,14 @@ class TestDirectionalUpper:
                           Parallelepiped([-0.1, 0.0], [0.9, 1.2])),
     }
 
-    @staticmethod
-    def _cfg(dim):
-        return dict(quad=QuadratureSpec.for_dim(dim, 8, 9), h_grid=5, panel_nodes=4)
+    CFG = dict(quad=QuadratureSpec(8, 9), h_grid=5, panel_nodes=4)
 
     @pytest.mark.parametrize("case", list(CASES))
     @pytest.mark.parametrize("p", [1.0, 2.0, INF])
     @pytest.mark.parametrize("at_bound", [False, True])
     def test_terms_match_the_reference_path(self, case, p, at_bound):
         f, r, box = self.CASES[case]
-        cfg = self._cfg(box.dim)
-        quad, panel_nodes = cfg["quad"], cfg["panel_nodes"]
+        quad, panel_nodes = self.CFG["quad"], self.CFG["panel_nodes"]
         bound = [(b - a) / (4.0 * k * k) for (a, b), k in
                  zip(map(box.axis_interval, range(box.dim)), r)]
         t = bound if at_bound else [0.3 * tb for tb in bound]
@@ -398,7 +395,7 @@ class TestDirectionalUpper:
 
         monkeypatch.setattr(smoother, "_signed_ops_and_domain", counted)
         f, r, box = self.CASES["sinprod_d2"]
-        br = k_functional_bracket(f, r, (0.01, 0.01), 2.0, box, **self._cfg(2))
+        br = k_functional_bracket(f, r, (0.01, 0.01), 2.0, box, **self.CFG)
         assert "subdomain_uppers" in br.details
         assert len(calls) == 4  # one per sigma, not one per sigma and subset
 
@@ -407,7 +404,7 @@ class TestBoxNormCache:
     """The t-independent norms of the box candidates are memoized per
     ``(f, r, p, box, quad)``; a sweep on a warm cache gives the cold bits."""
 
-    CFG = dict(quad=QuadratureSpec.for_dim(2, 8, 9), h_grid=5, panel_nodes=4)
+    CFG = dict(quad=QuadratureSpec(8, 9), h_grid=5, panel_nodes=4)
     BOX = Parallelepiped([0.0, 0.1], [1.0, 0.9])
 
     def _sweep(self, f, steps, p):
