@@ -10,15 +10,15 @@ sweeps end to end.
 
 from .geometry import (
     GeometryError,
-    MultiIndex,
     Parallelepiped,
     QuadratureSpec,
-    SubsetMask,
+    as_order,
     lp_norm,
+    project,
     shifted_domain,
     subsets,
 )
-from .functions import CapabilityError, FunctionSpec, corpus, get_function, sobolev_norm
+from .functions import CapabilityError, FunctionSpec, corpus, get_function
 from .differences import (
     mixed_difference,
     modulus,

@@ -13,7 +13,10 @@ loops).  Every shifted box is an affine image of one reference grid, so
 The four moduli share one call form, ``(f, r, t, p, domain, *,
 quad=QuadratureSpec(), h_grid=DEFAULT_H_GRID)``, the p-mean ones with
 ``mean_nodes=DEFAULT_MEAN_NODES`` besides.  The resolutions are keyword-only,
-so two integer resolutions can never be swapped by position.
+so two integer resolutions can never be swapped by position.  Orders are
+plain tuples read by :func:`whitney_lab.geometry.as_order`, and a total
+modulus sums the term of ``project(r, e)`` over ``subsets(d)``.  A function
+that declares a ``dimension`` must match the box's.
 
 Those passes take the steps in chunks of about ``_CHUNK_POINTS`` values of
 ``f`` (the ``T`` difference terms on the reference grid, per step), so that a
@@ -37,15 +40,16 @@ import numpy as np
 
 from .geometry import (
     GAUSS,
-    MultiIndex,
     Parallelepiped,
     QuadratureSpec,
     _reference_weights,
-    as_multi_index,
+    as_order,
     as_steps,
     axis_rule,
+    function_dim,
     grid_values,
     lp_norm,  # unused here; bench/tests/test_spantrace.py checks its binding is traced
+    project,
     subsets,
     tensor_grid,
     tensor_product,
@@ -92,19 +96,19 @@ def mixed_difference(f, r_e, h, x) -> np.ndarray:
     a single point or an ``(N, d)`` array; all evaluation points
     ``x + j h`` (componentwise ``0 <= j <= r_e``) must be evaluatable.
     """
-    r_e = as_multi_index(r_e)
-    h = np.asarray(as_steps(h, r_e.dim))
+    r_e = as_order(r_e)
+    h = np.asarray(as_steps(h, len(r_e)))
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if pts.shape[1] != r_e.dim:
-        pts = pts.reshape(-1, r_e.dim)
-    mult, coef = _difference_table(r_e.entries)
+    if pts.shape[1] != len(r_e):
+        pts = pts.reshape(-1, len(r_e))
+    mult, coef = _difference_table(r_e)
     shifted = pts[None, :, :] + mult[:, None, :] * h[None, None, :]
-    vals = np.asarray(f(shifted.reshape(-1, r_e.dim)), dtype=float)
+    vals = np.asarray(f(shifted.reshape(-1, len(r_e))), dtype=float)
     vals = vals.reshape(len(coef), pts.shape[0])
     return coef @ vals
 
 
-def _shift_norms(f, r_e: MultiIndex, steps: np.ndarray, p: float,
+def _shift_norms(f, r_e: tuple[int, ...], steps: np.ndarray, p: float,
                  domain: Parallelepiped, quad: QuadratureSpec) -> np.ndarray:
     """Per step (row of ``steps``): the sup norm (p = inf) or the integral of
     ``|diff|^p`` over the shifted box, 0 where that box is empty.  Bounds, grid
@@ -114,19 +118,19 @@ def _shift_norms(f, r_e: MultiIndex, steps: np.ndarray, p: float,
     non-empty box raises :class:`FloatingPointError` naming its step."""
     if not (1.0 <= p <= math.inf):
         raise ValueError(f"p must lie in [1, inf], got {p}")
-    mult, coef = _difference_table(r_e.entries)
-    y = r_e.array() * steps
+    mult, coef = _difference_table(r_e)
+    y = np.asarray(r_e) * steps
     lo = np.where(y < 0, domain.lower - y, domain.lower)
     hi = np.where(y >= 0, domain.upper - y, domain.upper)
     keep = np.flatnonzero(~np.any(lo > hi, axis=1))
     half, mid = 0.5 * (hi[keep] - lo[keep]), 0.5 * (lo[keep] + hi[keep])
-    rule, nodes = quad.rule_for(p, r_e.dim)
+    rule, nodes = quad.rule_for(p, len(r_e))
     ref_wts = _reference_weights(rule, nodes)
     n_ref = math.prod(nodes)
     # per kept step: box nodes (K, 1, n_i), difference offsets (K, T, 1), box scale
     nodes_at = [(axis_rule(rule, n)[0] * half[:, i, None] + mid[:, i, None])[:, None]
                 for i, n in enumerate(nodes)]
-    offsets = [mult[:, i, None] * steps[keep, i, None, None] for i in range(r_e.dim)]
+    offsets = [mult[:, i, None] * steps[keep, i, None, None] for i in range(len(r_e))]
     scale = np.prod(half, axis=1)[:, None]
     norms = np.empty(len(keep))
     per = max(1, _CHUNK_POINTS // (len(coef) * n_ref))
@@ -143,7 +147,7 @@ def _shift_norms(f, r_e: MultiIndex, steps: np.ndarray, p: float,
             norms[at] = np.matmul((scale[at] * ref_wts)[:, None, :], diff[:, :, None])[:, 0, 0]
     bad = np.flatnonzero(np.isnan(norms))
     if bad.size:
-        raise FloatingPointError(f"NaN norm of the order {r_e.entries} difference at step "
+        raise FloatingPointError(f"NaN norm of the order {r_e} difference at step "
                                  f"{tuple(steps[keep[bad[0]]].tolist())}")
     out = np.zeros(len(steps))
     out[keep] = norms
@@ -161,8 +165,8 @@ def modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
     radius adds nothing; the clamp is logged).  ``h_grid`` is the number of
     equispaced step values searched per active axis, endpoints included.
     """
-    dim = getattr(f, "dimension", domain.dim)
-    r_e = as_multi_index(r_e, dim)
+    dim = function_dim(f, domain)
+    r_e = as_order(r_e, dim)
     t = as_steps(t, dim)
     active = [i for i in range(dim) if r_e[i] > 0]
     if not active:
@@ -183,11 +187,11 @@ def modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
 def total_modulus(f, r, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
                   h_grid: int = DEFAULT_H_GRID) -> float:
     """Total mixed modulus: sum of the sup-type moduli over non-empty subsets."""
-    r = as_multi_index(r, getattr(f, "dimension", domain.dim))
-    if not r.is_positive():
+    r = as_order(r, function_dim(f, domain))
+    if min(r) < 1:
         raise ValueError("total modulus needs r >= 1 on every axis")
-    return sum(modulus(f, e.project(r), t, p, domain, quad=quad, h_grid=h_grid)
-               for e in subsets(r.dim))
+    return sum(modulus(f, project(r, e), t, p, domain, quad=quad, h_grid=h_grid)
+               for e in subsets(len(r)))
 
 
 def p_mean_modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
@@ -207,10 +211,10 @@ def p_mean_modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpe
     ``w_e <= omega_e`` does not hold (``f(x) = x``, r = 1, t = 1, p = 1 gives
     ``w = 1/3`` against ``omega = 1/4``).
     """
-    dim = getattr(f, "dimension", domain.dim)
-    r_e = as_multi_index(r_e, dim)
+    dim = function_dim(f, domain)
+    r_e = as_order(r_e, dim)
     t = as_steps(t, dim)
-    active = [i for i in range(r_e.dim) if r_e[i] > 0]
+    active = [i for i in range(dim) if r_e[i] > 0]
     if not active:
         raise ValueError("p-mean modulus needs a non-empty active subset")
     if p == math.inf:
@@ -218,7 +222,7 @@ def p_mean_modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpe
     if any(t[i] == 0.0 for i in active):
         return 0.0  # limit convention: vanishing step box
     panels = [axis_rule(GAUSS, mean_nodes, 0.0, t[i]) for i in active]
-    steps = np.zeros((mean_nodes ** len(active), r_e.dim))
+    steps = np.zeros((mean_nodes ** len(active), dim))
     steps[:, active] = tensor_grid([x for x, _ in panels])
     w_h = tensor_product([2.0 * w for _, w in panels])
     acc = float(np.dot(w_h, _shift_norms(f, r_e, steps, p, domain, quad)))
@@ -230,15 +234,15 @@ def total_p_mean_modulus(f, r, t, p, domain, *, quad: QuadratureSpec = Quadratur
                          h_grid: int = DEFAULT_H_GRID,
                          mean_nodes: int = DEFAULT_MEAN_NODES) -> float:
     """Total p-mean modulus: sum of p-mean moduli over non-empty subsets."""
-    r = as_multi_index(r, getattr(f, "dimension", domain.dim))
-    if not r.is_positive():
+    r = as_order(r, function_dim(f, domain))
+    if min(r) < 1:
         raise ValueError("total p-mean modulus needs r >= 1 on every axis")
-    return sum(p_mean_modulus(f, e.project(r), t, p, domain, quad=quad, h_grid=h_grid,
+    return sum(p_mean_modulus(f, project(r, e), t, p, domain, quad=quad, h_grid=h_grid,
                               mean_nodes=mean_nodes)
-               for e in subsets(r.dim))
+               for e in subsets(len(r)))
 
 
 def whitney_constant_sum(r) -> float:
     """The exact lower-bound constant ``sum over all subsets e of prod_{i in e} 2^{r_i}``,
     which factors as ``prod_i (1 + 2^{r_i})``."""
-    return math.prod(1.0 + 2.0 ** ri for ri in as_multi_index(r))
+    return math.prod(1.0 + 2.0 ** ri for ri in as_order(r))

@@ -32,18 +32,11 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .geometry import (
-    Parallelepiped,
-    QuadratureSpec,
-    as_multi_index,
-    lp_norm,
-    subsets,
-)
+from .geometry import as_order
 
 __all__ = [
     "CapabilityError",
     "FunctionSpec",
-    "sobolev_norm",
     "corpus",
     "get_function",
     "tensor_polynomial_spec",
@@ -99,45 +92,32 @@ class FunctionSpec:
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.evaluator(_pts(x, self.dimension)), dtype=float)
 
+    def has_derivative(self, k) -> bool:
+        """True when the analytic mixed derivative of order ``k`` exists: the
+        entry is Sobolev-tagged and ``k <= r_max`` componentwise."""
+        return (self.is_sobolev and self.derivative_evaluator is not None
+                and all(ki <= ri for ki, ri in zip(k, self.r_max)))
+
     def derivative(self, k, x) -> np.ndarray:
         """Mixed partial derivative of order ``k`` (``k = 0`` is the function)."""
-        k = as_multi_index(k, self.dimension)
-        if all(v == 0 for v in k):
+        k = as_order(k, self.dimension)
+        if not any(k):
             return self(x)
-        if not self.is_sobolev or self.derivative_evaluator is None:
-            raise CapabilityError(f"{self.id} does not expose analytic derivatives")
-        if not k.leq(self.r_max):
-            raise CapabilityError(
-                f"{self.id} declares derivatives up to {self.r_max}, requested {k.entries}"
-            )
-        return np.asarray(
-            self.derivative_evaluator(k.entries, _pts(x, self.dimension)), dtype=float
-        )
+        if not self.has_derivative(k):
+            raise CapabilityError(f"{self.id} exposes no analytic derivative of order {k} "
+                                  f"(class {self.smoothness_class}, r_max {self.r_max})")
+        return np.asarray(self.derivative_evaluator(k, _pts(x, self.dimension)), dtype=float)
 
     def derivative_fn(self, k) -> Callable[[np.ndarray], np.ndarray]:
-        k = as_multi_index(k, self.dimension)
+        k = as_order(k, self.dimension)
         return lambda pts: self.derivative(k, pts)
 
     def in_poly_class(self, r) -> bool:
         """True when the entry is a tensor polynomial of coordinate degree < r_i."""
         if self.poly_degrees is None:
             return False
-        r = as_multi_index(r, self.dimension)
-        return all(deg <= ri - 1 for deg, ri in zip(self.poly_degrees, r.entries))
-
-
-def sobolev_norm(f: FunctionSpec, r, p: float, domain: Parallelepiped,
-                 quad: QuadratureSpec) -> float:
-    """Mixed Sobolev norm: sum of ||f^(r(e))||_p over ALL subsets e (incl. empty)."""
-    r = as_multi_index(r, f.dimension)
-    if not f.is_sobolev:
-        raise CapabilityError(f"{f.id} is not Sobolev-tagged")
-    if not r.leq(f.r_max):
-        raise CapabilityError(f"{f.id}: order {r.entries} exceeds declared {f.r_max}")
-    total = 0.0
-    for e in subsets(f.dimension, include_empty=True):
-        total += lp_norm(f.derivative_fn(e.project(r)), domain, p, quad)
-    return total
+        r = as_order(r, self.dimension)
+        return all(deg <= ri - 1 for deg, ri in zip(self.poly_degrees, r))
 
 
 # ---------------------------------------------------------------------------

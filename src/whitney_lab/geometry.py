@@ -1,4 +1,10 @@
-"""Axis-aligned box geometry, index bookkeeping, and tensor quadrature.
+"""Axis-aligned box geometry, orders and axis subsets, and tensor quadrature.
+
+Orders and axis subsets are plain tuples.  An order ``r`` is a tuple of
+non-negative Python ints (:func:`as_order`), an axis subset ``e`` a sorted
+tuple of 0-based axes (:func:`subsets`), and :func:`project` masks ``r`` to
+``e``.  Orders compare componentwise where the theory asks for ``r <= s``,
+never with the tuple ``<=``, which is lexicographic.
 
 Which tensor rule measures a function on a box is decided here only: tensor
 Gauss-Legendre for finite p (spectrally accurate on the smooth corpus), a
@@ -32,11 +38,12 @@ import numpy as np
 
 __all__ = [
     "GeometryError",
-    "MultiIndex",
-    "SubsetMask",
     "Parallelepiped",
     "QuadratureSpec",
+    "as_order",
     "subsets",
+    "project",
+    "function_dim",
     "as_steps",
     "shifted_domain",
     "lp_norm",
@@ -60,111 +67,40 @@ def _as_float_tuple(values: Iterable[float]) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Vector of non-negative integers with the componentwise partial order.
-
-    Houses smoothness orders, Taylor orders, and step-count vectors.  ``a <= b``
-    means ``a[i] <= b[i]`` for every axis; two indices may be incomparable.
-    """
-
-    entries: tuple[int, ...]
-
-    def __init__(self, entries: Iterable[int]):
-        ent = tuple(int(v) for v in entries)
-        if len(ent) == 0:
-            raise GeometryError("MultiIndex needs at least one entry")
-        if any(v < 0 for v in ent):
-            raise GeometryError(f"MultiIndex entries must be >= 0, got {ent}")
-        object.__setattr__(self, "entries", ent)
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def leq(self, other: "MultiIndex | Sequence[int]") -> bool:
-        other = as_multi_index(other, self.dim)
-        return all(a <= b for a, b in zip(self.entries, other.entries))
-
-    def __le__(self, other) -> bool:
-        return self.leq(other)
-
-    def __ge__(self, other) -> bool:
-        return as_multi_index(other, self.dim).leq(self)
-
-    def is_positive(self) -> bool:
-        """True when every entry is >= 1 (theorem-grade smoothness order)."""
-        return all(v >= 1 for v in self.entries)
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.entries, dtype=int)
+def as_order(value, dim: int | None = None) -> tuple[int, ...]:
+    """An order (smoothness, Taylor or difference order) as a non-empty tuple
+    of non-negative Python ints, ``dim`` long when given.  Fractional and
+    boolean entries are refused, never truncated."""
+    entries = tuple(value)
+    order = tuple(int(v) for v in entries)
+    if any(isinstance(v, (bool, np.bool_)) or v != o for v, o in zip(entries, order)):
+        raise GeometryError(f"order entries must be whole numbers, got {entries}")
+    if not order or min(order) < 0:
+        raise GeometryError(f"an order needs one or more entries, all >= 0, got {order}")
+    if dim is not None and len(order) != dim:
+        raise GeometryError(f"expected a {dim}-dimensional index, got {len(order)}")
+    return order
 
 
-def as_multi_index(value, dim: int | None = None) -> MultiIndex:
-    idx = value if isinstance(value, MultiIndex) else MultiIndex(value)
-    if dim is not None and idx.dim != dim:
-        raise GeometryError(f"expected a {dim}-dimensional index, got {idx.dim}")
-    return idx
+def subsets(dim: int, include_empty: bool = False) -> list[tuple[int, ...]]:
+    """All axis subsets of ``range(dim)`` as sorted tuples, in a fixed
+    deterministic order (by size, then lexicographic)."""
+    return [e for size in range(0 if include_empty else 1, dim + 1)
+            for e in itertools.combinations(range(dim), size)]
 
 
-@dataclass(frozen=True)
-class SubsetMask:
-    """A subset of the coordinate axes ``{0, ..., dim-1}``.
-
-    Axes are 0-based in code.  The empty set is representable; ``project``
-    masks an order vector to the subset (zeros elsewhere).
-    """
-
-    dim: int
-    axes: frozenset[int]
-
-    def __init__(self, dim: int, axes: Iterable[int] = ()):
-        dim = int(dim)
-        ax = frozenset(int(a) for a in axes)
-        if dim < 1:
-            raise GeometryError("dimension must be >= 1")
-        if any(a < 0 or a >= dim for a in ax):
-            raise GeometryError(f"axes {sorted(ax)} out of range for dim {dim}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "axes", ax)
-
-    @classmethod
-    def full(cls, dim: int) -> "SubsetMask":
-        return cls(dim, range(dim))
-
-    @classmethod
-    def empty(cls, dim: int) -> "SubsetMask":
-        return cls(dim, ())
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.axes
-
-    def sorted_axes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.axes))
-
-    def project(self, r) -> MultiIndex:
-        """Mask the order vector to this subset: r_i on member axes, else 0."""
-        r = as_multi_index(r, self.dim)
-        return MultiIndex(r[i] if i in self.axes else 0 for i in range(self.dim))
+def project(r: Sequence[int], e: Sequence[int]) -> tuple[int, ...]:
+    """The order ``r`` masked to the axis subset ``e``: ``r_i`` on its axes, 0 elsewhere."""
+    return tuple(ri if i in e else 0 for i, ri in enumerate(r))
 
 
-def subsets(dim: int, include_empty: bool = False) -> list[SubsetMask]:
-    """All axis subsets in a fixed deterministic order (by size, then lexicographic)."""
-    out = []
-    for size in range(0 if include_empty else 1, dim + 1):
-        for combo in itertools.combinations(range(dim), size):
-            out.append(SubsetMask(dim, combo))
-    return out
+def function_dim(f, box: Parallelepiped) -> int:
+    """The box's dimension; a function that declares another ``dimension`` is an error."""
+    dim = getattr(f, "dimension", box.dim)
+    if dim != box.dim:
+        raise GeometryError(f"{getattr(f, 'id', 'the function')} has dimension {dim}, "
+                            f"the box has dimension {box.dim}")
+    return dim
 
 
 def as_steps(value, dim: int | None = None) -> tuple[float, ...]:

@@ -38,6 +38,7 @@ from .geometry import (
     Parallelepiped,
     QuadratureSpec,
     lp_norm,
+    project,
     subsets,
 )
 from .polyapprox import (
@@ -473,12 +474,12 @@ def _modulus_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p:
     quad = res.quad
     pairs = []
     for e in subsets(f.dimension):
-        r_e = e.project(r)
+        r_e = project(r, e)
         omega = modulus(f, r_e, t, p, box, quad=quad, h_grid=res.h_grid)
         # at p = inf the p-mean modulus is this sup-type modulus, bit for bit
         w = omega if p == math.inf else p_mean_modulus(
             f, r_e, t, p, box, quad=quad, h_grid=res.h_grid, mean_nodes=res.mean_nodes)
-        pairs += [("omega", omega, r_e.entries), ("w", w, r_e.entries)]
+        pairs += [("omega", omega, r_e), ("w", w, r_e)]
     return pairs + [(total, sum(v for q, v, _ in pairs if q == term))
                     for total, term in (("Omega", "omega"), ("W", "w"))], False
 

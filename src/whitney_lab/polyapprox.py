@@ -27,14 +27,15 @@ from .geometry import (
     GAUSS,
     LOBATTO,
     GeometryError,
-    MultiIndex,
     Parallelepiped,
     QuadratureSpec,
-    as_multi_index,
+    as_order,
     axis_rule,
     box_rule,
+    function_dim,
     grid_values,
     lp_norm,
+    project,
     subsets,
     tensor_grid,
     tensor_product,
@@ -110,7 +111,7 @@ class TensorPolynomial:
         return T
 
 
-def _fit_lp(f, r: MultiIndex, p: float, box: Parallelepiped,
+def _fit_lp(f, r: tuple[int, ...], p: float, box: Parallelepiped,
             grid: tuple[int, ...]) -> tuple[TensorPolynomial, float]:
     rule = LOBATTO if p == math.inf else CLENSHAW_CURTIS
     axes, wts = box_rule(box, rule, grid)
@@ -121,7 +122,7 @@ def _fit_lp(f, r: MultiIndex, p: float, box: Parallelepiped,
         coef, disc = solve_minimax(design, fvals)
     else:
         coef, disc = solve_weighted_l1(design, fvals, wts)
-    poly = TensorPolynomial(coef.reshape(r.entries), box)
+    poly = TensorPolynomial(coef.reshape(r), box)
     return poly, disc
 
 
@@ -139,8 +140,8 @@ def best_approx(f, r, p: float, box: Parallelepiped, *,
     has come out below it).  If the two differ by more than 2% of the larger,
     the fit is redone once on the doubled grid.
     """
-    r = as_multi_index(r, box.dim)
-    if not r.is_positive():
+    r = as_order(r, function_dim(f, box))
+    if min(r) < 1:
         raise ValueError("best_approx needs r >= 1 on every axis")
     box.require_positive_size()
     if p == 2:
@@ -149,13 +150,13 @@ def best_approx(f, r, p: float, box: Parallelepiped, *,
     if p not in (1.0, math.inf):
         raise ValueError("best approximation is computed only for p in {1, 2, inf}")
     if grid is None:
-        grid = tuple(max(4 * ri, 17) for ri in r.entries)
+        grid = tuple(max(4 * ri, 17) for ri in r)
     grid = tuple(int(g) for g in np.atleast_1d(grid))
     if len(grid) != box.dim:
         raise ValueError(f"grid {grid} needs one node count per axis of the "
                          f"{box.dim}-dimensional box")
-    if any(g < 2 * ri for g, ri in zip(grid, r.entries)):
-        raise ValueError(f"grid {grid} too coarse for orders {r.entries}")
+    if any(g < 2 * ri for g, ri in zip(grid, r)):
+        raise ValueError(f"grid {grid} too coarse for orders {r}")
     poly, disc = _fit_lp(f, r, p, box, grid)
     err = lp_norm(lambda pts: np.asarray(f(pts)) - poly(pts), box, p, quad)
     scale = lp_norm(f, box, p, quad)
@@ -165,19 +166,19 @@ def best_approx(f, r, p: float, box: Parallelepiped, *,
     return poly, err
 
 
-def _project_l2(f, r: MultiIndex, box: Parallelepiped,
+def _project_l2(f, r: tuple[int, ...], box: Parallelepiped,
                 quad: QuadratureSpec) -> TensorPolynomial:
     """The orthogonal Legendre projection of f onto the order-r class."""
     axes, wts = tensor_quadrature(box, quad)
     fvals = grid_values(f, axes).reshape(-1)
     pts = tensor_grid(axes)
     mats = [
-        _legendre_matrix(pts[:, i], r[i], *box.axis_interval(i)) for i in range(r.dim)
+        _legendre_matrix(pts[:, i], ri, *box.axis_interval(i)) for i, ri in enumerate(r)
     ]
     T = np.einsum("n,na->na", wts * fvals, mats[0])
     for V in mats[1:]:
         T = np.einsum("n...,nb->n...b", T, V)
-    coef = T.reshape(len(fvals), -1).sum(axis=0).reshape(r.entries)
+    coef = T.reshape(len(fvals), -1).sum(axis=0).reshape(r)
     return TensorPolynomial(coef, box)
 
 
@@ -189,19 +190,19 @@ def taylor_poly(f: FunctionSpec, k, x0, box: Parallelepiped) -> TensorPolynomial
     Built in the shifted monomial basis at the anchor, then converted to the
     Legendre basis of the box one axis at a time.
     """
-    k = as_multi_index(k, f.dimension)
-    if not k.is_positive():
+    k = as_order(k, function_dim(f, box))
+    if min(k) < 1:
         raise ValueError("taylor order must be >= 1 on every axis")
     if not f.is_sobolev:
         raise CapabilityError(f"{f.id} does not expose the derivatives Taylor needs")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if not box.contains(x0):
         raise ValueError(f"anchor {x0} lies outside the box")
-    coef = np.zeros(k.entries)
-    for s in np.ndindex(*k.entries):
+    coef = np.zeros(k)
+    for s in np.ndindex(*k):
         fact = float(np.prod([math.factorial(si) for si in s]))
-        coef[s] = float(f.derivative(MultiIndex(s), x0.reshape(1, -1))[0]) / fact
-    for axis in range(k.dim):
+        coef[s] = float(f.derivative(s, x0.reshape(1, -1))[0]) / fact
+    for axis in range(len(k)):
         M = _mono_to_leg_matrix(k[axis], *box.axis_interval(axis), x0[axis])
         coef = np.moveaxis(np.tensordot(M, coef, axes=(1, axis)), 0, axis)
     return TensorPolynomial(coef, box)
@@ -215,14 +216,14 @@ def taylor_remainder_bound(f: FunctionSpec, r, p: float, box: Parallelepiped,
     harness estimates the empirical constant by ratioing the measured
     ``||f - T_r f||_p`` against it.
     """
-    r = as_multi_index(r, f.dimension)
+    r = as_order(r, function_dim(f, box))
     if not f.is_sobolev:
         raise CapabilityError(f"{f.id} does not expose the derivatives the bound needs")
     size = box.size()
     total = 0.0
     for e in subsets(f.dimension):
-        weight = float(np.prod([size[i] ** r[i] for i in e.sorted_axes()]))
-        total += weight * lp_norm(f.derivative_fn(e.project(r)), box, p, quad)
+        weight = float(np.prod([size[i] ** r[i] for i in e]))
+        total += weight * lp_norm(f.derivative_fn(project(r, e)), box, p, quad)
     return total
 
 
@@ -253,7 +254,7 @@ def derivative_inequality_ratios(f: FunctionSpec, r: int, k: int, t: float,
     ``D = ||f||_p + t^r ||f^(r)||_p``; both are bounded uniformly in t by a
     constant depending only on r.
     """
-    if f.dimension != 1:
+    if function_dim(f, box) != 1:
         raise ValueError("derivative inequality ratios are univariate")
     if not 0 <= k < r:
         raise ValueError("need 0 <= k < r")

@@ -54,7 +54,10 @@ the derivative stencils amplify those into the output.
 :func:`k_functional_bracket` takes the call form of the moduli,
 ``(f, r, t, p, box, *, quad=QuadratureSpec(), h_grid=DEFAULT_H_GRID,
 panel_nodes=DEFAULT_PANEL_NODES)``, with keyword-only resolutions; its helpers
-take ``quad`` and ``panel_nodes`` directly.
+take ``quad`` and ``panel_nodes`` directly.  Orders are plain tuples, and axis
+subsets the sorted tuples of :func:`whitney_lab.geometry.subsets`: they key
+``details["omega_terms"]``, ``details["deriv_terms"]`` and
+:func:`subdivision_boxes`, and :func:`smoothed_derivative` takes one.
 """
 
 from __future__ import annotations
@@ -69,17 +72,17 @@ from .differences import DEFAULT_H_GRID, modulus, whitney_constant_sum
 from .functions import FunctionSpec, _pts
 from .geometry import (
     GAUSS,
-    MultiIndex,
     Parallelepiped,
     QuadratureSpec,
-    SubsetMask,
-    as_multi_index,
+    as_order,
     as_steps,
     axis_rule,
     broadcast_values,
+    function_dim,
     grid_norm,
     grid_values,
     lp_norm,
+    project,
     subsets,
     tensor_quadrature,
 )
@@ -302,13 +305,13 @@ def smooth_univariate(f, k: int, t: float, axis: int, box: Parallelepiped,
     return SmoothedFunction(tuple(ops), f, Parallelepiped(lo, hi), d)
 
 
-def _signed_ops_and_domain(r: MultiIndex, t, box: Parallelepiped, panel_nodes: int):
+def _signed_ops_and_domain(r: tuple[int, ...], t, box: Parallelepiped, panel_nodes: int):
     """The smoothing stencil of each axis at the signed steps t, and the
     validity box they share."""
-    t = as_steps(t, r.dim)
+    t = as_steps(t, len(r))
     ops = []
     lo, hi = list(box.lower), list(box.upper)
-    for i in range(r.dim):
+    for i in range(len(r)):
         a, b = box.axis_interval(i)
         if not _in_smoother_range(a, b, r[i], t[i]):
             raise DomainValidityError(
@@ -325,12 +328,12 @@ def smooth_mixed(f, r, t, box: Parallelepiped,
     Valid on the box with every axis trimmed by a quarter of its length on
     the respective stepping side.
     """
-    r = as_multi_index(r, box.dim)
+    r = as_order(r, box.dim)
     ops, domain = _signed_ops_and_domain(r, t, box, panel_nodes)
-    return SmoothedFunction(ops, f, domain, r.dim)
+    return SmoothedFunction(ops, f, domain, box.dim)
 
 
-def smoothed_derivative(f, r, t, e: SubsetMask, box: Parallelepiped,
+def smoothed_derivative(f, r, t, e: tuple[int, ...], box: Parallelepiped,
                         panel_nodes: int = DEFAULT_PANEL_NODES) -> SmoothedFunction:
     """Mixed derivative of order r(e) of the smoothed function.
 
@@ -341,16 +344,14 @@ def smoothed_derivative(f, r, t, e: SubsetMask, box: Parallelepiped,
     The combination carries the binomial coefficient; a finite-difference
     oracle in the tests confirms this form.
     """
-    r = as_multi_index(r, box.dim)
-    if not isinstance(e, SubsetMask):
-        e = SubsetMask(box.dim, e)
-    if e.is_empty:
-        raise ValueError("smoothed_derivative needs a non-empty subset")
+    r = as_order(r, box.dim)
+    if not e or not set(e) <= set(range(box.dim)):
+        raise ValueError(f"smoothed_derivative needs a non-empty subset of the axes, got {e}")
     t = as_steps(t, box.dim)
     smooth, domain = _signed_ops_and_domain(r, t, box, panel_nodes)
-    ops = tuple(_derivative_op(r[i], t[i]) if i in e.axes else op
+    ops = tuple(_derivative_op(r[i], t[i]) if i in e else op
                 for i, op in enumerate(smooth))
-    return SmoothedFunction(ops, f, domain, r.dim)
+    return SmoothedFunction(ops, f, domain, box.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +383,17 @@ class KBracket:
 
 
 @lru_cache(maxsize=_BOX_NORMS_CACHE)
-def _box_norms(f: FunctionSpec, r: MultiIndex, p, box: Parallelepiped,
+def _box_norms(f: FunctionSpec, r: tuple[int, ...], p, box: Parallelepiped,
                quad: QuadratureSpec):
     """The t-independent norms of the box candidates: ``||f||``, the
     ``||f^(r(e))||`` over :func:`subsets` (``None`` unless f is Sobolev up to
     r), and the polynomial candidates' ``(name, ||f - poly||)`` pairs."""
     norm = lp_norm(f, box, p, quad)
-    sobolev = f.is_sobolev and r.leq(f.r_max)
+    sobolev = f.has_derivative(r)
     derivs = None
     if sobolev:
-        derivs = tuple(lp_norm(f.derivative_fn(e.project(r)), box, p, quad)
-                       for e in subsets(r.dim))
+        derivs = tuple(lp_norm(f.derivative_fn(project(r, e)), box, p, quad)
+                       for e in subsets(len(r)))
     proj = _project_l2(f, r, box, quad)
     polys = [("projection", lp_norm(lambda q: np.asarray(f(q)) - proj(q), box, p, quad))]
     if sobolev:
@@ -401,23 +402,23 @@ def _box_norms(f: FunctionSpec, r: MultiIndex, p, box: Parallelepiped,
     return norm, derivs, tuple(polys)
 
 
-def _box_candidates(f: FunctionSpec, r: MultiIndex, t, p, box, quad: QuadratureSpec):
+def _box_candidates(f: FunctionSpec, r: tuple[int, ...], t, p, box, quad: QuadratureSpec):
     """Candidates valid on the whole given box (no smoother): g = 0, g = f
     (weights ``t^r(e)`` on the memoized derivative norms), the polynomials."""
     norm, derivs, polys = _box_norms(f, r, p, box, quad)
     cands = [("zero", norm)]
     if derivs is not None:
-        t = as_steps(t, r.dim)
+        t = as_steps(t, len(r))
         total = 0.0
-        for e, deriv in zip(subsets(r.dim), derivs):
-            weight = float(np.prod([t[i] ** r[i] for i in e.sorted_axes()]))
+        for e, deriv in zip(subsets(len(r)), derivs):
+            weight = float(np.prod([t[i] ** r[i] for i in e]))
             total += weight * deriv
         cands.append(("identity", total))
     cands.extend(polys)
     return cands
 
 
-def _directional_upper(f: FunctionSpec, r: MultiIndex, t, sigma: tuple[int, ...],
+def _directional_upper(f: FunctionSpec, r: tuple[int, ...], t, sigma: tuple[int, ...],
                        p, box, quad: QuadratureSpec, panel_nodes: int):
     """Functional value of the signed smoother, measured on its validity box.
 
@@ -427,18 +428,18 @@ def _directional_upper(f: FunctionSpec, r: MultiIndex, t, sigma: tuple[int, ...]
     :func:`smoothed_derivative` builds for e, so each term has the bits of
     that reference path.
     """
-    t = as_steps(t, r.dim)
+    t = as_steps(t, len(r))
     signed = [s * ti for s, ti in zip(sigma, t)]
     smooth, domain = _signed_ops_and_domain(r, signed, box, panel_nodes)
     deriv = [_derivative_op(r[i], ti) for i, ti in enumerate(signed)]
     value = _smoothed_lp_norm(smooth, f, p, domain, quad, subtract_base=True)
     f_minus_g = value
     deriv_terms = {}
-    for e in subsets(r.dim):
-        ops = tuple(deriv[i] if i in e.axes else op for i, op in enumerate(smooth))
-        weight = float(np.prod([t[i] ** r[i] for i in e.sorted_axes()]))
+    for e in subsets(len(r)):
+        ops = tuple(deriv[i] if i in e else op for i, op in enumerate(smooth))
+        weight = float(np.prod([t[i] ** r[i] for i in e]))
         term = weight * _smoothed_lp_norm(ops, f, p, domain, quad)
-        deriv_terms[e.sorted_axes()] = term
+        deriv_terms[e] = term
         value += term
     return value, f_minus_g, deriv_terms
 
@@ -451,9 +452,9 @@ def subdivision_boxes(box: Parallelepiped) -> dict[tuple[int, ...], Parallelepip
     """
     out = {}
     for e in subsets(box.dim, include_empty=True):
-        ends = [_trimmed_interval(*box.axis_interval(i), 1 if i in e.axes else -1)
+        ends = [_trimmed_interval(*box.axis_interval(i), 1 if i in e else -1)
                 for i in range(box.dim)]
-        out[e.sorted_axes()] = Parallelepiped([a for a, _ in ends], [b for _, b in ends])
+        out[e] = Parallelepiped([a for a, _ in ends], [b for _, b in ends])
     return out
 
 
@@ -471,37 +472,37 @@ def k_functional_bracket(f: FunctionSpec, r, t, p: float, box: Parallelepiped, *
     divided by the exact difference-operator constant.
 
     A candidate is left out where it does not exist: ``identity`` and
-    ``taylor`` when f has no derivatives up to order r (``f.is_sobolev`` and
-    ``r <= f.r_max``), ``smoother_subdivision`` when some ``|t_i|`` exceeds
-    the smoother's validity bound ``(b_i - a_i) / (4 r_i^2)``.
+    ``taylor`` when f has no derivatives up to order r (not
+    ``f.has_derivative(r)``), ``smoother_subdivision`` when some ``|t_i|``
+    exceeds the smoother's validity bound ``(b_i - a_i) / (4 r_i^2)``.
     ``details["candidates"]`` lists exactly the candidates evaluated.
 
     ``quad`` measures every norm, ``h_grid`` is the step grid of the moduli
     (:func:`modulus`), and ``panel_nodes`` the Gauss nodes per knot interval
     of the smoother.
     """
-    r = as_multi_index(r, f.dimension)
-    t = as_steps(t, f.dimension)
+    dim = function_dim(f, box)
+    r = as_order(r, dim)
+    t = as_steps(t, dim)
     if any(ti <= 0 for ti in t):
         raise ValueError("bracket needs t > 0 componentwise")
-    omega_terms = {e.sorted_axes(): modulus(f, e.project(r), t, p, box, quad=quad,
-                                            h_grid=h_grid)
-                   for e in subsets(r.dim)}
+    omega_terms = {e: modulus(f, project(r, e), t, p, box, quad=quad, h_grid=h_grid)
+                   for e in subsets(dim)}
     omega_total = float(sum(omega_terms.values()))
     lower = omega_total / whitney_constant_sum(r)
 
     candidates = _box_candidates(f, r, t, p, box, quad)
     details: dict = {"omega_total": omega_total, "omega_terms": omega_terms}
-    if all(_in_smoother_range(*box.axis_interval(i), r[i], t[i]) for i in range(r.dim)):
+    if all(_in_smoother_range(*box.axis_interval(i), r[i], t[i]) for i in range(dim)):
         boxes = subdivision_boxes(box)
         sub_uppers = {}
         for key, sub_box in boxes.items():
-            sigma = tuple(1 if i in key else -1 for i in range(r.dim))
+            sigma = tuple(1 if i in key else -1 for i in range(dim))
             value, f_minus_g, deriv_terms = _directional_upper(
                 f, r, t, sigma, p, box, quad, panel_nodes)
             direct = min(v for _, v in _box_candidates(f, r, t, p, sub_box, quad))
             sub_uppers[key] = min(value, direct)
-            if key == tuple(range(r.dim)):  # forward smoother: proof-chain diagnostics
+            if key == tuple(range(dim)):  # forward smoother: proof-chain diagnostics
                 details["f_minus_g"] = f_minus_g
                 details["deriv_terms"] = deriv_terms
         details["subdomain_uppers"] = sub_uppers

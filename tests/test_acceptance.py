@@ -22,7 +22,7 @@ from whitney_lab.differences import (
     total_p_mean_modulus,
 )
 from whitney_lab.functions import corpus, get_function
-from whitney_lab.geometry import Parallelepiped, QuadratureSpec, SubsetMask, subsets
+from whitney_lab.geometry import Parallelepiped, QuadratureSpec, project, subsets
 from whitney_lab.harness import ExperimentConfig, run_johnen, run_lemma21, run_taylor, run_whitney
 from whitney_lab.polyapprox import best_approx, equioscillation_count
 from whitney_lab.smoother import k_functional_bracket, smooth_mixed, smooth_univariate, smoothed_derivative
@@ -191,7 +191,7 @@ def test_criterion_4_smoother_correctness():
         box = Parallelepiped.unit(d)
         t = tuple(1.0 / (4 * ri * ri) for ri in r)
         g = smooth_mixed(f, r, t, box)
-        gd = smoothed_derivative(f, r, t, SubsetMask(d, e), box)
+        gd = smoothed_derivative(f, r, t, e, box)
         pts = (np.stack([np.linspace(0.25, 0.6, 10)] * d, axis=1) if d > 1
                else np.linspace(0.25, 0.6, 10).reshape(-1, 1))
         orders = tuple(r[i] if i in e else 0 for i in range(d))
@@ -208,7 +208,7 @@ def test_criterion_4_smoother_correctness():
     s2 = lambda q: np.sin(2.0 * q[:, 0] + 0.7)
     f = get_function("sinprod_d2")
     t = 1.0 / 9.0
-    gd = smoothed_derivative(f, (3, 3), (t, t), SubsetMask.full(2), box2)
+    gd = smoothed_derivative(f, (3, 3), (t, t), (0, 1), box2)
     pts = np.stack([np.linspace(0.5, 2.4, 10)] * 2, axis=1)
     fd = (_fd_mixed(smooth_mixed(s1, (3,), (t,), box1), pts[:, :1], (3,), 0.02)
           * _fd_mixed(smooth_mixed(s2, (3,), (t,), box1), pts[:, 1:], (3,), 0.02))
@@ -373,11 +373,11 @@ def test_criterion_7a_integrated_le_sup_as_stated():
         _, r, p = key
         w, om = 0.0, 0.0
         for e in subsets(len(r)):
-            w_e = p_mean_modulus(f, e.project(r), t, p, box, quad=quad, h_grid=h_grid,
+            w_e = p_mean_modulus(f, project(r, e), t, p, box, quad=quad, h_grid=h_grid,
                                  mean_nodes=8)
-            om_e = modulus(f, e.project(r), t, p, box, quad=quad, h_grid=h_grid)
-            terms.append((key + (e.sorted_axes(),), w_e,
-                          2.0 ** (len(e.axes) / p) * om_e))
+            om_e = modulus(f, project(r, e), t, p, box, quad=quad, h_grid=h_grid)
+            terms.append((key + (e,), w_e,
+                          2.0 ** (len(e) / p) * om_e))
             w, om = w + w_e, om + om_e
         totals.append((key, w, 2.0 ** (len(r) / p) * om))
         if key == ("poly_d1_deg1", (1,), 1.0):

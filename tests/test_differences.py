@@ -18,8 +18,8 @@ from whitney_lab.functions import get_function, tensor_polynomial_spec
 from whitney_lab.geometry import (
     Parallelepiped,
     QuadratureSpec,
-    SubsetMask,
     lp_norm,
+    project,
     shifted_domain,
     subsets,
 )
@@ -121,7 +121,7 @@ class TestModulus:
             ("abspow_d2", [1], (2, 2), 1.0),
         ]:
             f = get_function(fid)
-            r_e = SubsetMask(2, e).project(r)
+            r_e = project(r, e)
             got = modulus(f, r_e, t, p, box, quad=quad_2d_fast, h_grid=5)
             active = [i for i in range(2) if r_e[i] > 0]
             best = 0.0
@@ -131,7 +131,7 @@ class TestModulus:
                     h = np.zeros(2)
                     for i, s, hi in zip(active, signs, combo):
                         h[i] = s * hi
-                    dom = shifted_domain(box, r_e.array() * h)
+                    dom = shifted_domain(box, np.asarray(r_e) * h)
                     if dom is None:
                         continue
                     val = lp_norm(lambda q: mixed_difference(f, r_e, h, q),
@@ -278,7 +278,7 @@ def _moduli_reprs(f, d, quad, h_grid, mean_nodes):
         for t in [(0.05, 0.1)[:d], (0.25, 0.3)[:d], (0.5, 0.8)[:d]]:  # up to empty boxes
             for e in subsets(d):
                 for p in (1.0, 2.0, INF):
-                    r_e = e.project(r)
+                    r_e = project(r, e)
                     out.append(repr(modulus(f, r_e, t, p, box, quad=quad, h_grid=h_grid)))
                     out.append(repr(p_mean_modulus(f, r_e, t, p, box, quad=quad, h_grid=h_grid,
                                                    mean_nodes=mean_nodes)))

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -7,10 +6,8 @@ from whitney_lab.functions import (
     CapabilityError,
     corpus,
     get_function,
-    sobolev_norm,
     tensor_polynomial_spec,
 )
-INF = math.inf
 
 
 def test_corpus_contract_ids_and_tags():
@@ -55,35 +52,6 @@ def test_tensor_polynomial_factory_degrees():
     assert not f.in_poly_class((2, 2))
     x = np.array([[0.5, 2.0]])
     assert float(f(x)[0]) == pytest.approx((1 + 2 * 0.5) * 3 * 4.0)
-
-
-class TestSobolevNorm:
-    def test_constant(self, unit_box_1d, quad_1d):
-        f = get_function("poly_d1_deg0")
-        assert sobolev_norm(f, (1,), INF, unit_box_1d, quad_1d) == pytest.approx(1.0)
-
-    def test_linear(self, unit_box_1d, quad_1d):
-        f = get_function("poly_d1_deg1")
-        got = sobolev_norm(f, (1,), INF, unit_box_1d, quad_1d)
-        assert got == pytest.approx(2.0)  # ||x|| = 1 plus ||1|| = 1
-
-    def test_bilinear_four_subset_terms(self, unit_box_2d, quad_2d):
-        f = get_function("poly_d2_deg11")
-        got = sobolev_norm(f, (1, 1), INF, unit_box_2d, quad_2d)
-        assert got == pytest.approx(4.0)
-
-    def test_d1_reduces_to_two_terms(self, unit_box_1d, quad_1d):
-        from whitney_lab.geometry import lp_norm
-
-        f = get_function("exp_d1")
-        got = sobolev_norm(f, (2,), 2.0, unit_box_1d, quad_1d)
-        expect = (lp_norm(f, unit_box_1d, 2.0, quad_1d)
-                  + lp_norm(f.derivative_fn((2,)), unit_box_1d, 2.0, quad_1d))
-        assert got == pytest.approx(expect, rel=1e-13)
-
-    def test_rejects_lp_only(self, unit_box_1d, quad_1d):
-        with pytest.raises(CapabilityError):
-            sobolev_norm(get_function("abspow_d1"), (1,), 2.0, unit_box_1d, quad_1d)
 
 
 def _fd4(fn, x, axis, h):

@@ -1,19 +1,37 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from whitney_lab.differences import (
+    modulus,
+    p_mean_modulus,
+    total_modulus,
+    whitney_constant_sum,
+)
+from whitney_lab.functions import CapabilityError, FunctionSpec, get_function
 from whitney_lab.geometry import (
     GeometryError,
-    MultiIndex,
     Parallelepiped,
     QuadratureSpec,
-    SubsetMask,
+    as_order,
     lp_norm,
+    project,
     shifted_domain,
     subsets,
     tensor_quadrature,
 )
+from whitney_lab.polyapprox import (
+    best_approx,
+    derivative_inequality_ratios,
+    taylor_poly,
+    taylor_remainder_bound,
+)
+from whitney_lab.smoother import k_functional_bracket
 
 INF = math.inf
 
@@ -39,25 +57,85 @@ class TestDomainTypes:
         with pytest.raises(GeometryError):
             box.require_positive_size()
 
-    def test_multi_index_partial_order(self):
-        assert MultiIndex((1, 2)) <= MultiIndex((1, 3))
-        assert not MultiIndex((2, 1)) <= MultiIndex((1, 3))
-        # incomparable pairs are ordered in neither direction
-        assert not MultiIndex((0, 2)) >= MultiIndex((1, 1))
-        assert not MultiIndex((0, 2)) <= MultiIndex((1, 1))
+    def test_order_rejects_negative_entries(self):
         with pytest.raises(GeometryError):
-            MultiIndex((-1,))
+            as_order((-1,))
 
     def test_subset_projection(self):
-        r = MultiIndex((3, 2, 4))
-        e = SubsetMask(3, [0, 2])
-        assert e.project(r).entries == (3, 0, 4)
-        assert SubsetMask.empty(3).project(r).entries == (0, 0, 0)
+        r = (3, 2, 4)
+        assert project(r, (0, 2)) == (3, 0, 4)
+        assert project(r, ()) == (0, 0, 0)
 
     def test_subsets_enumeration_deterministic(self):
-        masks = subsets(2, include_empty=True)
-        assert [m.sorted_axes() for m in masks] == [(), (0,), (1,), (0, 1)]
+        assert subsets(2, include_empty=True) == [(), (0,), (1,), (0, 1)]
         assert len(subsets(3)) == 7
+
+
+EXP_D1 = get_function("exp_d1")
+UNIT_1D = Parallelepiped([0.0], [1.0])
+UNIT_2D = Parallelepiped([0.0, 0.0], [1.0, 1.0])
+
+
+class TestOrders:
+    """Orders are tuples of non-negative Python ints, and axis subsets sorted
+    tuples of axes; every entry point reads its order through ``as_order``."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: best_approx(EXP_D1, (2.5,), math.inf, UNIT_1D),
+        lambda: total_modulus(EXP_D1, (1.5,), 0.5, 1.0, UNIT_1D),
+        lambda: taylor_poly(EXP_D1, (2.9,), (0.5,), UNIT_1D),
+        lambda: EXP_D1.derivative((1.7,), [[0.5]]),
+        lambda: whitney_constant_sum((1.5,)),
+        lambda: modulus(get_function("exp_d2"), (True, 2), (0.5, 0.5), 1.0, UNIT_2D),
+    ], ids=["best_approx", "total_modulus", "taylor_poly", "derivative",
+            "whitney_constant_sum", "boolean"])
+    def test_fractional_and_boolean_orders_are_refused(self, call):
+        # int() would truncate them: (2.5,) to the order-2 problem, True to 1
+        with pytest.raises(GeometryError, match="whole numbers"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: modulus(EXP_D1, (1,), 0.5, 1.0, UNIT_2D),
+        lambda: p_mean_modulus(EXP_D1, (1,), 0.5, 1.0, UNIT_2D),
+        lambda: total_modulus(EXP_D1, (1,), 0.5, 1.0, UNIT_2D),
+        lambda: k_functional_bracket(EXP_D1, (1,), 0.1, 1.0, UNIT_2D),
+        lambda: best_approx(EXP_D1, (1,), math.inf, UNIT_2D),
+        lambda: taylor_poly(EXP_D1, (2,), (0.5,), UNIT_2D),
+        lambda: taylor_remainder_bound(EXP_D1, (2,), 1.0, UNIT_2D),
+        lambda: derivative_inequality_ratios(EXP_D1, 2, 1, 0.1, 1.0, UNIT_2D),
+    ], ids=["modulus", "p_mean_modulus", "total_modulus", "k_functional_bracket",
+            "best_approx", "taylor_poly", "taylor_remainder_bound",
+            "derivative_inequality_ratios"])
+    def test_function_and_box_dimensions_must_match(self, call):
+        # unchecked, the moduli measure a 1-D problem on the square and return a
+        # wrong value, and the other entry points fail inside numpy or on a
+        # message that names neither dimension
+        with pytest.raises(GeometryError, match="exp_d1 has dimension 1, the box has dimension 2"):
+            call()
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=3),
+           st.lists(st.integers(0, 5), min_size=3, max_size=3))
+    @example([1, 3], [2, 1, 0])
+    def test_orders_subsets_and_the_derivative_predicate(self, r, r_max):
+        d = len(r)
+        forms = [r, tuple(r), np.asarray(r, dtype=np.int64), np.asarray(r, dtype=np.int32)]
+        for form in forms:
+            order = as_order(form, d)
+            assert order == tuple(r)
+            assert all(type(v) is int for v in order)
+        for e in subsets(d, include_empty=True):
+            masked = project(tuple(r), e)
+            assert all(masked[i] == (r[i] if i in e else 0) for i in range(d))
+        # componentwise, not the lexicographic tuple order: (1, 3) <= (2, 1)
+        # holds for tuples, yet (1, 3) is no derivative of an r_max = (2, 1) entry
+        f = FunctionSpec("probe", d, "sobolev", tuple(r_max[:d]), lambda q: q[:, 0],
+                         lambda k, q: q[:, 0])
+        comparable = all(a <= b for a, b in zip(r, r_max))
+        assert f.has_derivative(tuple(r)) == comparable
+        if not comparable:
+            with pytest.raises(CapabilityError):
+                f.derivative(r, [[0.5] * d])
+        assert not dataclasses.replace(f, smoothness_class="lp_only").has_derivative(tuple(r))
 
 
 class TestShiftedDomain:

@@ -8,10 +8,8 @@ import pytest
 from whitney_lab import smoother
 from whitney_lab.functions import get_function
 from whitney_lab.geometry import (
-    MultiIndex,
     Parallelepiped,
     QuadratureSpec,
-    SubsetMask,
     lp_norm,
     subsets,
 )
@@ -165,7 +163,7 @@ def _fd_mixed(fn, pts, orders, h):
 class TestSmoothedDerivative:
     def test_square_second_derivative_exact(self, unit_box_1d):
         f = lambda q: q[:, 0] ** 2
-        gd = smoothed_derivative(f, (2,), (0.05,), SubsetMask(1, [0]), unit_box_1d)
+        gd = smoothed_derivative(f, (2,), (0.05,), (0,), unit_box_1d)
         pts = np.array([[0.2], [0.5], [0.7]])
         assert np.max(np.abs(gd(pts) - 2.0)) < 1e-11
 
@@ -176,7 +174,7 @@ class TestSmoothedDerivative:
         box = Parallelepiped([0.0, 0.0], [4.0, 4.0])
         f2 = get_function("poly_d2_deg32")
         t = (1.0 / 16.0, 1.0 / 9.0)
-        gd2 = smoothed_derivative(f2, (4, 3), t, SubsetMask.full(2), box)
+        gd2 = smoothed_derivative(f2, (4, 3), t, (0, 1), box)
         pts = np.array([[0.2, 0.3], [1.5, 2.5]])
         scale = float(np.max(np.abs(f2(np.array([[4.0, 4.0], [0.0, 4.0]])))))
         assert np.max(np.abs(gd2(pts))) < 1e-8 * scale
@@ -194,13 +192,12 @@ class TestSmoothedDerivative:
         d = f.dimension
         box = Parallelepiped([0.0] * d, [1.0] * d)
         t = tuple(1.0 / (4 * ri * ri) for ri in r)
-        mask = SubsetMask(d, e)
         g = smooth_mixed(f, r, t, box)
-        gd = smoothed_derivative(f, r, t, mask, box)
+        gd = smoothed_derivative(f, r, t, e, box)
         pts = np.stack(
             [np.linspace(0.25, 0.6, 10)] * d, axis=1) if d > 1 else \
             np.linspace(0.25, 0.6, 10).reshape(-1, 1)
-        orders = tuple(r[i] if i in mask.axes else 0 for i in range(d))
+        orders = tuple(r[i] if i in e else 0 for i in range(d))
         fd = _fd_mixed(g, pts, orders, h)
         got = gd(pts)
         scale = np.max(np.abs(got))
@@ -218,7 +215,7 @@ class TestSmoothedDerivative:
         s1 = lambda q: np.sin(1.5 * q[:, 0] + 0.3)
         s2 = lambda q: np.sin(2.0 * q[:, 0] + 0.7)
         t = 1.0 / 9.0
-        gd = smoothed_derivative(f, (3, 3), (t, t), SubsetMask.full(2), box2)
+        gd = smoothed_derivative(f, (3, 3), (t, t), (0, 1), box2)
         g1 = smooth_mixed(s1, (3,), (t,), box1)
         g2 = smooth_mixed(s2, (3,), (t,), box1)
         pts = np.stack([np.linspace(0.5, 2.4, 10)] * 2, axis=1)
@@ -231,12 +228,12 @@ class TestSmoothedDerivative:
     def test_zero_scale_on_active_axis_rejected(self, unit_box_1d):
         with pytest.raises(DomainValidityError):
             smoothed_derivative(get_function("exp_d1"), (2,), (0.0,),
-                                SubsetMask(1, [0]), unit_box_1d)
+                                (0,), unit_box_1d)
 
     def test_empty_subset_rejected(self, unit_box_1d):
         with pytest.raises(ValueError):
             smoothed_derivative(get_function("exp_d1"), (2,), (0.01,),
-                                SubsetMask.empty(1), unit_box_1d)
+                                (), unit_box_1d)
 
 
 class TestSubdivision:
@@ -372,16 +369,16 @@ class TestDirectionalUpper:
         t = bound if at_bound else [0.3 * tb for tb in bound]
         for sigma in itertools.product((1, -1), repeat=box.dim):
             value, f_minus_g, deriv_terms = smoother._directional_upper(
-                f, MultiIndex(r), t, sigma, p, box, quad, panel_nodes)
+                f, r, t, sigma, p, box, quad, panel_nodes)
             signed = [s * ti for s, ti in zip(sigma, t)]
             g = smooth_mixed(f, r, signed, box, panel_nodes)
             expect = _smoothed_lp_norm(g.ops, f, p, g.domain, quad, subtract_base=True)
             assert repr(f_minus_g) == repr(expect)
             for e in subsets(box.dim):
                 gd = smoothed_derivative(f, r, signed, e, box, panel_nodes)
-                weight = float(np.prod([t[i] ** r[i] for i in e.sorted_axes()]))
+                weight = float(np.prod([t[i] ** r[i] for i in e]))
                 term = weight * _smoothed_lp_norm(gd.ops, f, p, gd.domain, quad)
-                assert repr(deriv_terms[e.sorted_axes()]) == repr(term)
+                assert repr(deriv_terms[e]) == repr(term)
                 expect += term
             assert repr(value) == repr(expect)
 
