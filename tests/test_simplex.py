@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from whitney_lab.simplex import (
     SimplexError,
+    _interpolation_rows,
     simplex_solve,
     solve_minimax,
     solve_weighted_l1,
@@ -118,17 +119,74 @@ def _l1_problems(draw):
     return design, targets, weights
 
 
+def _l1_lp(design, targets, weights):
+    """solve_weighted_l1's LP with the all-slack basis (coefficients 0):
+    ``A``, the cost, that basis and the implicit slacks ``(rows, signs)``."""
+    m, k = design.shape
+    A = np.hstack([design, -design])
+    cost = np.concatenate([np.zeros(2 * k), weights, weights])
+    basis = np.where(targets >= 0.0, 2 * k + np.arange(m), 2 * k + m + np.arange(m))
+    return A, cost, basis, (np.tile(np.arange(m), 2), np.repeat([1.0, -1.0], m))
+
+
+def _cold_l1(design, targets, weights):
+    """Coefficients and objective of the L1 fit solved from the all-slack basis."""
+    k = design.shape[1]
+    A, cost, basis, slacks = _l1_lp(design, targets, weights)
+    x, value = simplex_solve(A, targets, cost, basis, slacks=slacks)
+    return x[:k] - x[k:2 * k], value
+
+
 @settings(max_examples=60, deadline=None)
 @given(_l1_problems())
 def test_implicit_slacks_match_slack_columns_in_A(problem):
     # solve_weighted_l1's LP, once with its slacks implicit and once with the
     # same +e_j and -e_j columns written into A: the same optimum
     design, targets, weights = problem
-    m, k = design.shape
-    A = np.hstack([design, -design])
-    cost = np.concatenate([np.zeros(2 * k), weights, weights])
-    basis = np.where(targets >= 0.0, 2 * k + np.arange(m), 2 * k + m + np.arange(m))
-    rows, signs = np.tile(np.arange(m), 2), np.repeat([1.0, -1.0], m)
-    _, implicit = simplex_solve(A, targets, cost, basis, slacks=(rows, signs))
+    m = design.shape[0]
+    A, cost, basis, slacks = _l1_lp(design, targets, weights)
+    _, implicit = simplex_solve(A, targets, cost, basis, slacks=slacks)
     _, explicit = simplex_solve(np.hstack([A, np.eye(m), -np.eye(m)]), targets, cost, basis)
     assert abs(implicit - explicit) <= 1e-9 * (1.0 + abs(explicit))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_l1_problems())
+def test_warm_start_reaches_the_cold_optimum(problem):
+    # solve_weighted_l1 starts from the basis interpolating its L2 fit's best
+    # rows; the simplex from coefficients 0 must reach the same objective
+    design, targets, weights = problem
+    _, value = solve_weighted_l1(design, targets, weights)
+    _, cold = _cold_l1(design, targets, weights)
+    assert abs(value - cold) <= 1e-9 * (1.0 + np.abs(targets).max())
+
+
+def test_interpolation_rows_skip_dependent_duplicates():
+    # four copies of the row at x = 0 carry the L2 fit's smallest residuals;
+    # only one of them raises the rank, the next row kept is the best other one
+    xs = np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 2.0, 0.5, 3.0])
+    design = np.stack([np.ones_like(xs), xs], axis=1)
+    targets = np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.5, -1.0, 0.8, 1.2])
+    weights = np.ones(xs.size)
+    weighted = design.T * weights
+    l2 = np.linalg.solve(weighted @ design, weighted @ targets)
+    order = np.argsort(np.abs(targets - design @ l2), kind="stable")
+    assert order.tolist()[:5] == [0, 1, 2, 3, 8]
+    assert _interpolation_rows(design, targets, weights).tolist() == [0, 8]
+    coef, value = solve_weighted_l1(design, targets, weights)
+    cold_coef, cold = _cold_l1(design, targets, weights)
+    assert abs(value - cold) <= 1e-12
+    assert np.allclose(coef, cold_coef, atol=1e-12)
+
+
+def test_rank_deficient_design_starts_from_the_slack_basis():
+    # the second column is twice the first: no two independent rows, so the
+    # fit runs from coefficients 0, exactly as the cold LP does
+    xs = np.array([0.5, 1.0, -2.0, 3.0, 0.25])
+    design = np.stack([xs, 2.0 * xs], axis=1)
+    targets = np.array([1.0, 2.5, -3.0, 5.0, -0.5])
+    weights = np.array([1.0, 0.5, 0.25, 1.0, 0.75])
+    assert _interpolation_rows(design, targets, weights) is None
+    coef, _ = solve_weighted_l1(design, targets, weights)
+    cold_coef, _ = _cold_l1(design, targets, weights)
+    assert np.array_equal(coef, cold_coef)

@@ -84,8 +84,10 @@ def test_weighted_l1_optimum_matches_highs(problem):
 
 
 def test_weighted_median_walks_many_breakpoints():
-    # k = 1: the fit walks from coefficient 0 across the sorted targets to the
-    # weighted median, one slack-for-slack pivot per breakpoint crossed
+    # k = 1: the fit starts at the target nearest the weighted mean (the
+    # weighted L2 fit) and walks across the sorted targets between it and the
+    # weighted median, one slack-for-slack pivot per breakpoint crossed: 2
+    # here, against 82 from coefficient 0
     rng = np.random.default_rng(11)
     m = 169
     design = np.ones((m, 1))
