@@ -7,13 +7,14 @@ numeric differentiation, because the K-functional and Taylor machinery need
 trustworthy high-order mixed derivatives; numeric differentiation appears
 only in test oracles.
 
-Entries tagged ``lp_only`` (the |x - c|^alpha factors) participate in the
-moduli / best-approximation / K-functional experiments but refuse any
-operation with a mixed-Sobolev precondition.
+Entries without a ``derivative_evaluator`` (the |x - c|^alpha factors)
+participate in the moduli / best-approximation / K-functional experiments but
+refuse any operation with a mixed-Sobolev precondition.
 
 Every entry is a product of 1-D factors or ``exp(a . x)``, so its values on a
 tensor grid follow from one 1-D evaluation per node and axis: its
-``grid_evaluator``, which :func:`whitney_lab.geometry.grid_values` calls.
+``grid_evaluator``, which :func:`whitney_lab.geometry.grid_values` calls.  A
+product's mixed derivatives are the products of its factors' 1-D derivatives.
 
 Every entry also has a factor view, ``factors``: the per-axis 1-D callables
 whose product is the entry, ``exp(a_i x_i)`` for ``exp(a . x)``.  A separable
@@ -42,9 +43,6 @@ __all__ = [
     "tensor_polynomial_spec",
 ]
 
-SOBOLEV = "sobolev"
-LP_ONLY = "lp_only"
-
 
 class CapabilityError(ValueError):
     """Raised when an operation needs derivatives an entry does not expose."""
@@ -63,40 +61,37 @@ def _pts(x, dim: int) -> np.ndarray:
 class FunctionSpec:
     """A corpus function: vectorized evaluation plus analytic mixed derivatives.
 
-    ``evaluator`` maps an ``(N, d)`` point array to ``(N,)`` values;
-    ``derivative_evaluator`` additionally takes a multi-index order.  The
-    optional ``grid_evaluator`` maps ``d`` coordinate arrays, one per axis,
-    that broadcast against each other to the values on their broadcast shape;
-    the corpus entries' ``evaluator`` is their ``grid_evaluator`` applied to the
-    point columns, and :func:`whitney_lab.geometry.broadcast_values` hands it
-    the coordinate arrays of a grid.  ``factors``, when not ``None``, holds one 1-D callable per axis
-    whose product over the axes is the entry, up to round-off.  Entries are
+    ``grid_evaluator`` maps ``d`` coordinate arrays, one per axis, that
+    broadcast against each other to the values on their broadcast shape:
+    the coordinate arrays of a grid, or the columns of an ``(N, d)`` point
+    array.  ``derivative_evaluator(k, coords)`` is the mixed derivative of
+    order ``k``; an entry without one exposes no derivatives.
+    ``factors``, when not ``None``, holds one 1-D callable per axis whose
+    product over the axes is the entry, up to round-off.  Entries are
     immutable and freely shareable across threads.
     """
 
     id: str
     dimension: int
-    smoothness_class: str
     r_max: tuple[int, ...]
-    evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    grid_evaluator: Callable = field(repr=False)
     derivative_evaluator: Callable | None = field(repr=False, default=None)
     poly_degrees: tuple[int, ...] | None = None
-    grid_evaluator: Callable | None = field(repr=False, default=None)
     factors: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = field(
         repr=False, default=None)
 
     @property
     def is_sobolev(self) -> bool:
-        return self.smoothness_class == SOBOLEV
+        return self.derivative_evaluator is not None
 
     def __call__(self, x) -> np.ndarray:
-        return np.asarray(self.evaluator(_pts(x, self.dimension)), dtype=float)
+        return np.asarray(self.grid_evaluator(_pts(x, self.dimension).T), dtype=float)
 
     def has_derivative(self, k) -> bool:
         """True when the analytic mixed derivative of order ``k`` exists: the
-        entry is Sobolev-tagged and ``k <= r_max`` componentwise."""
-        return (self.is_sobolev and self.derivative_evaluator is not None
-                and all(ki <= ri for ki, ri in zip(k, self.r_max)))
+        entry has a derivative evaluator and ``k <= r_max`` componentwise."""
+        k = as_order(k, self.dimension)
+        return self.is_sobolev and all(ki <= ri for ki, ri in zip(k, self.r_max))
 
     def derivative(self, k, x) -> np.ndarray:
         """Mixed partial derivative of order ``k`` (``k = 0`` is the function)."""
@@ -105,8 +100,9 @@ class FunctionSpec:
             return self(x)
         if not self.has_derivative(k):
             raise CapabilityError(f"{self.id} exposes no analytic derivative of order {k} "
-                                  f"(class {self.smoothness_class}, r_max {self.r_max})")
-        return np.asarray(self.derivative_evaluator(k, _pts(x, self.dimension)), dtype=float)
+                                  f"(r_max {self.r_max})")
+        return np.asarray(self.derivative_evaluator(k, _pts(x, self.dimension).T),
+                          dtype=float)
 
     def derivative_fn(self, k) -> Callable[[np.ndarray], np.ndarray]:
         k = as_order(k, self.dimension)
@@ -132,17 +128,23 @@ def _fold(op, factors: list[Callable[[np.ndarray], np.ndarray]], coords) -> np.n
     return out
 
 
-def _product_spec(spec_id: str, smoothness_class: str, r_max: tuple[int, ...],
+def _product_spec(spec_id: str, r_max: tuple[int, ...],
                   factors: list[Callable[[np.ndarray], np.ndarray]],
-                  derivative_evaluator: Callable | None = None,
+                  factor_derivative: Callable | None = None,
                   poly_degrees: tuple[int, ...] | None = None) -> FunctionSpec:
-    """Entry ``prod_i factors[i](x_i)``; points and grids share the factors."""
+    """Entry ``prod_i factors[i](x_i)``; ``factor_derivative(i, k)``, when
+    given, is the 1-D order-``k`` derivative of ``factors[i]``, and the entry's
+    mixed derivative of order ``k`` is the product of those over the axes."""
     def grid_evaluator(coords):
         return _fold(np.multiply, factors, coords)
 
-    return FunctionSpec(spec_id, len(factors), smoothness_class, r_max,
-                        lambda pts: grid_evaluator(pts.T), derivative_evaluator,
-                        poly_degrees, grid_evaluator, tuple(factors))
+    def derivative_evaluator(k, coords):
+        return _fold(np.multiply, [factor_derivative(i, ki) for i, ki in enumerate(k)],
+                     coords)
+
+    return FunctionSpec(spec_id, len(factors), r_max, grid_evaluator,
+                        derivative_evaluator if factor_derivative else None,
+                        poly_degrees, tuple(factors))
 
 
 def tensor_polynomial_spec(spec_id: str, axis_coeffs: list[list[float]]) -> FunctionSpec:
@@ -155,18 +157,15 @@ def tensor_polynomial_spec(spec_id: str, axis_coeffs: list[list[float]]) -> Func
     dim = len(coeffs)
     degrees = tuple(len(c) - 1 for c in coeffs)
 
-    def derivative_evaluator(k, pts):
-        facs = []
-        for ki, c in zip(k, coeffs):
-            dc = npoly.polyder(c, ki) if ki > 0 else c
-            if len(np.atleast_1d(dc)) == 0:
-                dc = np.zeros(1)
-            facs.append(lambda xi, dc=dc: npoly.polyval(xi, dc))
-        return _fold(np.multiply, facs, pts.T)
+    def factor_derivative(i, k):
+        dc = npoly.polyder(coeffs[i], k) if k > 0 else coeffs[i]
+        if len(np.atleast_1d(dc)) == 0:
+            dc = np.zeros(1)
+        return lambda xi: npoly.polyval(xi, dc)
 
-    return _product_spec(spec_id, SOBOLEV, (12,) * dim,
+    return _product_spec(spec_id, (12,) * dim,
                          [lambda xi, c=c: npoly.polyval(xi, c) for c in coeffs],
-                         derivative_evaluator, degrees)
+                         factor_derivative, degrees)
 
 
 def _exp_spec(spec_id: str, a: tuple[float, ...]) -> FunctionSpec:
@@ -178,31 +177,24 @@ def _exp_spec(spec_id: str, a: tuple[float, ...]) -> FunctionSpec:
         x = _fold(np.add, terms, coords)  # a fresh array: exponentiate in place
         return np.exp(x, out=x)
 
-    def derivative_evaluator(k, pts):
+    def derivative_evaluator(k, coords):
         scale = float(np.prod(a_arr ** np.asarray(k, dtype=float)))
-        return scale * grid_evaluator(pts.T)
+        return scale * grid_evaluator(coords)
 
-    return FunctionSpec(spec_id, dim, SOBOLEV, (12,) * dim, lambda pts: grid_evaluator(pts.T),
-                        derivative_evaluator, None, grid_evaluator,
+    return FunctionSpec(spec_id, dim, (12,) * dim, grid_evaluator, derivative_evaluator, None,
                         tuple(lambda xi, ai=ai: np.exp(ai * xi) for ai in a_arr))
 
 
 def _sin_product_spec(spec_id: str, omega: tuple[float, ...],
                       phase: tuple[float, ...]) -> FunctionSpec:
-    dim = len(omega)
-
-    def derivative_evaluator(k, pts):
-        facs = []
-        for ki, w, ph in zip(k, omega, phase):
-            facs.append(
-                lambda xi, ki=ki, w=w, ph=ph: (w ** ki) * np.sin(w * xi + ph + ki * np.pi / 2)
-            )
-        return _fold(np.multiply, facs, pts.T)
+    def factor_derivative(i, k):
+        w, ph = omega[i], phase[i]
+        return lambda xi: (w ** k) * np.sin(w * xi + ph + k * np.pi / 2)
 
     return _product_spec(
-        spec_id, SOBOLEV, (12,) * dim,
+        spec_id, (12,) * len(omega),
         [lambda xi, w=w, ph=ph: np.sin(w * xi + ph) for w, ph in zip(omega, phase)],
-        derivative_evaluator)
+        factor_derivative)
 
 
 def _reciprocal_quadratic_derivs(c: float, x: np.ndarray, order: int) -> np.ndarray:
@@ -223,18 +215,12 @@ def _reciprocal_quadratic_derivs(c: float, x: np.ndarray, order: int) -> np.ndar
 
 
 def _runge_spec(spec_id: str, dim: int, c: float = 25.0) -> FunctionSpec:
-    def derivative_evaluator(k, pts):
-        out = np.ones(pts.shape[0])
-        for i, ki in enumerate(k):
-            out = out * _reciprocal_quadratic_derivs(c, pts[:, i], ki)
-        return out
-
-    return _product_spec(spec_id, SOBOLEV, (12,) * dim,
-                         [lambda xi: 1.0 / (1.0 + c * xi * xi)] * dim, derivative_evaluator)
+    return _product_spec(spec_id, (12,) * dim, [lambda xi: 1.0 / (1.0 + c * xi * xi)] * dim,
+                         lambda i, k: lambda xi: _reciprocal_quadratic_derivs(c, xi, k))
 
 
 def _abspow_spec(spec_id: str, centers: tuple[float, ...], alpha: float) -> FunctionSpec:
-    return _product_spec(spec_id, LP_ONLY, (0,) * len(centers),
+    return _product_spec(spec_id, (0,) * len(centers),
                          [lambda xi, ci=ci: np.abs(xi - ci) ** alpha for ci in centers])
 
 

@@ -531,7 +531,7 @@ def _enumerate_tasks(experiment: str, cfg: ExperimentConfig) -> list[tuple]:
     for fid in cfg.function_ids:
         f = get_function(fid)
         if experiment in ("taylor", "lemma21") and not f.is_sobolev:
-            continue  # these sweeps have a Sobolev precondition; filter by tag
+            continue  # these sweeps need derivatives: skip entries without them
         if experiment == "lemma21" and f.dimension != 1:
             continue
         for r in cfg.orders:

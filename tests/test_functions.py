@@ -15,8 +15,8 @@ def test_corpus_contract_ids_and_tags():
     assert "poly_d1_deg0" in by_id
     ones = by_id["poly_d1_deg0"](np.array([[0.0], [0.37], [1.0]]))
     assert np.all(ones == 1.0)
-    assert by_id["abspow_d1"].smoothness_class == "lp_only"
-    assert by_id["abspow_d2"].smoothness_class == "lp_only"
+    assert not by_id["abspow_d1"].is_sobolev
+    assert not by_id["abspow_d2"].is_sobolev
     for f in by_id.values():
         if f.is_sobolev:
             assert all(v >= 4 for v in f.r_max)

@@ -128,14 +128,23 @@ class TestOrders:
             assert all(masked[i] == (r[i] if i in e else 0) for i in range(d))
         # componentwise, not the lexicographic tuple order: (1, 3) <= (2, 1)
         # holds for tuples, yet (1, 3) is no derivative of an r_max = (2, 1) entry
-        f = FunctionSpec("probe", d, "sobolev", tuple(r_max[:d]), lambda q: q[:, 0],
-                         lambda k, q: q[:, 0])
+        f = FunctionSpec("probe", d, tuple(r_max[:d]), lambda c: c[0], lambda k, c: c[0])
         comparable = all(a <= b for a, b in zip(r, r_max))
         assert f.has_derivative(tuple(r)) == comparable
         if not comparable:
             with pytest.raises(CapabilityError):
                 f.derivative(r, [[0.5] * d])
-        assert not dataclasses.replace(f, smoothness_class="lp_only").has_derivative(tuple(r))
+        assert not dataclasses.replace(f, derivative_evaluator=None).has_derivative(tuple(r))
+        # an order of the wrong length is refused, as derivative refuses it,
+        # never compared on the common prefix
+        with pytest.raises(GeometryError):
+            f.has_derivative(tuple(r) + (0,))
+        exp_d2 = get_function("exp_d2")
+        for wrong in ((1,), (1, 2, 3)):
+            with pytest.raises(GeometryError):
+                exp_d2.has_derivative(wrong)
+            with pytest.raises(GeometryError):
+                exp_d2.derivative(wrong, [[0.5, 0.5]])
 
 
 class TestShiftedDomain:

@@ -64,9 +64,25 @@ def test_grid_values_equal_pointwise_values(case):
     fallback = grid_values(lambda pts: f(pts), axes)
     assert got.shape == fallback.shape == batch + tuple(a.shape[-1] for a in axes)
     for b in np.ndindex(batch):
-        expected = f.evaluator(tensor_grid([a[b] for a in axes]))
+        expected = f(tensor_grid([a[b] for a in axes]))
         assert np.array_equal(got[b].reshape(-1), expected)
         assert np.array_equal(fallback[b].reshape(-1), expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_derivative_evaluator_on_broadcast_coordinates_equals_the_point_values(data):
+    # every Sobolev entry, every order up to 3 per axis: the derivative on
+    # coordinate arrays that broadcast to a grid is the point-wise derivative
+    f = data.draw(st.sampled_from([f for f in corpus() if f.is_sobolev]))
+    d = f.dimension
+    axes = [np.asarray(data.draw(st.lists(COORDS, min_size=1, max_size=5)))
+            for _ in range(d)]
+    coords = [a.reshape((1,) * i + (-1,) + (1,) * (d - 1 - i)) for i, a in enumerate(axes)]
+    k = tuple(data.draw(st.integers(0, 3)) for _ in range(d))
+    got = f.derivative_evaluator(k, coords)
+    assert got.shape == tuple(a.size for a in axes)
+    assert np.array_equal(got.reshape(-1), f.derivative(k, tensor_grid(axes)))
 
 
 def _plain(f):

@@ -389,8 +389,8 @@ class TestRunners:
 
         from whitney_lab.functions import FunctionSpec
 
-        nan_tail = FunctionSpec("nan_tail_d1", 1, "sobolev", (3,),
-                                lambda q: np.where(q[:, 0] > 0.9, np.nan, q[:, 0]))
+        nan_tail = FunctionSpec("nan_tail_d1", 1, (3,),
+                                lambda c: np.where(c[0] > 0.9, np.nan, c[0]))
         cfg = _cfg(function_ids=["exp_d1"], orders=[[1]], p_values=[1, 2, "inf"],
                    shrink_levels=0, t=[0.5])
         monkeypatch.setattr(harness, "get_function", lambda fid: nan_tail)
