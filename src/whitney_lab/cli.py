@@ -6,8 +6,9 @@ Usage::
         --config <path> [--out <path>] [--format csv|json] [--jobs N]
 
 Exit codes: 0 on success, 1 on a hard assertion failure (lower-bound margin
-or bracket violation), 2 on configuration errors and on an unwritable output
-path.  ``WHITNEY_LAB_THREADS`` is the fallback for ``--jobs``.
+or bracket violation), 2 on configuration errors (an experiment that selects
+no corpus entry among them) and on an unwritable output path.
+``WHITNEY_LAB_THREADS`` is the fallback for ``--jobs``.
 """
 
 from __future__ import annotations

@@ -248,14 +248,11 @@ def corpus() -> list[FunctionSpec]:
     ]
 
 
-_BY_ID: dict[str, FunctionSpec] | None = None
+_BY_ID = {f.id: f for f in corpus()}
 
 
 def get_function(spec_id: str) -> FunctionSpec:
     """Look a corpus entry up by its string id."""
-    global _BY_ID
-    if _BY_ID is None:
-        _BY_ID = {f.id: f for f in corpus()}
     try:
         return _BY_ID[spec_id]
     except KeyError:

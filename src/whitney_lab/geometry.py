@@ -152,14 +152,13 @@ class Parallelepiped:
         """Side-length vector (componentwise >= 0)."""
         return np.asarray(self.upper) - np.asarray(self.lower)
 
-    def volume(self) -> float:
-        return float(np.prod(self.size()))
-
     @property
     def is_degenerate(self) -> bool:
         return bool(np.any(self.size() == 0.0))
 
     def contains(self, point, tol: float = 0.0) -> bool:
+        """Whether ``point``, or every row of an ``(N, d)`` array, lies in the box
+        widened by ``tol``."""
         p = np.atleast_1d(np.asarray(point, dtype=float))
         return bool(
             np.all(p >= np.asarray(self.lower) - tol)

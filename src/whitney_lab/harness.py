@@ -163,19 +163,19 @@ class ExperimentConfig:
         _known_keys("resolution", res_raw, Resolutions.__dataclass_fields__)
         resolutions = Resolutions(**{k: _number(f"resolutions.{k}", v, int)
                                      for k, v in res_raw.items()})
-        if resolutions.h_grid < 2:  # the bound modulus enforces
-            raise ConfigError(f"h_grid must be >= 2, got {resolutions.h_grid}")
-        if resolutions.minimax_grid < 0:
-            raise ConfigError(f"resolutions.minimax_grid must be >= 0 (0 = automatic), "
-                              f"got {resolutions.minimax_grid}")
-        try:  # QuadratureSpec's bounds; panel and mean nodes are Gauss counts too
-            for n in (resolutions.quad_nodes, resolutions.panel_nodes, resolutions.mean_nodes):
-                QuadratureSpec(n, resolutions.sup_nodes)
+        # h_grid's floor is the one modulus enforces
+        for key, least in (("h_grid", 2), ("minimax_grid", 0), ("panel_nodes", 1),
+                           ("mean_nodes", 1)):
+            if getattr(resolutions, key) < least:
+                raise ConfigError(f"resolutions.{key} must be >= {least}, "
+                                  f"got {getattr(resolutions, key)}")
+        try:  # QuadratureSpec owns the bounds of quad_nodes and sup_nodes
+            QuadratureSpec(resolutions.quad_nodes, resolutions.sup_nodes)
         except GeometryError as exc:
             raise ConfigError(f"resolutions {res_raw}: {exc}") from exc
         out = raw.get("output", {})
         _known_keys("output", out, ("path", "format"))
-        fmt = out.get("format", "csv")
+        fmt = out.get("format", cls.output_format)
         if fmt not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {fmt!r}")
         path = out.get("path")
@@ -186,13 +186,16 @@ class ExperimentConfig:
             t = tuple(_number("t", v) for v in (t if isinstance(t, (list, tuple)) else [t]))
             if len(t) != dim or not all(0 < v < math.inf for v in t):
                 raise ConfigError(f"t {t} must have {dim} positive finite entries")
-        shrink_levels = _number("shrink_levels", raw.get("shrink_levels", 0), int)
+        def given(key):  # the config's value, else the field's default
+            return raw.get(key, getattr(cls, key))
+
+        shrink_levels = _number("shrink_levels", given("shrink_levels"), int)
         if shrink_levels < 0:
             raise ConfigError(f"shrink_levels must be >= 0, got {shrink_levels}")
-        t_sweep = _number("t_sweep", raw.get("t_sweep", 12), int)
+        t_sweep = _number("t_sweep", given("t_sweep"), int)
         if t_sweep < 1:
             raise ConfigError(f"t_sweep must be >= 1, got {t_sweep}")
-        t_min_factor = _number("t_min_factor", raw.get("t_min_factor", 0.01))
+        t_min_factor = _number("t_min_factor", given("t_min_factor"))
         if not 0 < t_min_factor < math.inf:
             raise ConfigError(f"t_min_factor must be positive and finite, got {t_min_factor}")
         return cls(
@@ -206,9 +209,9 @@ class ExperimentConfig:
             resolutions=resolutions,
             output_path=path,
             output_format=fmt,
-            jobs=_number("jobs", raw.get("jobs", 1), int),
-            include_p_mean=_flag(raw, "include_p_mean", True),
-            record_runtime=_flag(raw, "record_runtime", False),
+            jobs=_number("jobs", given("jobs"), int),
+            include_p_mean=_flag("include_p_mean", given("include_p_mean")),
+            record_runtime=_flag("record_runtime", given("record_runtime")),
             t_min_factor=t_min_factor,
         )
 
@@ -239,9 +242,8 @@ def _known_keys(where: str, raw, known) -> None:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
-def _flag(raw: dict, key: str, default: bool) -> bool:
+def _flag(key: str, value) -> bool:
     """A JSON ``true``/``false`` (a string such as ``"false"`` is an error)."""
-    value = raw.get(key, default)
     if not isinstance(value, bool):
         raise ConfigError(f"{key} must be true or false, got {value!r}")
     return value
@@ -335,11 +337,8 @@ def csv_bytes(rows: list[ResultRow]) -> bytes:
     lines = [CSV_HEADER]
     for row in rows:
         f = row.fields()
-        value = "nan" if f["value"] is None else _fmt_float(f["value"])
-        lines.append(",".join([
-            f["experiment"], f["function_id"], str(f["d"]), f["r"], f["p"],
-            f["box"], f["t"], f["quantity"], value, str(f["runtime_ms"]),
-        ]))
+        f["value"] = "nan" if f["value"] is None else _fmt_float(f["value"])
+        lines.append(",".join(str(v) for v in f.values()))
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -527,13 +526,22 @@ def _run_task(task) -> tuple[list[ResultRow], bool]:
 
 
 def _enumerate_tasks(experiment: str, cfg: ExperimentConfig) -> list[tuple]:
+    """The tasks of a sweep in configuration order.  ``lemma21`` keeps the 1-D
+    entries and ``taylor`` and ``lemma21`` the entries with derivatives; a
+    sweep that keeps none is a config error, not an empty output."""
+    fids = cfg.function_ids
+    if experiment == "lemma21":
+        fids = [fid for fid in fids if get_function(fid).dimension == 1]
+        if not fids:
+            raise ConfigError(f"lemma21 is univariate, and none of {list(cfg.function_ids)} "
+                              "is a 1-D entry")
+    if experiment in ("taylor", "lemma21"):
+        fids = [fid for fid in fids if get_function(fid).is_sobolev]
+        if not fids:
+            raise ConfigError(f"{experiment} needs derivatives, and none of "
+                              f"{list(cfg.function_ids)} has them")
     tasks = []
-    for fid in cfg.function_ids:
-        f = get_function(fid)
-        if experiment in ("taylor", "lemma21") and not f.is_sobolev:
-            continue  # these sweeps need derivatives: skip entries without them
-        if experiment == "lemma21" and f.dimension != 1:
-            continue
+    for fid in fids:
         for r in cfg.orders:
             frames = _task_frames(experiment, cfg, r)
             for p in cfg.p_values:

@@ -151,7 +151,7 @@ def best_approx(f, r, p: float, box: Parallelepiped, *,
         raise ValueError("best approximation is computed only for p in {1, 2, inf}")
     if grid is None:
         grid = tuple(max(4 * ri, 17) for ri in r)
-    grid = tuple(int(g) for g in np.atleast_1d(grid))
+    grid = as_order(grid if np.ndim(grid) else (grid,))  # bools and fractions refused
     if len(grid) != box.dim:
         raise ValueError(f"grid {grid} needs one node count per axis of the "
                          f"{box.dim}-dimensional box")

@@ -36,13 +36,7 @@ RANK_TOL = 1e-8  # a row raises the rank if this share of its norm is independen
 
 
 class SimplexError(RuntimeError):
-    """Solver failure; carries the best feasible incumbent found so far."""
-
-    def __init__(self, message: str, incumbent: np.ndarray | None = None,
-                 objective: float | None = None):
-        super().__init__(message)
-        self.incumbent = incumbent
-        self.objective = objective
+    """Solver failure; the message names the cause."""
 
 
 def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
@@ -54,9 +48,8 @@ def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
     ``slacks = (rows, signs)``, column ``A.shape[1] + i`` is ``signs[i]`` times
     the unit vector of row ``rows[i]`` (no slacks by default).  ``basis`` must
     index a basic feasible solution, one column per row.  Returns the optimal
-    ``x`` and objective.  Raises :class:`SimplexError` with the incumbent
-    attached when the iteration cap (50 * (#variables + #constraints) by
-    default) is reached.
+    ``x`` and objective.  Raises :class:`SimplexError` when the iteration cap
+    (50 * (#variables + #constraints) by default) is reached.
     """
     m, n = A.shape
     A = np.asarray(A, dtype=float)
@@ -101,11 +94,6 @@ def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
     opt_tol = PIVOT_TOL * (1.0 + np.abs(cost).max() + np.abs(rhs).max())
     np.clip(rhs, 0.0, None, out=rhs)
 
-    def current_x():
-        x = np.zeros(cost.size)
-        x[basis] = rhs
-        return x
-
     reduced = np.empty(cost.size)  # structural, then slack: argmin ties go to the first
     cost_x, cost_l, red_x, red_l = cost[:n], cost[n:], reduced[:n], reduced[n:]
     positions = np.arange(m)
@@ -128,13 +116,12 @@ def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
                        else signs[col - n] * (positions == rows[col - n]))
         positive = column > PIVOT_TOL * (1.0 + np.abs(column).max())
         if not positive.any():
-            raise SimplexError("LP is unbounded", current_x(), float(cost[basis] @ rhs))
+            raise SimplexError("LP is unbounded")
         ratios = np.divide(rhs, column, out=np.full(m, np.inf), where=positive)
         best = ratios.min()
         candidates = np.nonzero(ratios <= best + PIVOT_TOL * (1.0 + best))[0]
         if candidates.size == 0 or not np.isfinite(best):
-            raise SimplexError("numerical breakdown in the ratio test",
-                               current_x(), float(cost[basis] @ rhs))
+            raise SimplexError("numerical breakdown in the ratio test")
         if bland:
             # Bland's anti-cycling rule: lowest-label variable leaves; skip
             # rows whose pivot entry is pure noise when a solid one is tied
@@ -165,9 +152,9 @@ def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
         fidx = free.nonzero()[0]
         block = A_S[fidx]
     else:
-        x = current_x()
-        raise SimplexError("iteration cap reached", x, float(cost @ x))
-    x = current_x()
+        raise SimplexError("iteration cap reached")
+    x = np.zeros(cost.size)
+    x[basis] = rhs
     return x, float(cost @ x)
 
 

@@ -205,8 +205,7 @@ class SmoothedFunction:
 
     def __call__(self, x) -> np.ndarray:
         pts = _pts(x, self.dimension)
-        if not (np.all(pts >= np.asarray(self.domain.lower) - 1e-10)
-                and np.all(pts <= np.asarray(self.domain.upper) + 1e-10)):
+        if not self.domain.contains(pts, tol=1e-10):
             raise DomainValidityError("evaluation outside the operator validity box")
         return _apply_at_points(self.ops, self.base, pts)
 
@@ -308,6 +307,8 @@ def smooth_univariate(f, k: int, t: float, axis: int, box: Parallelepiped,
 def _signed_ops_and_domain(r: tuple[int, ...], t, box: Parallelepiped, panel_nodes: int):
     """The smoothing stencil of each axis at the signed steps t, and the
     validity box they share."""
+    if min(r) < 1:
+        raise ValueError(f"smoother orders must be >= 1, got {r}")
     t = as_steps(t, len(r))
     ops = []
     lo, hi = list(box.lower), list(box.upper)

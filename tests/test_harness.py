@@ -4,11 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import types
 
 import pytest
 
 from whitney_lab import cli, harness
 from whitney_lab.harness import (
+    CSV_HEADER,
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
@@ -123,6 +125,10 @@ class TestConfig:
         ({"output": {"path": 7}}, "output.path"),
         ({"output": {"path": True}}, "output.path"),
         ({"resolutions": {"minimax_grid": -4}}, "resolutions.minimax_grid"),
+        # these borrowed QuadratureSpec's Gauss/sup-grid message, or had no prefix
+        ({"resolutions": {"mean_nodes": 0}}, "resolutions.mean_nodes"),
+        ({"resolutions": {"panel_nodes": 0}}, "resolutions.panel_nodes"),
+        ({"resolutions": {"h_grid": 1}}, "resolutions.h_grid"),
     ])
     def test_malformed_value_names_its_key(self, overrides, key):
         # int() / float() failures and silent truncation are config errors
@@ -172,6 +178,7 @@ class TestEmit:
             b"experiment,function_id,d,r,p,box,t,quantity,value,runtime_ms\n")
 
     def test_single_row_two_lines(self):
+        assert CSV_HEADER.split(",") == list(self._row().fields())  # csv_bytes' column order
         text = csv_bytes([self._row()]).decode()
         lines = text.strip().split("\n")
         assert len(lines) == 2
@@ -265,6 +272,20 @@ class TestRunners:
         checks = [r.value for r in result.rows if r.quantity == "ratio_lower_check"
                   and not math.isnan(r.value)]
         assert checks and all(abs(v - 1.0) < 1e-9 for v in checks)
+
+    @pytest.mark.parametrize("runner,overrides,message", [
+        (run_lemma21, {"function_ids": ["exp_d2", "sinprod_d2"], "orders": [[2, 2]],
+                       "box": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}},
+         "lemma21 is univariate, and none of ['exp_d2', 'sinprod_d2'] is a 1-D entry"),
+        (run_lemma21, {"function_ids": ["abspow_d1"]},
+         "lemma21 needs derivatives, and none of ['abspow_d1'] has them"),
+        (run_taylor, {"function_ids": ["abspow_d1"]},
+         "taylor needs derivatives, and none of ['abspow_d1'] has them"),
+    ], ids=["lemma21-d2", "lemma21-no-derivatives", "taylor-no-derivatives"])
+    def test_sweep_selecting_no_entry_is_a_config_error(self, runner, overrides, message):
+        # each used to return no rows, which the CLI wrote as a header-only CSV
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            runner(_cfg(**overrides))
 
     def test_lemma21_filters_dimension_and_tag(self):
         cfg = _cfg(function_ids=["exp_d1", "abspow_d1"], orders=[[2]], p_values=[2])
@@ -407,12 +428,16 @@ class TestCli:
         path.write_text(json.dumps(raw))
         return path
 
+    @pytest.fixture(autouse=True)
+    def _in_process(self, monkeypatch, capsys):
+        self._monkeypatch, self._capsys = monkeypatch, capsys
+
     def _run(self, *args, env_extra=None):
-        env = cli_env()
-        if env_extra:
-            env.update(env_extra)
-        return subprocess.run([sys.executable, "-m", "whitney_lab.cli", *args],
-                              capture_output=True, text=True, env=env)
+        """``cli.main`` in this process: its exit code and what it wrote to stderr."""
+        for key, value in (env_extra or {}).items():
+            self._monkeypatch.setenv(key, value)
+        code = cli.main(list(args))
+        return types.SimpleNamespace(returncode=code, stderr=self._capsys.readouterr().err)
 
     def test_whitney_runs_and_is_deterministic(self, tmp_path):
         cfg = self._write_config(tmp_path)
@@ -471,10 +496,12 @@ class TestCli:
         assert records and records[0]["experiment"] == "bestapprox"
 
     def test_config_error_exit_code_2(self, tmp_path):
+        # through ``python -m whitney_lab.cli``: the process exits with main's code
         path = tmp_path / "bad.json"
         path.write_text('{"function_ids": ["exp_d1"]}')
-        res = self._run("whitney", "--config", str(path), "--out",
-                        str(tmp_path / "x.csv"))
+        res = subprocess.run([sys.executable, "-m", "whitney_lab.cli", "whitney",
+                              "--config", str(path), "--out", str(tmp_path / "x.csv")],
+                             capture_output=True, text=True, env=cli_env())
         assert res.returncode == 2
         assert "config error" in res.stderr
 
@@ -543,6 +570,20 @@ class TestCli:
                         str(tmp_path / "x.csv"))
         assert res.returncode == 2
         assert "config error" in res.stderr
+
+    @pytest.mark.parametrize("experiment,overrides", [
+        ("lemma21", {"function_ids": ["exp_d2"], "orders": [[2, 2]],
+                     "box": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}}),
+        ("taylor", {"function_ids": ["abspow_d1"]}),
+    ], ids=["lemma21-d2", "taylor-no-derivatives"])
+    def test_sweep_selecting_no_entry_exit_code_2(self, tmp_path, experiment, overrides):
+        # both wrote a header-only CSV and exited 0
+        cfg = self._write_config(tmp_path, **overrides)
+        out = tmp_path / "x.csv"
+        res = self._run(experiment, "--config", str(cfg), "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"config error: {experiment} ")
+        assert not out.exists()
 
     def test_threads_env_fallback(self, tmp_path):
         cfg = self._write_config(tmp_path)

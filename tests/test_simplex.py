@@ -33,13 +33,12 @@ def test_degenerate_problem_terminates():
     assert val == pytest.approx(-2.0)
 
 
-def test_iteration_cap_carries_incumbent():
+def test_iteration_cap_raises():
     A = np.array([[1.0, 1.0]])
     b = np.array([1.0])
     c = np.array([-1.0, 0.0])
-    with pytest.raises(SimplexError) as err:
+    with pytest.raises(SimplexError, match="iteration cap"):
         simplex_solve(A, b, c, [1], max_iter=0)
-    assert err.value.incumbent is not None
 
 
 def test_minimax_best_constant():

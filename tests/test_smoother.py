@@ -235,6 +235,15 @@ class TestSmoothedDerivative:
             smoothed_derivative(get_function("exp_d1"), (2,), (0.01,),
                                 (), unit_box_1d)
 
+    @pytest.mark.parametrize("build", [
+        lambda f, box: smooth_mixed(f, (2, 0), (0.01, 0.01), box),
+        lambda f, box: smoothed_derivative(f, (0, 2), (0.01, 0.01), (1,), box),
+    ], ids=["smooth_mixed", "smoothed_derivative"])
+    def test_order_below_one_rejected(self, unit_box_2d, build):
+        # an order entry of 0 used to divide by zero in the validity rule
+        with pytest.raises(ValueError, match="smoother orders must be >= 1"):
+            build(get_function("exp_d2"), unit_box_2d)
+
 
 class TestSubdivision:
     def test_d1_quarter_point_geometry(self, unit_box_1d):
