@@ -5,7 +5,7 @@ The univariate operator of order m with step h is
 across the active axes.  By translation ``Delta_{-h} f(x) = (-1)^r
 Delta_h f(x - r h)`` per axis, and the shifted box of ``-h`` is that of ``h``
 moved by ``r h``, so the norm of a difference is even in each active ``h_i``:
-the sup-type modulus searches non-negative step grids and the p-mean modulus
+the sup-type modulus searches positive step grids and the p-mean modulus
 integrates ``[0, t_i]`` with doubled weights (tests check both against signed
 loops).  Every shifted box is an affine image of one reference grid, so
 :func:`_shift_norms` measures a whole step grid in a few array passes.
@@ -163,7 +163,10 @@ def modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
     difference over the shifted domain; empty shifted domains contribute
     nothing.  ``t`` is clamped componentwise to the box size (a larger search
     radius adds nothing; the clamp is logged).  ``h_grid`` is the number of
-    equispaced step values searched per active axis, endpoints included.
+    equispaced step values per active axis, endpoints included.  The zero
+    step is never evaluated: a difference with ``h_i = 0`` on an active axis
+    is 0, so the search runs over the other ``h_grid - 1`` values of each
+    axis, and any active ``t_i == 0`` gives 0.0.
     """
     dim = function_dim(f, domain)
     r_e = as_order(r_e, dim)
@@ -177,8 +180,10 @@ def modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
     if clamped != t:
         log.info("clamping modulus step bound %s to box size %s", t, clamped)
     t = clamped
-    steps = np.zeros((h_grid ** len(active), dim))
-    steps[:, active] = tensor_grid([np.linspace(0.0, t[i], h_grid) for i in active])
+    if any(t[i] == 0.0 for i in active):
+        return 0.0  # every difference in the search has a zero step
+    steps = np.zeros(((h_grid - 1) ** len(active), dim))
+    steps[:, active] = tensor_grid([np.linspace(0.0, t[i], h_grid)[1:] for i in active])
     # empty boxes give 0 and a NaN norm raises, so the max starts at 0
     best = np.max(_shift_norms(f, r_e, steps, p, domain, quad), initial=0.0)
     return float(best if p == math.inf else best ** (1.0 / p))

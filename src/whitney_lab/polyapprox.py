@@ -151,7 +151,10 @@ def best_approx(f, r, p: float, box: Parallelepiped, *,
         raise ValueError("best approximation is computed only for p in {1, 2, inf}")
     if grid is None:
         grid = tuple(max(4 * ri, 17) for ri in r)
-    grid = as_order(grid if np.ndim(grid) else (grid,))  # bools and fractions refused
+    try:  # bools and fractions refused
+        grid = as_order(grid if np.ndim(grid) else (grid,))
+    except GeometryError as exc:
+        raise GeometryError(f"grid {grid} needs whole node counts, one per axis") from exc
     if len(grid) != box.dim:
         raise ValueError(f"grid {grid} needs one node count per axis of the "
                          f"{box.dim}-dimensional box")

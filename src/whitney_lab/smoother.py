@@ -16,28 +16,34 @@ which realizes a valid smoother on each of the 2^d quarter-trimmed subboxes
 used by the subdivision argument.
 
 Everything reduces to separable offset/weight stencils applied to the base
-function, so a norm over the box takes the per-axis nodes and weights of
-:func:`whitney_lab.geometry.tensor_quadrature`, evaluates the base function
-once on those nodes expanded by the stencil offsets, and contracts axis by
-axis.  One term is factored instead: the smoothing term ``||f - A_t f||``
-of a bracket, for a base with a factor view (``FunctionSpec.factors``), is
-the outer product of 1-D stencil outputs, one per axis
-(:func:`_smoothed_lp_norm`).  Its weights sum to at most 2^k in absolute
-value whatever t is, so the factored form moves it at round-off only.  The
-derivative terms stay on the grid: their weights sum to about t^-r per axis,
-and the same change of round-off moved them by up to 2% at small t, so
-factoring them changes the output.  The order of contraction does not tame
-the cancellation of the derivative stencils: the round-off of the base
-values is amplified by the product of the per-axis weight sums, about
-``prod t_i^-r_i`` on the derivative axes, so at small t the mixed derivative
-norms carry a relative error far above the unit round-off (ROADMAP item 2).
+function.  For a base with a factor view (``FunctionSpec.factors``), a term
+whose stencils put a derivative on at most one axis is the outer product of
+1-D stencil outputs, one per axis (:func:`_smoothed_lp_norm`): O(sum n_i l_i)
+work, not O(prod n_i l_i).  These are the smoothing term ``||f - A_t f||``
+of a bracket and its ``|e| = 1`` derivative terms (every derivative term in
+d = 1).  A smoothing stencil's weights sum to at most 2^k in absolute value
+whatever t is, and a derivative stencil's to about t^-r, so such a term
+amplifies round-off on its one derivative axis only, and the factored form
+moves it at round-off only.  Every other term -- derivatives on two or
+more axes, or a base without factors -- takes the per-axis nodes and
+weights of :func:`whitney_lab.geometry.tensor_quadrature`, evaluates the
+base function once on those nodes expanded by the stencil offsets, and
+contracts axis by axis.  The order of contraction does not tame the
+cancellation of the derivative stencils: the round-off of the base values
+is amplified by the product of the per-axis weight sums, about
+``prod t_i^-r_i`` on the derivative axes, so at small t the mixed
+derivative norms carry a relative error far above the unit round-off
+(ROADMAP item 8), and factoring them would move the output by up to 2% at
+small t.
 
-The same amplification makes the output bits depend on how the contraction
-is handed to BLAS.  Each contraction is one ``tensordot``, that is one
-matrix-vector product of the values, flattened to rows, with an axis's
-weights.  Which kernel treats a row, and so the last bit of its sum, depends
-on the matrix's shape, its storage order (row- or column-major) and the
-row's position in it: gemv gives the last rows of a matrix their own kernel.
+The same amplification makes the bits of a grid-contracted term depend on
+how the contraction is handed to BLAS; the rules below serve only those
+terms, the mixed ones and those of a base without factors.  Each
+contraction is one ``tensordot``, that is one matrix-vector product of the
+values, flattened to rows, with an axis's weights.  Which kernel treats a
+row, and so the last bit of its sum, depends on the matrix's shape, its
+storage order (row- or column-major) and the row's position in it: gemv
+gives the last rows of a matrix their own kernel.
 A block of grid rows (``_CHUNK_BUDGET`` values at most, whole rows of axis 0)
 is evaluated by :func:`whitney_lab.geometry.broadcast_values` in the layout
 ``(n_0, n_1, l_1, ..., n_{d-1}, l_{d-1}, l_0)``, n_i the grid nodes and l_i
@@ -149,10 +155,14 @@ def _bspline_quadrature(k: int, panel_nodes: int) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True)
 class AxisOp:
-    """Separable 1-D stencil: (L f)(x) = sum_n weights[n] * f(x + offsets[n])."""
+    """Separable 1-D stencil: (L f)(x) = sum_n weights[n] * f(x + offsets[n]).
+
+    ``derivative`` marks the stencils of :func:`_derivative_op`, whose weights
+    sum to about t^-r in absolute value (module docstring)."""
 
     offsets: np.ndarray
     weights: np.ndarray
+    derivative: bool = False
 
 
 def _identity_op() -> AxisOp:
@@ -179,7 +189,7 @@ def _derivative_op(k: int, t: float) -> AxisOp:
         for l in range(k + 1):
             offs.append(l * j * t)
             wts.append(outer * ((-1.0) ** (k - l)) * math.comb(k, l))
-    return AxisOp(np.asarray(offs), np.asarray(wts))
+    return AxisOp(np.asarray(offs), np.asarray(wts), derivative=True)
 
 
 def _trimmed_interval(a: float, b: float, t: float) -> tuple[float, float]:
@@ -256,21 +266,21 @@ def _apply_on_tensor_grid(ops: tuple[AxisOp, ...], base,
     return np.concatenate(chunks, axis=0)
 
 
-def _smoothed_lp_norm(ops, base, p: float, domain: Parallelepiped,
-                      quad: QuadratureSpec, subtract_base: bool = False) -> float:
-    """L_p norm of the stencil output (or of base - output) over the box.
+def _smoothed_lp_norm(ops, base, p: float, grid, subtract_base: bool = False) -> float:
+    """L_p norm of the stencil output (or of base - output) on ``grid``, the
+    ``(axes, wts)`` of :func:`tensor_quadrature` for p.
 
-    With ``subtract_base`` and a base that has ``factors`` (the smoothing term
-    ``||f - A_t f||``), the output is the outer product of the per-axis stencil
-    outputs ``factor_i(x_i + offsets_i) @ weights_i``: O(sum n_i l_i) work,
-    not O(prod n_i l_i).  The smoothing weights sum to at most 2^k in absolute
-    value, so this moves the norm at round-off only.  The derivative stencils
-    keep the grid contraction, because their weights sum to about t^-r and
-    amplify the change of round-off into the output (module docstring).
+    For a base with ``factors`` and stencils with a derivative on at most one
+    axis, the output is the outer product of the per-axis stencil outputs
+    ``factor_i(x_i + offsets_i) @ weights_i``: O(sum n_i l_i) work, not
+    O(prod n_i l_i), and a move at round-off only.  A stencil with derivatives
+    on two or more axes keeps the grid contraction, whose round-off the
+    product of the derivative weight sums amplifies into the output (module
+    docstring).
     """
-    axes, wts = tensor_quadrature(domain, quad, p)
+    axes, wts = grid
     factors = getattr(base, "factors", None)
-    if subtract_base and factors is not None:
+    if factors is not None and sum(op.derivative for op in ops) <= 1:
         vals = reduce(np.multiply.outer, [fac(x[:, None] + op.offsets) @ op.weights
                                           for fac, x, op in zip(factors, axes, ops)])
     else:
@@ -423,23 +433,24 @@ def _directional_upper(f: FunctionSpec, r: tuple[int, ...], t, sigma: tuple[int,
                        p, box, quad: QuadratureSpec, panel_nodes: int):
     """Functional value of the signed smoother, measured on its validity box.
 
-    The validity box and each axis's smoothing and derivative stencils are
-    built once per sigma.  The term of subset e takes the derivative stencil
-    on e's axes and the smoothing stencil elsewhere: the stencils that
-    :func:`smoothed_derivative` builds for e, so each term has the bits of
-    that reference path.
+    The validity box, its quadrature grid and each axis's smoothing and
+    derivative stencils are built once per sigma.  The term of subset e takes
+    the derivative stencil on e's axes and the smoothing stencil elsewhere:
+    the stencils that :func:`smoothed_derivative` builds for e, so each term
+    has the bits of that reference path.
     """
     t = as_steps(t, len(r))
     signed = [s * ti for s, ti in zip(sigma, t)]
     smooth, domain = _signed_ops_and_domain(r, signed, box, panel_nodes)
     deriv = [_derivative_op(r[i], ti) for i, ti in enumerate(signed)]
-    value = _smoothed_lp_norm(smooth, f, p, domain, quad, subtract_base=True)
+    grid = tensor_quadrature(domain, quad, p)
+    value = _smoothed_lp_norm(smooth, f, p, grid, subtract_base=True)
     f_minus_g = value
     deriv_terms = {}
     for e in subsets(len(r)):
         ops = tuple(deriv[i] if i in e else op for i, op in enumerate(smooth))
         weight = float(np.prod([t[i] ** r[i] for i in e]))
-        term = weight * _smoothed_lp_norm(ops, f, p, domain, quad)
+        term = weight * _smoothed_lp_norm(ops, f, p, grid)
         deriv_terms[e] = term
         value += term
     return value, f_minus_g, deriv_terms

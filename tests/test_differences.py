@@ -97,6 +97,32 @@ class TestModulus:
         assert "clamping modulus step bound (7.0,) to box size (1.0,)" in caplog.text
         assert got == modulus(f, (1,), (1.0,), INF, unit_box_1d, quad=quad_1d, h_grid=9)
 
+    @pytest.mark.parametrize("e", [(0,), (1,), (0, 1)])
+    @pytest.mark.parametrize("p", [1.0, INF])
+    def test_zero_step_is_never_evaluated(self, unit_box_2d, quad_2d_fast, e, p):
+        # a difference with h_i = 0 on an active axis is 0: at steps small enough
+        # that no shifted box is empty, f sees the (h_grid - 1)^|e| positive
+        # steps, each on its T difference terms times the reference grid
+        f, points = get_function("exp_d2"), []
+
+        def counted(pts):
+            points.append(len(pts))
+            return f(pts)
+
+        r_e, h_grid = project((2, 1), e), 9
+        got = modulus(counted, r_e, (0.1, 0.1), p, unit_box_2d, quad=quad_2d_fast,
+                      h_grid=h_grid)
+        terms = math.prod(ri + 1 for ri in r_e)
+        n_ref = math.prod(quad_2d_fast.rule_for(p, 2)[1])
+        assert sum(points) == (h_grid - 1) ** len(e) * terms * n_ref
+        assert got > 0.0
+        # an active step bound of 0 leaves nothing to search, and f is not called
+        points.clear()
+        zero = tuple(0.0 if i == e[0] else 0.1 for i in range(2))
+        assert modulus(counted, r_e, zero, p, unit_box_2d, quad=quad_2d_fast,
+                       h_grid=h_grid) == 0.0
+        assert points == []
+
     def test_resolutions_are_keyword_only(self, unit_box_1d, quad_1d):
         # the old positional order put h_grid before quad for total_modulus and
         # after it for total_p_mean_modulus
@@ -252,7 +278,8 @@ class TestNaNNorms:
 
     @pytest.mark.parametrize("p", [1.0, 2.0, INF])
     def test_modulus_raises_naming_the_step(self, unit_box_1d, quad_1d, p):
-        with pytest.raises(FloatingPointError, match=r"NaN norm .* at step \(0\.0,\)"):
+        # the first step evaluated is t / (h_grid - 1): the zero step is skipped
+        with pytest.raises(FloatingPointError, match=r"NaN norm .* at step \(0\.015625,\)"):
             modulus(self.NAN_TAIL, (1,), (0.5,), p, unit_box_1d, quad=quad_1d, h_grid=33)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, INF])

@@ -1,16 +1,18 @@
 """Tensor-grid evaluation: ``grid_values`` gives the point-wise values bit for
 bit, so the stencil evaluator, the moduli kernel, the norms and the fits
 return the same bits for a corpus entry (axis by axis) and for the same entry
-behind a plain callable (the point-list fallback).  The one exception is the smoothing term
-``||f - A_t f||`` of an entry with ``factors``, computed from 1-D stencils: it
-agrees with the grid contraction within an a-priori round-off bound."""
+behind a plain callable (the point-list fallback).  The one exception is a
+stencil term of an entry with ``factors`` whose stencils put a derivative on at
+most one axis (the smoothing term ``||f - A_t f||`` and the ``|e| = 1``
+derivative terms), computed from 1-D stencils: it agrees with the grid
+contraction within an a-priori round-off bound."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from whitney_lab import differences, functions, smoother
@@ -90,10 +92,11 @@ def _plain(f):
 
 
 def _factor_bound(ops, f, p, domain, quad):
-    """How far the factored smoothing term may move ``_smoothed_lp_norm(...,
-    subtract_base=True)``: ``64 eps prod_i ||w_i||_1 max|f|``, the max over the
-    grid expanded by the stencil offsets, times ``(sum of the quadrature
-    weights)^(1/p)``, the norm's Lipschitz constant in the sup norm."""
+    """How far the factored form may move ``_smoothed_lp_norm`` of a stencil
+    with a derivative on at most one axis, with or without ``subtract_base``:
+    ``64 eps prod_i ||w_i||_1 max|f|``, the max over the grid expanded by the
+    stencil offsets, times ``(sum of the quadrature weights)^(1/p)``, the
+    norm's Lipschitz constant in the sup norm."""
     axes, wts = tensor_quadrature(domain, quad, p)
     expanded = [(x[:, None] + op.offsets).reshape(-1) for x, op in zip(axes, ops)]
     f_max = float(np.max(np.abs(grid_values(f, expanded))))
@@ -120,10 +123,12 @@ def test_stencils_agree_on_both_paths(fid, chunks):
     box = Parallelepiped([0.1] * d, [0.9] * d)
     r, t = (2,) * d, (0.04, -0.03)[:d]
     quad = QuadratureSpec(5, 7)
-    stencils = [smooth_mixed(f, r, t, box, 4)]
-    stencils += [smoothed_derivative(f, r, t, e, box, 4) for e in subsets(d)]
+    # each stencil with the number of axes that carry a derivative
+    stencils = [(smooth_mixed(f, r, t, box, 4), 0)]
+    stencils += [(smoothed_derivative(f, r, t, e, box, 4), len(e)) for e in subsets(d)]
     pts = np.random.default_rng(0).uniform(0.3, 0.6, size=(11, d))
-    for g in stencils:
+    no_factors = dataclasses.replace(f, factors=None)
+    for g, n_deriv in stencils:
         axes = [axis_rule("gauss_legendre", 4, *g.domain.axis_interval(i))[0]
                 for i in range(d)]
         assert np.array_equal(_apply_on_tensor_grid(g.ops, f, axes),
@@ -131,16 +136,16 @@ def test_stencils_agree_on_both_paths(fid, chunks):
         assert np.array_equal(_apply_at_points(g.ops, f, pts),
                               _apply_at_points(g.ops, _plain(f), pts))
         for p in (1.0, 2.0, math.inf):
-            args = (p, g.domain, quad)
-            assert (_smoothed_lp_norm(g.ops, f, *args)
-                    == _smoothed_lp_norm(g.ops, _plain(f), *args))
-            # without factors, base - output is the grid contraction's, bit for bit
-            plain_diff = _smoothed_lp_norm(g.ops, _plain(f), *args, subtract_base=True)
-            assert (_smoothed_lp_norm(g.ops, dataclasses.replace(f, factors=None), *args,
-                                      subtract_base=True) == plain_diff)
-            # with factors, the output is the outer product of 1-D stencil outputs
-            assert (abs(_smoothed_lp_norm(g.ops, f, *args, subtract_base=True) - plain_diff)
-                    <= _factor_bound(g.ops, f, *args))
+            args = (p, tensor_quadrature(g.domain, quad, p))
+            for subtract_base in (False, True):
+                plain = _smoothed_lp_norm(g.ops, _plain(f), *args, subtract_base)
+                # without factors, the grid contraction's bits
+                assert _smoothed_lp_norm(g.ops, no_factors, *args, subtract_base) == plain
+                got = _smoothed_lp_norm(g.ops, f, *args, subtract_base)
+                if n_deriv <= 1:  # the outer product of 1-D stencil outputs
+                    assert abs(got - plain) <= _factor_bound(g.ops, f, p, g.domain, quad)
+                else:  # derivatives on two axes: the grid contraction, bit for bit
+                    assert got == plain
 
 
 @pytest.mark.parametrize("fid", ["exp_d1", "abspow_d1", "exp_d2", "sinprod_d2",
@@ -248,7 +253,26 @@ def test_factored_smoothing_term_matches_the_grid_contraction(case, panel_nodes,
     f, box, r, t, p = case
     g = smooth_mixed(f, r, t, box, panel_nodes)
     quad = QuadratureSpec(nodes, nodes + 1)
-    args = (p, g.domain, quad, True)
+    args = (p, tensor_quadrature(g.domain, quad, p), True)
+    got = _smoothed_lp_norm(g.ops, f, *args)
+    generic = _smoothed_lp_norm(g.ops, dataclasses.replace(f, factors=None), *args)
+    assert abs(got - generic) <= _factor_bound(g.ops, f, p, g.domain, quad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(smoothing_cases(), st.sampled_from([1.0, 2.0, 3.5, math.inf]), st.integers(2, 6),
+       st.integers(2, 9), st.data())
+def test_factored_one_derivative_axis_terms_match_the_grid_contraction(
+        case, p, panel_nodes, nodes, data):
+    # the derivative stencil amplifies round-off by about |t|^-r on its axis,
+    # which the bound's ||w||_1 carries; t keeps both signs, but stays off 0
+    # on that axis, where t^-r overflows
+    f, box, r, t, _ = case
+    axis = data.draw(st.integers(0, f.dimension - 1))
+    assume(abs(t[axis]) >= 1e-3 * box.size()[axis] / (4 * r[axis] ** 2))
+    g = smoothed_derivative(f, r, t, (axis,), box, panel_nodes)
+    quad = QuadratureSpec(nodes, nodes + 1)
+    args = (p, tensor_quadrature(g.domain, quad, p))
     got = _smoothed_lp_norm(g.ops, f, *args)
     generic = _smoothed_lp_norm(g.ops, dataclasses.replace(f, factors=None), *args)
     assert abs(got - generic) <= _factor_bound(g.ops, f, p, g.domain, quad)
@@ -264,16 +288,31 @@ def test_bracket_moves_only_its_smoothing_term(case):
     cfg = dict(quad=QuadratureSpec(6, 7), h_grid=5, panel_nodes=3)
     got = k_functional_bracket(f, r, t, p, box, **cfg)
     generic = k_functional_bracket(dataclasses.replace(f, factors=None), r, t, p, box, **cfg)
-    for key in ("deriv_terms", "omega_terms", "omega_total"):
+    for key in ("omega_terms", "omega_total"):
         assert repr(got.details[key]) == repr(generic.details[key])
     assert repr(got.lower) == repr(generic.lower)
+    got_terms, generic_terms = got.details["deriv_terms"], generic.details["deriv_terms"]
+    for e in subsets(f.dimension):
+        if len(e) > 1:  # derivatives on two axes: the grid contraction's bits
+            assert repr(got_terms[e]) == repr(generic_terms[e])
+    # per sign pattern: the bound of the factored smoothing term (key ()) and
+    # the weighted bounds of the one-derivative-axis terms
+    forward = tuple(range(f.dimension))
     bounds = {}
     for key in subdivision_boxes(box):
         signed = [ti if i in key else -ti for i, ti in enumerate(t)]
         g = smooth_mixed(f, r, signed, box, cfg["panel_nodes"])
-        bounds[key] = _factor_bound(g.ops, f, p, g.domain, cfg["quad"])
-    forward = tuple(range(f.dimension))
-    assert abs(got.details["f_minus_g"] - generic.details["f_minus_g"]) <= bounds[forward]
+        term_bounds = {(): _factor_bound(g.ops, f, p, g.domain, cfg["quad"])}
+        for i in range(f.dimension):
+            gd = smoothed_derivative(f, r, signed, (i,), box, cfg["panel_nodes"])
+            term_bounds[(i,)] = t[i] ** r[i] * _factor_bound(gd.ops, f, p, gd.domain,
+                                                              cfg["quad"])
+        bounds[key] = sum(term_bounds.values())
+        if key == forward:
+            assert (abs(got.details["f_minus_g"] - generic.details["f_minus_g"])
+                    <= term_bounds.pop(()))
+            for e, bound in term_bounds.items():
+                assert abs(got_terms[e] - generic_terms[e]) <= bound
     for key, bound in bounds.items():
         assert (abs(got.details["subdomain_uppers"][key]
                     - generic.details["subdomain_uppers"][key]) <= bound)

@@ -168,8 +168,8 @@ class TestBestApprox:
         ((2, 2), (13,), "per axis"),
         ((2, 2), 13, "per axis"),
         # a fractional count ran on its floor, and True as 1 node
-        ((2, 2), (17.9, 17), "whole numbers"),
-        ((2, 2), (True, 13), "whole numbers"),
+        ((2, 2), (17.9, 17), r"grid \(17\.9, 17\) needs whole node counts"),
+        ((2, 2), (True, 13), r"grid \(True, 13\) needs whole node counts"),
     ], ids=["order_1d", "grid_3d", "grid_1d", "grid_int", "grid_fraction", "grid_bool"])
     def test_order_and_grid_must_match_the_box(self, unit_box_2d, r, grid, match):
         # each is named, not a quadrature mismatch and not broadcast to every axis

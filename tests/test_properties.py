@@ -27,6 +27,7 @@ from whitney_lab.geometry import (
     lp_power_integral,
     project,
     shifted_domain,
+    tensor_quadrature,
 )
 from whitney_lab.polyapprox import TensorPolynomial, best_approx
 from whitney_lab.smoother import _identity_op, _smoothed_lp_norm
@@ -68,10 +69,10 @@ def test_polynomial_class_is_annihilated(case):
 def test_identity_stencil_norm_is_lp_norm(case):
     poly, r, _, p = case
     box, quad = poly.box, QuadratureSpec(6, 9)
-    ops = tuple(_identity_op() for _ in r)
-    assert _smoothed_lp_norm(ops, poly, p, box, quad) == pytest.approx(
+    ops, grid = tuple(_identity_op() for _ in r), tensor_quadrature(box, quad, p)
+    assert _smoothed_lp_norm(ops, poly, p, grid) == pytest.approx(
         lp_norm(poly, box, p, quad), rel=1e-12, abs=1e-300)
-    assert _smoothed_lp_norm(ops, poly, p, box, quad, subtract_base=True) == 0.0
+    assert _smoothed_lp_norm(ops, poly, p, grid, subtract_base=True) == 0.0
 
 
 # functions that are not even about any point of the box, per dimension

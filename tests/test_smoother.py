@@ -12,6 +12,7 @@ from whitney_lab.geometry import (
     QuadratureSpec,
     lp_norm,
     subsets,
+    tensor_quadrature,
 )
 from whitney_lab.harness import ExperimentConfig, Resolutions, _johnen_task
 from whitney_lab.smoother import (
@@ -381,25 +382,28 @@ class TestDirectionalUpper:
                 f, r, t, sigma, p, box, quad, panel_nodes)
             signed = [s * ti for s, ti in zip(sigma, t)]
             g = smooth_mixed(f, r, signed, box, panel_nodes)
-            expect = _smoothed_lp_norm(g.ops, f, p, g.domain, quad, subtract_base=True)
+            expect = _smoothed_lp_norm(g.ops, f, p, tensor_quadrature(g.domain, quad, p),
+                                       subtract_base=True)
             assert repr(f_minus_g) == repr(expect)
             for e in subsets(box.dim):
                 gd = smoothed_derivative(f, r, signed, e, box, panel_nodes)
                 weight = float(np.prod([t[i] ** r[i] for i in e]))
-                term = weight * _smoothed_lp_norm(gd.ops, f, p, gd.domain, quad)
+                term = weight * _smoothed_lp_norm(gd.ops, f, p,
+                                                  tensor_quadrature(gd.domain, quad, p))
                 assert repr(deriv_terms[e]) == repr(term)
                 expect += term
             assert repr(value) == repr(expect)
 
-    def test_stencils_are_built_once_per_sigma(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["_signed_ops_and_domain", "tensor_quadrature"])
+    def test_stencils_and_grid_are_built_once_per_sigma(self, monkeypatch, name):
         calls = []
-        build = smoother._signed_ops_and_domain
+        build = getattr(smoother, name)
 
         def counted(*args, **kwargs):
             calls.append(args)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(smoother, "_signed_ops_and_domain", counted)
+        monkeypatch.setattr(smoother, name, counted)
         f, r, box = self.CASES["sinprod_d2"]
         br = k_functional_bracket(f, r, (0.01, 0.01), 2.0, box, **self.CFG)
         assert "subdomain_uppers" in br.details
