@@ -8,7 +8,8 @@ Usage::
 Exit codes: 0 on success, 1 on a hard assertion failure (lower-bound margin
 or bracket violation), 2 on configuration errors (an experiment that selects
 no corpus entry among them) and on an unwritable output path.
-``WHITNEY_LAB_THREADS`` is the fallback for ``--jobs``.
+``WHITNEY_LAB_THREADS`` is the fallback for ``--jobs``, the config's ``jobs``
+the fallback for both; a value below 1 is a configuration error.
 """
 
 from __future__ import annotations
@@ -42,15 +43,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.from_json_file(args.config)
-        jobs = args.jobs
+        jobs, source = args.jobs, "--jobs"
         if jobs is None:
-            threads = os.environ.get("WHITNEY_LAB_THREADS", cfg.jobs)
+            source = "WHITNEY_LAB_THREADS"  # the config's jobs, when unset, is already >= 1
+            threads = os.environ.get(source, cfg.jobs)
             try:
                 jobs = int(threads)
             except ValueError:
-                raise ConfigError(
-                    f"WHITNEY_LAB_THREADS must be a whole number, got {threads!r}") from None
-        updates = {"jobs": max(1, jobs)}
+                raise ConfigError(f"{source} must be a whole number, got {threads!r}") from None
+        if jobs < 1:
+            raise ConfigError(f"{source} must be >= 1, got {jobs}")
+        updates = {"jobs": jobs}
         if args.out:
             updates["output_path"] = args.out
         if args.format:

@@ -14,9 +14,8 @@ Clenshaw-Curtis weights for the discrete L1 fits.  A tensor rule has one
 form: the :func:`axis_rule` nodes of each axis plus the tensor weights, first
 axis slowest (:func:`box_rule`, :func:`tensor_quadrature`), its node counts
 per axis from a :class:`QuadratureSpec`, which serves every dimension.  A
-function is evaluated on such a grid only through :func:`grid_values` (or
-:func:`broadcast_values`, for coordinates shaped to broadcast): norms
-(:func:`lp_norm`), fits, stencils and the moduli kernel alike.  A corpus
+function is evaluated on such a grid only through :func:`grid_values`:
+norms (:func:`lp_norm`), fits, stencils and the moduli kernel alike.  A corpus
 entry's ``grid_evaluator`` then costs one 1-D evaluation per node and axis;
 any other callable gets the flattened point list, and both give the
 point-wise values bit for bit.
@@ -52,7 +51,6 @@ __all__ = [
     "tensor_grid",
     "tensor_product",
     "grid_values",
-    "broadcast_values",
     "box_rule",
     "tensor_quadrature",
     "grid_norm",
@@ -272,24 +270,13 @@ def grid_values(f, axes) -> np.ndarray:
 
     Each ``axes[i]`` has shape ``(..., n_i)`` with a shared leading batch
     shape; the result has shape ``(..., n_0, ..., n_{d-1})``, first axis
-    slowest (:func:`broadcast_values` on the axes shaped to broadcast).
+    slowest.  A ``grid_evaluator`` gets the axes shaped to broadcast against
+    each other, any other callable the point list (module docstring).
     """
     d = len(axes)
     coords = [np.asarray(x, dtype=float) for x in axes]
-    return broadcast_values(
-        f, [x.reshape(x.shape[:-1] + (1,) * i + x.shape[-1:] + (1,) * (d - 1 - i))
-            for i, x in enumerate(coords)])
-
-
-def broadcast_values(f, coords) -> np.ndarray:
-    """Values of ``f`` at the points whose i-th coordinates are ``coords[i]``.
-
-    The coordinate arrays broadcast against each other, and the result has
-    their broadcast shape.  A function with a ``grid_evaluator`` (the corpus
-    entries) costs one 1-D evaluation per element of each array; any other
-    callable gets the point list.  Both see the same coordinates, so the
-    values equal ``f`` at those points bit for bit.
-    """
+    coords = [x.reshape(x.shape[:-1] + (1,) * i + x.shape[-1:] + (1,) * (d - 1 - i))
+              for i, x in enumerate(coords)]
     shape = np.broadcast_shapes(*(x.shape for x in coords))
     grid_evaluator = getattr(f, "grid_evaluator", None)
     if grid_evaluator is not None:

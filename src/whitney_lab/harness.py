@@ -195,6 +195,9 @@ class ExperimentConfig:
         t_sweep = _number("t_sweep", given("t_sweep"), int)
         if t_sweep < 1:
             raise ConfigError(f"t_sweep must be >= 1, got {t_sweep}")
+        jobs = _number("jobs", given("jobs"), int)
+        if jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {jobs}")
         t_min_factor = _number("t_min_factor", given("t_min_factor"))
         if not 0 < t_min_factor < math.inf:
             raise ConfigError(f"t_min_factor must be positive and finite, got {t_min_factor}")
@@ -209,7 +212,7 @@ class ExperimentConfig:
             resolutions=resolutions,
             output_path=path,
             output_format=fmt,
-            jobs=_number("jobs", given("jobs"), int),
+            jobs=jobs,
             include_p_mean=_flag("include_p_mean", given("include_p_mean")),
             record_runtime=_flag("record_runtime", given("record_runtime")),
             t_min_factor=t_min_factor,

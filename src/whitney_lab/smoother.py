@@ -37,25 +37,18 @@ derivative norms carry a relative error far above the unit round-off
 small t.
 
 The same amplification makes the bits of a grid-contracted term depend on
-how the contraction is handed to BLAS; the rules below serve only those
-terms, the mixed ones and those of a base without factors.  Each
-contraction is one ``tensordot``, that is one matrix-vector product of the
-values, flattened to rows, with an axis's weights.  Which kernel treats a
-row, and so the last bit of its sum, depends on the matrix's shape, its
-storage order (row- or column-major) and the row's position in it: gemv
-gives the last rows of a matrix their own kernel.
-A block of grid rows (``_CHUNK_BUDGET`` values at most, whole rows of axis 0)
-is evaluated by :func:`whitney_lab.geometry.broadcast_values` in the layout
-``(n_0, n_1, l_1, ..., n_{d-1}, l_{d-1}, l_0)``, n_i the grid nodes and l_i
-the stencil offsets of axis i, so that ``l_0``, contracted first, is the
-last axis and BLAS gets a row-major view of the values rather than a
-transposed copy.  A one-row block keeps ``l_0`` second, where numpy views
-the values as a column-major matrix.  Either way every matrix BLAS sees is
-the one of the interleaved layout ``(n_0, l_0, n_1, l_1, ...)`` with each
-``l_i`` contracted where it stands (the reference of the tests), so the bits
-are that contraction's.  The block rule is fixed for the same reason: another
-budget moves the block edges, hence the matrices, hence the last bits, and
-the derivative stencils amplify those into the output.
+how the contraction is handed to BLAS.  Each contraction is one
+``tensordot``, that is one matrix-vector product of the values, flattened to
+rows, with an axis's weights, and which kernel treats a row, and so the last
+bit of its sum, depends on the matrix's shape and the row's position in it.
+Two rules fix those matrices.  A block of whole axis-0 rows
+(``_CHUNK_BUDGET`` values at most) is evaluated by
+:func:`whitney_lab.geometry.grid_values` in the interleaved layout
+``(n_0, l_0, n_1, l_1, ...)``, n_i the grid nodes and l_i the stencil
+offsets of axis i, and each ``l_i`` is contracted where it stands.  And the
+block rule is fixed: another budget moves the block edges, hence the
+matrices, hence the last bits, and the derivative stencils amplify those
+into the output.
 
 :func:`k_functional_bracket` takes the call form of the moduli,
 ``(f, r, t, p, box, *, quad=QuadratureSpec(), h_grid=DEFAULT_H_GRID,
@@ -83,7 +76,6 @@ from .geometry import (
     as_order,
     as_steps,
     axis_rule,
-    broadcast_values,
     function_dim,
     grid_norm,
     grid_values,
@@ -211,7 +203,11 @@ class SmoothedFunction:
     ops: tuple[AxisOp, ...]
     base: object = field(repr=False)
     domain: Parallelepiped
-    dimension: int
+
+    @property
+    def dimension(self) -> int:
+        """The dimension of the validity box."""
+        return self.domain.dim
 
     def __call__(self, x) -> np.ndarray:
         pts = _pts(x, self.dimension)
@@ -238,30 +234,20 @@ def _apply_on_tensor_grid(ops: tuple[AxisOp, ...], base,
                           axis_points: list[np.ndarray]) -> np.ndarray:
     """Evaluate the stencil on a tensor grid, contracting one axis at a time.
 
-    A block of rows is evaluated in the layout ``(n_0, n_1, l_1, ...,
-    n_{d-1}, l_{d-1}, l_0)`` and ``l_0`` is contracted first, so BLAS gets a
-    view of the values; a one-row block keeps ``l_0`` second, which numpy
-    views as a column-major matrix (see the module docstring).
+    A block of whole axis-0 rows is evaluated in the interleaved layout
+    ``(n_0, l_0, n_1, l_1, ...)`` and each ``l_i`` is contracted where it
+    stands (see the module docstring).
     """
-    d = len(axis_points)
-    expanded = [axis_points[i][:, None] + ops[i].offsets[None, :] for i in range(d)]
-    tail = int(np.prod([e.size for e in expanded[1:]]))
-    l0 = ops[0].offsets.size
-    block = max(1, _CHUNK_BUDGET // max(1, l0 * tail))
+    expanded = [x[:, None] + op.offsets for x, op in zip(axis_points, ops)]
+    rest = [e.reshape(-1) for e in expanded[1:]]
+    block = max(1, _CHUNK_BUDGET // max(1, ops[0].offsets.size * math.prod(map(len, rest))))
     chunks = []
     for start in range(0, axis_points[0].size, block):
-        coords = []
-        for i, e in enumerate([expanded[0][start:start + block], *expanded[1:]]):
-            shape = [1] * (2 * d)  # (n_0, l_0, n_1, l_1, ...)
-            shape[2 * i], shape[2 * i + 1] = e.shape
-            coords.append(e.reshape(shape))
-        l0_axis = 1
-        if coords[0].shape[0] > 1:
-            coords = [x.reshape(x.shape[:1] + x.shape[2:] + x.shape[1:2]) for x in coords]
-            l0_axis = 2 * d - 1
-        arr = np.tensordot(broadcast_values(base, coords), ops[0].weights, axes=(l0_axis, 0))
-        for i in range(1, d):
-            arr = np.tensordot(arr, ops[i].weights, axes=(i + 1, 0))
+        rows = expanded[0][start:start + block]
+        arr = grid_values(base, [rows.reshape(-1), *rest])
+        arr = arr.reshape([m for e in (rows, *expanded[1:]) for m in e.shape])
+        for i, op in enumerate(ops):
+            arr = np.tensordot(arr, op.weights, axes=(i + 1, 0))
         chunks.append(arr)
     return np.concatenate(chunks, axis=0)
 
@@ -311,7 +297,7 @@ def smooth_univariate(f, k: int, t: float, axis: int, box: Parallelepiped,
     ops[axis] = _smoothing_op(k, t, panel_nodes)
     lo, hi = list(box.lower), list(box.upper)
     lo[axis], hi[axis] = _trimmed_interval(a, b, t)
-    return SmoothedFunction(tuple(ops), f, Parallelepiped(lo, hi), d)
+    return SmoothedFunction(tuple(ops), f, Parallelepiped(lo, hi))
 
 
 def _signed_ops_and_domain(r: tuple[int, ...], t, box: Parallelepiped, panel_nodes: int):
@@ -341,7 +327,7 @@ def smooth_mixed(f, r, t, box: Parallelepiped,
     """
     r = as_order(r, box.dim)
     ops, domain = _signed_ops_and_domain(r, t, box, panel_nodes)
-    return SmoothedFunction(ops, f, domain, box.dim)
+    return SmoothedFunction(ops, f, domain)
 
 
 def smoothed_derivative(f, r, t, e: tuple[int, ...], box: Parallelepiped,
@@ -362,7 +348,7 @@ def smoothed_derivative(f, r, t, e: tuple[int, ...], box: Parallelepiped,
     smooth, domain = _signed_ops_and_domain(r, t, box, panel_nodes)
     ops = tuple(_derivative_op(r[i], t[i]) if i in e else op
                 for i, op in enumerate(smooth))
-    return SmoothedFunction(ops, f, domain, box.dim)
+    return SmoothedFunction(ops, f, domain)
 
 
 # ---------------------------------------------------------------------------

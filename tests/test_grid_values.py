@@ -174,9 +174,10 @@ def test_moduli_agree_on_both_paths(fid, p, chunks):
 
 
 def _per_axis_contraction(ops, base, axis_points):
-    """The reference for the stencil layout: base values laid out as
-    ``(n_0, l_0, n_1, l_1, ...)``, each ``l_i`` contracted in place by
-    ``tensordot``, with the same row blocks of ``_CHUNK_BUDGET``."""
+    """An independent copy of the grid contraction, which pins its bits and
+    its ``_CHUNK_BUDGET`` block rule: base values laid out as
+    ``(n_0, l_0, n_1, l_1, ...)`` per block of whole axis-0 rows, each
+    ``l_i`` contracted in place by ``tensordot``."""
     d = len(axis_points)
     expanded = [axis_points[i][:, None] + ops[i].offsets[None, :] for i in range(d)]
     sizes = [e.shape for e in expanded]

@@ -129,6 +129,8 @@ class TestConfig:
         ({"resolutions": {"mean_nodes": 0}}, "resolutions.mean_nodes"),
         ({"resolutions": {"panel_nodes": 0}}, "resolutions.panel_nodes"),
         ({"resolutions": {"h_grid": 1}}, "resolutions.h_grid"),
+        # ran serially and exited 0
+        ({"jobs": 0}, "jobs"),
     ])
     def test_malformed_value_names_its_key(self, overrides, key):
         # int() / float() failures and silent truncation are config errors
@@ -599,6 +601,18 @@ class TestCli:
                         env_extra={"WHITNEY_LAB_THREADS": "two"})
         assert res.returncode == 2
         assert "config error: WHITNEY_LAB_THREADS" in res.stderr
+
+    @pytest.mark.parametrize("flag,env,source", [
+        (["--jobs", "0"], {}, "--jobs"),
+        ([], {"WHITNEY_LAB_THREADS": "0"}, "WHITNEY_LAB_THREADS"),
+    ], ids=["flag", "env"])
+    def test_jobs_below_one_exit_code_2(self, tmp_path, flag, env, source):
+        # each ran serially and exited 0
+        cfg = self._write_config(tmp_path)
+        res = self._run("whitney", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),
+                        *flag, env_extra=env)
+        assert res.returncode == 2
+        assert f"config error: {source} must be >= 1, got 0" in res.stderr
 
     def test_missing_output_path_is_config_error(self, tmp_path):
         cfg = self._write_config(tmp_path)
