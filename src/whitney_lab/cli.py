@@ -7,7 +7,9 @@ Usage::
 
 Exit codes: 0 on success, 1 on a hard assertion failure (lower-bound margin
 or bracket violation), 2 on configuration errors (an experiment that selects
-no corpus entry among them) and on an unwritable output path.
+no corpus entry among them) and on an unwritable output path, 3 when a task of
+a hard-checked experiment (whitney, johnen, kfunc) failed before its check
+ran.  A hard failure takes precedence over 3.
 ``WHITNEY_LAB_THREADS`` is the fallback for ``--jobs``, the config's ``jobs``
 the fallback for both; a value below 1 is a configuration error.
 """
@@ -74,6 +76,10 @@ def main(argv: list[str] | None = None) -> int:
     if result.hard_failure:
         print("hard assertion failure detected (see error/margin rows)", file=sys.stderr)
         return 1
+    if result.unverified:
+        print(f"{result.unverified} of {result.tasks} tasks unverified (see error rows)",
+              file=sys.stderr)
+        return 3
     return 0
 
 

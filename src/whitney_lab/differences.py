@@ -27,6 +27,48 @@ only how many steps share a chunk, never the bits: each step's difference is
 product, and the box nodes, offsets and scales are computed once per call,
 element by element.  (The stencil evaluator's ``_CHUNK_BUDGET`` is unlike
 this: its block edges are matrix shapes, and they do fix the bits.)
+
+For an entry with ``factors`` and d >= 2, :func:`modulus` measures on the
+tensor grid only the steps that can set its sup.  (In 1-D that bound would
+cost what the grid costs.)  The difference of a product is the product of the
+factors' 1-D differences (the plain factor on an inactive axis), and the max
+or the quadrature sum of a product over a tensor grid is the product of 1-D
+ones.  So one pass per axis
+and step value, on the input floats of :func:`_shift_norms`, gives the norm
+``N_i`` of the 1-D difference (its max, or the integral of its p-th power),
+the largest factor value ``M_i`` it reads and the interval length ``L_i``.
+With ``U = prod N_i`` (to the power ``1/p`` for finite p), the grid norm of a
+step lies within ``delta = A + rho (U + A) + floor`` of ``U``, where::
+
+    A = (T + _EVAL_ULPS) eps 2^|r_e| prod M_i (prod L_i)^(1/p)
+
+A step is measured iff ``U + delta >= max over steps of (U - delta)``: a step
+outside that cannot hold the largest value.  A step's grid value does not
+depend on the other steps of its chunk, so the modulus is the same float as
+the full search's.  The terms, with ``u = eps / 2``
+(Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3-4):
+
+- A grid value of f is the product of the factor values at its point within
+  a relative ``_EVAL_ULPS eps``.  A product entry folds its own factor values
+  (``d - 1`` roundings).  ``exp(a . x)`` rounds its argument sum, which moves
+  the value by at most ``u |a . x|`` relative.  While every factor value is a
+  normal float, ``|a_i x_i| < 709``, so for d <= 2 that is below 709 eps, and
+  the exp calls add a few ulps each.  1024 covers both.
+- The grid's difference is an inner product of ``T`` terms, and the 1-D
+  differences have ``r_i + 1`` terms each.  Their rounding is at most
+  ``(T u + sum (r_i + 1) u) sum |c_j| |f_j| <= T eps 2^|r_e| prod M_i``, since
+  ``sum |c_j| = 2^|r_e|`` and every value read is at most ``prod M_i``.
+- By Minkowski's inequality a pointwise error ``e`` moves the quadrature
+  norm by at most ``e (prod L_i)^(1/p)``: the weights sum to ``prod L_i``.
+- ``rho`` is the relative rounding of the sums of ``|.|^p``: ``n`` non-negative
+  terms sum within ``n u``, and the weights, the powers and the product of
+  the ``N_i`` add a few roundings per axis, ``rho = (n_ref + sum n_i + 6 d)
+  eps``.  At p = inf only the product of the ``d`` maxima rounds: ``d eps``.
+- ``floor = (n_ref + T) tiny`` (its ``1/p`` power for finite p) covers values
+  that underflow.
+
+A NaN or an overflow in the bound prunes nothing, so the grid path raises
+naming the first NaN step, as for a plain callable.
 """
 
 from __future__ import annotations
@@ -34,7 +76,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -71,6 +113,9 @@ DEFAULT_MEAN_NODES = 16  # Gauss nodes per half-axis of the p-mean step integral
 # values of f per chunk of _shift_norms (module docstring); on the moduli
 # workload 2^15 was slower, and 2^17 and 2^18 no faster but held more memory
 _CHUNK_POINTS = 1 << 16
+# relative gap, in units of eps, allowed between a value of an entry and the
+# product of its factor values at the same point (module docstring)
+_EVAL_ULPS = 1024
 
 
 @lru_cache(maxsize=None)
@@ -154,6 +199,46 @@ def _shift_norms(f, r_e: tuple[int, ...], steps: np.ndarray, p: float,
     return out
 
 
+def _contenders(factors, r_e: tuple[int, ...], axis_steps: list[np.ndarray], p: float,
+                domain: Parallelepiped, quad: QuadratureSpec) -> np.ndarray:
+    """Mask over the steps ``tensor_grid(axis_steps)`` of those whose
+    :func:`_shift_norms` value can be the largest, from 1-D passes over the
+    ``factors`` of the entry (module docstring).  A NaN or an overflow in
+    the bound keeps every step."""
+    rule, nodes = quad.rule_for(p, len(r_e))
+    per_axis = []  # rows: the norm N_i, the largest factor value M_i, the length L_i
+    for fac, h, ri, n, a, b in zip(factors, axis_steps, r_e, nodes,
+                                   domain.lower, domain.upper):
+        # _shift_norms's box, node and offset arithmetic on this axis
+        y = ri * h
+        lo, hi = np.where(y < 0, a - y, a), np.where(y >= 0, b - y, b)
+        ok = lo <= hi  # an empty interval empties the box, whose norm is 0
+        lo, hi, h = lo[ok], hi[ok], h[ok]
+        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        ref, wts = axis_rule(rule, n)
+        mult, coef = _difference_table((ri,))
+        x = (ref * half[:, None] + mid[:, None])[:, None, :] + mult * h[:, None, None]
+        vals = np.asarray(fac(x), dtype=float)  # (steps, ri + 1, n)
+        diff = np.abs(coef @ vals)
+        axis = np.zeros((3, len(ok)))
+        axis[:, ok] = (np.max(diff, axis=1) if p == math.inf else half * (diff ** p @ wts),
+                       np.max(np.abs(vals), axis=(1, 2)), hi - lo)
+        per_axis.append(axis)
+    norm, top, length = (reduce(np.multiply, np.ix_(*rows)).ravel() for rows in zip(*per_axis))
+    eps, terms, n_ref = np.finfo(float).eps, len(_difference_table(r_e)[1]), math.prod(nodes)
+    spread = (terms + _EVAL_ULPS) * eps * 2.0 ** sum(r_e) * top
+    floor = (n_ref + terms) * np.finfo(float).tiny
+    if p == math.inf:
+        rho = len(r_e) * eps
+    else:
+        norm, spread, floor = norm ** (1.0 / p), spread * length ** (1.0 / p), floor ** (1.0 / p)
+        rho = (n_ref + sum(nodes) + 6 * len(r_e)) * eps
+    delta = spread + rho * (norm + spread) + floor
+    if not (np.all(np.isfinite(norm)) and np.all(np.isfinite(delta))):
+        return np.ones(norm.size, dtype=bool)
+    return norm + delta >= np.max(norm - delta)
+
+
 def modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
             h_grid: int = DEFAULT_H_GRID) -> float:
     """Sup-type mixed modulus of order ``r_e`` at step bound ``t``.
@@ -166,7 +251,10 @@ def modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
     equispaced step values per active axis, endpoints included.  The zero
     step is never evaluated: a difference with ``h_i = 0`` on an active axis
     is 0, so the search runs over the other ``h_grid - 1`` values of each
-    axis, and any active ``t_i == 0`` gives 0.0.
+    axis, and any active ``t_i == 0`` gives 0.0.  For an entry with ``factors``
+    and d >= 2, a per-axis bound prunes the steps that cannot hold the sup
+    before the grid measures the rest; the value is the same float (module
+    docstring).
     """
     dim = function_dim(f, domain)
     r_e = as_order(r_e, dim)
@@ -182,8 +270,13 @@ def modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
     t = clamped
     if any(t[i] == 0.0 for i in active):
         return 0.0  # every difference in the search has a zero step
-    steps = np.zeros(((h_grid - 1) ** len(active), dim))
-    steps[:, active] = tensor_grid([np.linspace(0.0, t[i], h_grid)[1:] for i in active])
+    axis_steps = [np.linspace(0.0, t[i], h_grid)[1:] if r_e[i] else np.zeros(1)
+                  for i in range(dim)]
+    steps = tensor_grid(axis_steps)
+    factors = getattr(f, "factors", None)
+    # in 1-D the bound would cost the grid's own work; _shift_norms rejects p < 1
+    if factors is not None and dim > 1 and p >= 1.0:
+        steps = steps[_contenders(factors, r_e, axis_steps, p, domain, quad)]
     # empty boxes give 0 and a NaN norm raises, so the max starts at 0
     best = np.max(_shift_norms(f, r_e, steps, p, domain, quad), initial=0.0)
     return float(best if p == math.inf else best ** (1.0 / p))

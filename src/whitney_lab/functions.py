@@ -67,7 +67,9 @@ class FunctionSpec:
     array.  ``derivative_evaluator(k, coords)`` is the mixed derivative of
     order ``k``; an entry without one exposes no derivatives.
     ``factors``, when not ``None``, holds one 1-D callable per axis whose
-    product over the axes is the entry, up to round-off.  Entries are
+    product over the axes is the entry, up to round-off: within
+    ``differences._EVAL_ULPS`` eps relative, which the pruned step search of
+    :func:`~whitney_lab.differences.modulus` relies on.  Entries are
     immutable and freely shareable across threads.
     """
 

@@ -9,7 +9,9 @@ rows, times the task and stamps the shared fields.  A failing combination
 never aborts a sweep; it appears as a row with quantity ``error``.  The only
 hard, theorem-derived assertions are the exact lower-bound margin (whitney)
 and bracket consistency (johnen, kfunc); violations are reported through
-:attr:`RunResult.hard_failure` and become exit code 1.
+:attr:`RunResult.hard_failure` and become exit code 1.  A task of those
+experiments that fails otherwise leaves its check unevaluated: it counts in
+:attr:`RunResult.unverified`, which becomes exit code 3.
 """
 
 from __future__ import annotations
@@ -365,6 +367,8 @@ def emit(rows: list[ResultRow], path: str, fmt: str = "csv") -> None:
 class RunResult:
     rows: list[ResultRow]
     hard_failure: bool = False
+    unverified: int = 0  # hard-checked tasks that failed before their check ran
+    tasks: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -512,20 +516,27 @@ _TASK_FUNCS = {
 }
 
 
-def _run_task(task) -> tuple[list[ResultRow], bool]:
+# the experiments with a hard check; a task of theirs that fails is unverified
+_HARD_CHECKED = ("whitney", "johnen", "kfunc")
+
+
+def _run_task(task) -> tuple[list[ResultRow], bool, bool]:
     """Run one task and build its rows, each with the task's wall time if
-    ``record_runtime`` is set; the only place rows are made."""
+    ``record_runtime`` is set; the only place rows are made.  Also returns
+    whether a hard check failed and whether a hard check could not run."""
     experiment, cfg, fid, r, p, box, t = task
     f = get_function(fid)
     start = time.perf_counter()
+    unverified = False
     try:
         pairs, hard = _TASK_FUNCS[experiment](cfg, f, r, p, box, t)
     except (SimplexError, BracketViolation, ValueError, ArithmeticError) as exc:
         pairs, hard = [("error", math.nan)], isinstance(exc, BracketViolation)
+        unverified = not hard and experiment in _HARD_CHECKED
     ms = int(1000 * (time.perf_counter() - start)) if cfg.record_runtime else 0
     return [ResultRow(experiment, fid, f.dimension, order[0] if order else r, p, box, t,
                       quantity, value, ms)
-            for quantity, value, *order in pairs], hard
+            for quantity, value, *order in pairs], hard, unverified
 
 
 def _enumerate_tasks(experiment: str, cfg: ExperimentConfig) -> list[tuple]:
@@ -565,8 +576,9 @@ def _execute(experiment: str, cfg: ExperimentConfig) -> RunResult:
             results = list(pool.map(_run_task, tasks, chunksize=1))
     else:
         results = [_run_task(task) for task in tasks]
-    return RunResult([row for rows, _ in results for row in rows],
-                     any(hard for _, hard in results))
+    return RunResult([row for rows, _, _ in results for row in rows],
+                     any(hard for _, hard, _ in results),
+                     sum(unverified for _, _, unverified in results), len(results))
 
 
 def run_whitney(cfg: ExperimentConfig) -> RunResult:

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from whitney_lab.differences import (
     total_p_mean_modulus,
     whitney_constant_sum,
 )
-from whitney_lab.functions import get_function, tensor_polynomial_spec
+from whitney_lab.functions import FunctionSpec, get_function, tensor_polynomial_spec
 from whitney_lab.geometry import (
     Parallelepiped,
     QuadratureSpec,
@@ -122,6 +123,29 @@ class TestModulus:
         assert modulus(counted, r_e, zero, p, unit_box_2d, quad=quad_2d_fast,
                        h_grid=h_grid) == 0.0
         assert points == []
+
+    @pytest.mark.parametrize("p", [1.0, INF])
+    def test_factors_prune_the_step_search(self, unit_box_2d, quad_2d_fast, p):
+        # exp_d2 at r = (3, 3) grows with each step, so its factors leave the
+        # grid one or two of the 256 steps; without them the grid measures
+        # every step whose shifted box is non-empty
+        f, points = get_function("exp_d2"), []
+
+        def counting(coords):
+            points.append(math.prod(np.broadcast_shapes(*(np.shape(x) for x in coords))))
+            return f.grid_evaluator(coords)
+
+        r, t, h_grid = (3, 3), (0.5, 0.5), 17
+        per_step = 16 * math.prod(quad_2d_fast.rule_for(p, 2)[1])
+        non_empty = sum(3.0 * h <= 1.0 for h in np.linspace(0.0, 0.5, h_grid)[1:]) ** 2
+        pruned = modulus(replace(f, grid_evaluator=counting), r, t, p, unit_box_2d,
+                         quad=quad_2d_fast, h_grid=h_grid)
+        assert 0 < sum(points) <= 2 * per_step
+        points.clear()
+        full = modulus(replace(f, grid_evaluator=counting, factors=None), r, t, p, unit_box_2d,
+                       quad=quad_2d_fast, h_grid=h_grid)
+        assert non_empty == 100 and sum(points) == non_empty * per_step
+        assert repr(pruned) == repr(full)
 
     def test_resolutions_are_keyword_only(self, unit_box_1d, quad_1d):
         # the old positional order put h_grid before quad for total_modulus and
@@ -286,6 +310,20 @@ class TestNaNNorms:
     def test_p_mean_modulus_raises(self, unit_box_1d, quad_1d, p):
         with pytest.raises(FloatingPointError, match="NaN norm"):
             p_mean_modulus(self.NAN_TAIL, (1,), (0.5,), p, unit_box_1d, quad=quad_1d)
+
+    @pytest.mark.parametrize("p", [1.0, INF])
+    def test_factored_entry_raises_naming_the_plain_step(self, unit_box_2d, quad_2d_fast, p):
+        # a NaN factor value leaves every step to the grid, which names the
+        # first NaN step, as it does without the factors
+        tail = lambda x: np.where(x > 0.9, np.nan, np.exp(x))  # noqa: E731
+        f = FunctionSpec("nan_tail_d2", 2, (0, 0), lambda c: tail(c[0]) * np.exp(c[1]),
+                         factors=(tail, np.exp))
+        messages = []
+        for g in (f, replace(f, factors=None)):
+            with pytest.raises(FloatingPointError, match="NaN norm") as err:
+                modulus(g, (2, 1), (0.5, 0.5), p, unit_box_2d, quad=quad_2d_fast, h_grid=9)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
     def test_nan_outside_every_shifted_box_is_not_seen(self, quad_1d):
         # with h <= 0.1 every node x and x + h of a shifted box lies in [0, 0.9]

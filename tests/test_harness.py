@@ -665,6 +665,78 @@ class TestHardFailures:
         assert self._cli(tmp_path, "whitney", **overrides) == 1
 
 
+class TestUnverifiedTasks:
+    """A hard-checked task that fails before its check runs is counted as
+    unverified and gives CLI exit code 3; a hard failure still gives 1."""
+
+    OVERRIDES = dict(function_ids=["exp_d1"], orders=[[1], [2]], p_values=[2],
+                     shrink_levels=0, t_sweep=2)
+
+    def _cli(self, tmp_path, capsys, experiment):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, **self.OVERRIDES)))
+        code = cli.main([experiment, "--config", str(path), "--out",
+                         str(tmp_path / "out.csv"), "--jobs", "1"])
+        return code, capsys.readouterr().err
+
+    def test_failed_fit_leaves_whitney_unverified(self, monkeypatch, tmp_path, capsys):
+        from whitney_lab.simplex import SimplexError
+
+        original, calls = harness.best_approx, []
+
+        def fail_first(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise SimplexError("synthetic failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "best_approx", fail_first)
+        result = run_whitney(_cfg(**self.OVERRIDES))
+        assert (result.unverified, result.tasks, result.hard_failure) == (1, 2, False)
+        calls.clear()
+        code, err = self._cli(tmp_path, capsys, "whitney")
+        assert code == 3 and "1 of 2 tasks unverified" in err
+
+    @pytest.mark.parametrize("experiment", ["johnen", "kfunc"])
+    def test_failed_bracket_leaves_its_task_unverified(self, monkeypatch, tmp_path, capsys,
+                                                       experiment):
+        def failing(*args, **kwargs):
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setattr(harness, "k_functional_bracket", failing)
+        cfg = _cfg(**self.OVERRIDES)
+        n_tasks = len(harness._enumerate_tasks(experiment, cfg))
+        result = EXPERIMENTS[experiment](cfg)
+        assert (result.unverified, result.tasks, result.hard_failure) == (n_tasks, n_tasks, False)
+        code, err = self._cli(tmp_path, capsys, experiment)
+        assert code == 3 and f"{n_tasks} of {n_tasks} tasks unverified" in err
+
+    def test_hard_failure_takes_precedence(self, monkeypatch, tmp_path, capsys):
+        calls = []
+
+        def violated_then_failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise BracketViolation("synthetic violation")
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setattr(harness, "k_functional_bracket", violated_then_failing)
+        code, err = self._cli(tmp_path, capsys, "johnen")
+        assert code == 1 and "unverified" not in err
+        calls.clear()
+        result = run_johnen(_cfg(**self.OVERRIDES))
+        assert result.hard_failure and result.unverified == result.tasks - 1
+
+    def test_unchecked_experiment_has_no_unverified_task(self, monkeypatch, tmp_path, capsys):
+        def failing(*args, **kwargs):
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setattr(harness, "modulus", failing)
+        result = run_modulus(_cfg(**self.OVERRIDES))
+        assert result.unverified == 0 and result.tasks == 2
+        assert self._cli(tmp_path, capsys, "modulus")[0] == 0
+
+
 class _QuarterSecondClock:
     """Stands in for the ``time`` module: each read advances 0.25 s."""
 

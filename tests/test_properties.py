@@ -1,9 +1,11 @@
 """Property tests: the polynomial class is annihilated, every norm path
 measures with the same tensor rule, the batched moduli agree with per-step
-loops, and the total modulus grows with t."""
+loops, the pruned step search keeps every bit, and the total modulus grows
+with t."""
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from whitney_lab.differences import (
     total_modulus,
     total_p_mean_modulus,
 )
-from whitney_lab.functions import get_function
+from whitney_lab.functions import corpus, get_function
 from whitney_lab.geometry import (
     GAUSS,
     Parallelepiped,
@@ -27,6 +29,7 @@ from whitney_lab.geometry import (
     lp_power_integral,
     project,
     shifted_domain,
+    subsets,
     tensor_quadrature,
 )
 from whitney_lab.polyapprox import TensorPolynomial, best_approx
@@ -183,3 +186,35 @@ def test_total_modulus_is_monotone_in_t(case, n):
     small = total_modulus(f, r, t, p, box, quad=quad, h_grid=n)
     large = total_modulus(f, r, tuple(2.0 * ti for ti in t), p, box, quad=quad, h_grid=2 * n - 1)
     assert small <= large * (1.0 + 1e-12)
+
+
+@st.composite
+def factored_cases(draw):
+    """A corpus entry on a box with corners in [-3, 3] and sides 2^-6 to 4,
+    an order up to 4, a step bound from 1e-4 to twice the box side (so that
+    some shifted boxes are empty), a p, the node counts and ``h_grid``."""
+    f = draw(st.sampled_from(corpus()))
+    d = f.dimension
+    lower = [draw(st.floats(-3.0, 3.0)) for _ in range(d)]
+    size = [2.0 ** draw(st.floats(-6.0, 2.0)) for _ in range(d)]
+    box = Parallelepiped(lower, [a + s for a, s in zip(lower, size)])
+    r = tuple(draw(st.integers(1, 4)) for _ in range(d))
+    t = tuple(10.0 ** draw(st.floats(-4.0, math.log10(2.0 * s))) for s in size)
+    p = draw(st.sampled_from([1.0, 2.0, 3.5, math.inf]))
+    quad = QuadratureSpec(draw(st.integers(1, 9)), draw(st.integers(2, 11)))
+    return f, r, t, p, box, quad, draw(st.integers(2, 17))
+
+
+@settings(max_examples=100, deadline=None)
+@given(factored_cases())
+def test_pruned_step_search_keeps_every_bit(case):
+    # the entry's factors prune the steps the grid measures; without them
+    # the grid measures every step, and the two give the same float
+    f, r, t, p, box, quad, h_grid = case
+    plain = replace(f, factors=None)
+    for e in subsets(f.dimension):
+        r_e = project(r, e)
+        assert (repr(modulus(f, r_e, t, p, box, quad=quad, h_grid=h_grid))
+                == repr(modulus(plain, r_e, t, p, box, quad=quad, h_grid=h_grid)))
+    assert (repr(total_modulus(f, r, t, p, box, quad=quad, h_grid=h_grid))
+            == repr(total_modulus(plain, r, t, p, box, quad=quad, h_grid=h_grid)))
