@@ -69,6 +69,15 @@ the full search's.  The terms, with ``u = eps / 2``
 
 A NaN or an overflow in the bound prunes nothing, so the grid path raises
 naming the first NaN step, as for a plain callable.
+
+The arrays of a 1-D pass do not depend on p, only their reduction to ``N_i``
+does, so :func:`_axis_pass` memoizes them per ``(factor, r_i, step values,
+rule, nodes, interval)``, every input of its value, as read-only arrays.  The
+active pass of an axis then serves each subset of a total that holds the axis,
+and a Gauss pass both p = 1 and p = 2.  ``_AXIS_PASS_CACHE`` holds the passes
+of one ``(f, r, step)`` group of the harness at d <= 2: per axis an active and
+an inactive pass, each on the Gauss and the Lobatto grid: ``4 d`` entries, each
+at most about 17 KiB at the default resolutions.
 """
 
 from __future__ import annotations
@@ -116,6 +125,8 @@ _CHUNK_POINTS = 1 << 16
 # relative gap, in units of eps, allowed between a value of an entry and the
 # product of its factor values at the same point (module docstring)
 _EVAL_ULPS = 1024
+# 1-D passes of _contenders kept (module docstring): 4 d at d <= 2
+_AXIS_PASS_CACHE = 4 * 2
 
 
 @lru_cache(maxsize=None)
@@ -199,30 +210,45 @@ def _shift_norms(f, r_e: tuple[int, ...], steps: np.ndarray, p: float,
     return out
 
 
+@lru_cache(maxsize=_AXIS_PASS_CACHE)
+def _axis_pass(fac, ri: int, h: tuple[float, ...], rule: str, n: int, a: float, b: float):
+    """The p-independent arrays of one axis's 1-D pass of :func:`_contenders`,
+    over the step values ``h``: the mask of the non-empty intervals, and on
+    those the half length, ``|coef @ fac(x)|`` ``(steps, n)``, the largest
+    ``|fac|`` read and the length, with the rule's weights.  Read-only."""
+    # _shift_norms's box, node and offset arithmetic on this axis
+    h = np.asarray(h)
+    y = ri * h
+    lo, hi = np.where(y < 0, a - y, a), np.where(y >= 0, b - y, b)
+    ok = lo <= hi  # an empty interval empties the box, whose norm is 0
+    lo, hi, h = lo[ok], hi[ok], h[ok]
+    half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+    ref, wts = axis_rule(rule, n)
+    mult, coef = _difference_table((ri,))
+    x = (ref * half[:, None] + mid[:, None])[:, None, :] + mult * h[:, None, None]
+    vals = np.asarray(fac(x), dtype=float)  # (steps, ri + 1, n)
+    out = ok, half, np.abs(coef @ vals), np.max(np.abs(vals), axis=(1, 2)), hi - lo, wts
+    for arr in out:
+        if arr is not None:  # the sup grid has no weights
+            arr.setflags(write=False)
+    return out
+
+
 def _contenders(factors, r_e: tuple[int, ...], axis_steps: list[np.ndarray], p: float,
                 domain: Parallelepiped, quad: QuadratureSpec) -> np.ndarray:
     """Mask over the steps ``tensor_grid(axis_steps)`` of those whose
     :func:`_shift_norms` value can be the largest, from 1-D passes over the
-    ``factors`` of the entry (module docstring).  A NaN or an overflow in
-    the bound keeps every step."""
+    ``factors`` of the entry (module docstring).  The passes are memoized
+    (:func:`_axis_pass`); only their reduction to ``N_i`` depends on p.  A NaN
+    or an overflow in the bound keeps every step."""
     rule, nodes = quad.rule_for(p, len(r_e))
     per_axis = []  # rows: the norm N_i, the largest factor value M_i, the length L_i
     for fac, h, ri, n, a, b in zip(factors, axis_steps, r_e, nodes,
                                    domain.lower, domain.upper):
-        # _shift_norms's box, node and offset arithmetic on this axis
-        y = ri * h
-        lo, hi = np.where(y < 0, a - y, a), np.where(y >= 0, b - y, b)
-        ok = lo <= hi  # an empty interval empties the box, whose norm is 0
-        lo, hi, h = lo[ok], hi[ok], h[ok]
-        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
-        ref, wts = axis_rule(rule, n)
-        mult, coef = _difference_table((ri,))
-        x = (ref * half[:, None] + mid[:, None])[:, None, :] + mult * h[:, None, None]
-        vals = np.asarray(fac(x), dtype=float)  # (steps, ri + 1, n)
-        diff = np.abs(coef @ vals)
+        ok, half, diff, top, length, wts = _axis_pass(fac, ri, tuple(h.tolist()), rule, n, a, b)
         axis = np.zeros((3, len(ok)))
         axis[:, ok] = (np.max(diff, axis=1) if p == math.inf else half * (diff ** p @ wts),
-                       np.max(np.abs(vals), axis=(1, 2)), hi - lo)
+                       top, length)
         per_axis.append(axis)
     norm, top, length = (reduce(np.multiply, np.ix_(*rows)).ravel() for rows in zip(*per_axis))
     eps, terms, n_ref = np.finfo(float).eps, len(_difference_table(r_e)[1]), math.prod(nodes)

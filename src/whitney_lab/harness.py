@@ -3,15 +3,24 @@
 A single JSON document configures every experiment.  Runners enumerate their
 work in configuration order as tasks, one per ``(function, r, p, step)``, and
 emit :class:`ResultRow` values in that same order, so two runs with the same
-configuration produce byte-identical output files.  A task computes
-``(quantity, value)`` pairs; one function, :func:`_run_task`, turns them into
-rows, times the task and stamps the shared fields.  A failing combination
-never aborts a sweep; it appears as a row with quantity ``error``.  The only
-hard, theorem-derived assertions are the exact lower-bound margin (whitney)
-and bracket consistency (johnen, kfunc); violations are reported through
-:attr:`RunResult.hard_failure` and become exit code 1.  A task of those
-experiments that fails otherwise leaves its check unevaluated: it counts in
-:attr:`RunResult.unverified`, which becomes exit code 3.
+configuration produce byte-identical output files.  They execute the tasks in
+another order: the ``p`` values of one ``(function, r, step)`` back to back,
+in configuration order, so that each finite ``p`` reuses the memoized arrays
+that do not depend on ``p`` (the smoother's and the moduli's memos, which hold
+one such group), then place each result at its configuration index.  With
+``jobs > 1`` the process pool takes the tasks one at a time in that order, so
+the p values of a group may run in different workers.  Every task still
+runs alone through :func:`_run_task`, so its rows, its ``error`` row and its
+flags are its own, and the bytes are those of each task run alone on empty
+memos.  A task computes ``(quantity, value)`` pairs; one function,
+:func:`_run_task`, turns them into rows, times the task and stamps the shared
+fields.  A failing combination never aborts a sweep; it appears as a row with
+quantity ``error``.  The only hard, theorem-derived assertions are the exact
+lower-bound margin (whitney) and bracket consistency (johnen, kfunc);
+violations are reported through :attr:`RunResult.hard_failure` and become exit
+code 1.  A task of those experiments that fails otherwise leaves its check
+unevaluated: it counts in :attr:`RunResult.unverified`, which becomes exit
+code 3.
 """
 
 from __future__ import annotations
@@ -568,14 +577,23 @@ def _enumerate_tasks(experiment: str, cfg: ExperimentConfig) -> list[tuple]:
 
 def _execute(experiment: str, cfg: ExperimentConfig) -> RunResult:
     tasks = _enumerate_tasks(experiment, cfg)
+    # run the p values of each (function, order, step) back to back, so that
+    # they share the memoized arrays that do not depend on p (module docstring)
+    groups: dict[tuple, list[int]] = {}
+    for i, (_, _, fid, r, _, box, t) in enumerate(tasks):
+        groups.setdefault((fid, r, box, t), []).append(i)
+    order = [i for group in groups.values() for i in group]
     if cfg.jobs > 1 and len(tasks) > 1:
         # imported here: its multiprocessing import adds ~30 ms to every start-up
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_run_task, tasks, chunksize=1))
+            done = list(pool.map(_run_task, [tasks[i] for i in order]))
     else:
-        results = [_run_task(task) for task in tasks]
+        done = [_run_task(tasks[i]) for i in order]
+    results = [None] * len(tasks)
+    for i, result in zip(order, done):
+        results[i] = result
     return RunResult([row for rows, _, _ in results for row in rows],
                      any(hard for _, hard, _ in results),
                      sum(unverified for _, _, unverified in results), len(results))

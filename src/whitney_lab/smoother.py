@@ -18,7 +18,7 @@ used by the subdivision argument.
 Everything reduces to separable offset/weight stencils applied to the base
 function.  For a base with a factor view (``FunctionSpec.factors``), a term
 whose stencils put a derivative on at most one axis is the outer product of
-1-D stencil outputs, one per axis (:func:`_smoothed_lp_norm`): O(sum n_i l_i)
+1-D stencil outputs, one per axis (:func:`_smoothed_values`): O(sum n_i l_i)
 work, not O(prod n_i l_i).  These are the smoothing term ``||f - A_t f||``
 of a bracket and its ``|e| = 1`` derivative terms (every derivative term in
 d = 1).  A smoothing stencil's weights sum to at most 2^k in absolute value
@@ -57,6 +57,21 @@ take ``quad`` and ``panel_nodes`` directly.  Orders are plain tuples, and axis
 subsets the sorted tuples of :func:`whitney_lab.geometry.subsets`: they key
 ``details["omega_terms"]``, ``details["deriv_terms"]`` and
 :func:`subdivision_boxes`, and :func:`smoothed_derivative` takes one.
+
+A bracket memoizes what does not depend on p, so that the p values of one
+``(f, r, t, box)`` share it and each p runs only :func:`grid_norm`: per
+``(f, r, box, quad, rule, nodes)`` the box candidates' values
+(:func:`_box_values`, whose polynomials :func:`_box_polys` builds once per
+``(f, r, box, quad)``), and per ``(f, r, signed t, box, quad, panel_nodes,
+rule, nodes)`` the stencil outputs of one signed smoother
+(:func:`_signed_values`).  The rule and node counts are those that
+``quad.rule_for`` returns for p, so the p values that share a grid (today
+every finite p on the Gauss grid, and p = inf alone on the Lobatto one) are
+decided in :mod:`whitney_lab.geometry` only.  A key holds every input of its
+value, the arrays are read-only, and the values keep their bits.  The sizes
+hold one ``(f, r, step)`` group of the harness at d <= 2: the box and its
+``2^d`` subboxes, and one smoother per sign pattern, each on two grids (at
+most about 2 MiB at the default resolutions).
 """
 
 from __future__ import annotations
@@ -76,13 +91,12 @@ from .geometry import (
     as_order,
     as_steps,
     axis_rule,
+    box_rule,
     function_dim,
     grid_norm,
     grid_values,
-    lp_norm,
     project,
     subsets,
-    tensor_quadrature,
 )
 from .polyapprox import _project_l2, taylor_poly
 
@@ -101,7 +115,10 @@ __all__ = [
 
 DEFAULT_PANEL_NODES = 16  # Gauss nodes per knot interval of the B-spline average
 _CHUNK_BUDGET = 1 << 22  # max elements evaluated per base-function call
-_BOX_NORMS_CACHE = 256  # (f, r, p, box, quad) keys; the steps of a sweep share theirs
+# memo sizes (module docstring): one (function, order, step) group at d <= 2
+_POLY_CACHE = 2 ** 2 + 1  # the box and its 2^d subboxes: 2^d + 1
+_BOX_CACHE = 2 * _POLY_CACHE  # those boxes on two grids: 2 (2^d + 1)
+_STENCIL_CACHE = 2 * 2 ** 2  # one smoother per sign pattern on two grids: 2 * 2^d
 
 
 class DomainValidityError(ValueError):
@@ -252,9 +269,15 @@ def _apply_on_tensor_grid(ops: tuple[AxisOp, ...], base,
     return np.concatenate(chunks, axis=0)
 
 
-def _smoothed_lp_norm(ops, base, p: float, grid, subtract_base: bool = False) -> float:
-    """L_p norm of the stencil output (or of base - output) on ``grid``, the
-    ``(axes, wts)`` of :func:`tensor_quadrature` for p.
+def _read_only(vals: np.ndarray | None) -> np.ndarray | None:
+    if vals is not None:  # the sup grid has no weights
+        vals.setflags(write=False)
+    return vals
+
+
+def _smoothed_values(ops, base, axes, subtract_base: bool = False) -> np.ndarray:
+    """The stencil output (or base - output) on the grid of per-axis nodes
+    ``axes``, flattened in :func:`tensor_grid` order and read-only.
 
     For a base with ``factors`` and stencils with a derivative on at most one
     axis, the output is the outer product of the per-axis stencil outputs
@@ -264,7 +287,6 @@ def _smoothed_lp_norm(ops, base, p: float, grid, subtract_base: bool = False) ->
     product of the derivative weight sums amplifies into the output (module
     docstring).
     """
-    axes, wts = grid
     factors = getattr(base, "factors", None)
     if factors is not None and sum(op.derivative for op in ops) <= 1:
         vals = reduce(np.multiply.outer, [fac(x[:, None] + op.offsets) @ op.weights
@@ -273,7 +295,15 @@ def _smoothed_lp_norm(ops, base, p: float, grid, subtract_base: bool = False) ->
         vals = _apply_on_tensor_grid(ops, base, axes)
     if subtract_base:
         vals = grid_values(base, axes) - vals
-    return grid_norm(vals.reshape(-1), wts, p)
+    return _read_only(vals.reshape(-1))
+
+
+def _smoothed_lp_norm(ops, base, p: float, grid, subtract_base: bool = False) -> float:
+    """L_p norm of the stencil output (or of base - output) on ``grid``, the
+    ``(axes, wts)`` of :func:`whitney_lab.geometry.tensor_quadrature` for p
+    (:func:`_smoothed_values`)."""
+    axes, wts = grid
+    return grid_norm(_smoothed_values(ops, base, axes, subtract_base), wts, p)
 
 
 def smooth_univariate(f, k: int, t: float, axis: int, box: Parallelepiped,
@@ -379,64 +409,90 @@ class KBracket:
                 f"bracket inverted: lower={self.lower} > upper={self.upper}")
 
 
-@lru_cache(maxsize=_BOX_NORMS_CACHE)
-def _box_norms(f: FunctionSpec, r: tuple[int, ...], p, box: Parallelepiped,
+@lru_cache(maxsize=_POLY_CACHE)
+def _box_polys(f: FunctionSpec, r: tuple[int, ...], box: Parallelepiped,
                quad: QuadratureSpec):
-    """The t-independent norms of the box candidates: ``||f||``, the
-    ``||f^(r(e))||`` over :func:`subsets` (``None`` unless f is Sobolev up to
-    r), and the polynomial candidates' ``(name, ||f - poly||)`` pairs."""
-    norm = lp_norm(f, box, p, quad)
-    sobolev = f.has_derivative(r)
+    """The polynomial candidates of the box, ``(name, poly)``: the L2
+    projection, and the Taylor polynomial at the lower corner when f is
+    Sobolev up to r.  Neither depends on p."""
+    polys = [("projection", _project_l2(f, r, box, quad))]
+    if f.has_derivative(r):
+        polys.append(("taylor", taylor_poly(f, r, np.asarray(box.lower), box)))
+    return tuple(polys)
+
+
+@lru_cache(maxsize=_BOX_CACHE)
+def _box_values(f: FunctionSpec, r: tuple[int, ...], box: Parallelepiped,
+                quad: QuadratureSpec, rule: str, nodes: tuple[int, ...]):
+    """The box candidates' arrays on the :func:`box_rule` grid of ``rule`` and
+    ``nodes`` (``quad.rule_for(p, box.dim)``): the weights, the values of f,
+    those of each ``f^(r(e))`` over :func:`subsets` (``None`` unless f is
+    Sobolev up to r), and the ``(name, residual)`` pairs of :func:`_box_polys`,
+    each evaluated as :func:`lp_norm` evaluates it."""
+    axes, wts = box_rule(box, rule, nodes)
     derivs = None
-    if sobolev:
-        derivs = tuple(lp_norm(f.derivative_fn(project(r, e)), box, p, quad)
+    if f.has_derivative(r):
+        derivs = tuple(_read_only(grid_values(f.derivative_fn(project(r, e)), axes).reshape(-1))
                        for e in subsets(len(r)))
-    proj = _project_l2(f, r, box, quad)
-    polys = [("projection", lp_norm(lambda q: np.asarray(f(q)) - proj(q), box, p, quad))]
-    if sobolev:
-        tp = taylor_poly(f, r, np.asarray(box.lower), box)
-        polys.append(("taylor", lp_norm(lambda q: np.asarray(f(q)) - tp(q), box, p, quad)))
-    return norm, derivs, tuple(polys)
+    polys = tuple((name, _read_only(grid_values(
+                       lambda q: np.asarray(f(q)) - poly(q), axes).reshape(-1)))
+                  for name, poly in _box_polys(f, r, box, quad))
+    return _read_only(wts), _read_only(grid_values(f, axes).reshape(-1)), derivs, polys
 
 
 def _box_candidates(f: FunctionSpec, r: tuple[int, ...], t, p, box, quad: QuadratureSpec):
     """Candidates valid on the whole given box (no smoother): g = 0, g = f
-    (weights ``t^r(e)`` on the memoized derivative norms), the polynomials."""
-    norm, derivs, polys = _box_norms(f, r, p, box, quad)
-    cands = [("zero", norm)]
+    (weights ``t^r(e)`` on the memoized derivative values), the polynomials."""
+    wts, vals, derivs, polys = _box_values(f, r, box, quad, *quad.rule_for(p, box.dim))
+    cands = [("zero", grid_norm(vals, wts, p))]
     if derivs is not None:
         t = as_steps(t, len(r))
         total = 0.0
         for e, deriv in zip(subsets(len(r)), derivs):
             weight = float(np.prod([t[i] ** r[i] for i in e]))
-            total += weight * deriv
+            total += weight * grid_norm(deriv, wts, p)
         cands.append(("identity", total))
-    cands.extend(polys)
+    cands.extend((name, grid_norm(res, wts, p)) for name, res in polys)
     return cands
+
+
+@lru_cache(maxsize=_STENCIL_CACHE)
+def _signed_values(f: FunctionSpec, r: tuple[int, ...], signed: tuple[float, ...],
+                   box: Parallelepiped, quad: QuadratureSpec, panel_nodes: int,
+                   rule: str, nodes: tuple[int, ...]):
+    """The stencil outputs of the smoother at the signed steps on the
+    :func:`box_rule` grid of ``rule`` and ``nodes`` over its validity box:
+    the weights, the values of ``f - g``, and the values of each subset's
+    derivative term, over :func:`subsets`.
+
+    The validity box, its grid and each axis's smoothing and derivative
+    stencils are built once.  The term of subset e takes the derivative
+    stencil on e's axes and the smoothing stencil elsewhere: the stencils
+    that :func:`smoothed_derivative` builds for e, so each term has the bits
+    of that reference path.
+    """
+    smooth, domain = _signed_ops_and_domain(r, signed, box, panel_nodes)
+    deriv = [_derivative_op(r[i], ti) for i, ti in enumerate(signed)]
+    axes, wts = box_rule(domain, rule, nodes)
+    terms = tuple(_smoothed_values(tuple(deriv[i] if i in e else op
+                                         for i, op in enumerate(smooth)), f, axes)
+                  for e in subsets(len(r)))
+    return _read_only(wts), _smoothed_values(smooth, f, axes, subtract_base=True), terms
 
 
 def _directional_upper(f: FunctionSpec, r: tuple[int, ...], t, sigma: tuple[int, ...],
                        p, box, quad: QuadratureSpec, panel_nodes: int):
-    """Functional value of the signed smoother, measured on its validity box.
-
-    The validity box, its quadrature grid and each axis's smoothing and
-    derivative stencils are built once per sigma.  The term of subset e takes
-    the derivative stencil on e's axes and the smoothing stencil elsewhere:
-    the stencils that :func:`smoothed_derivative` builds for e, so each term
-    has the bits of that reference path.
-    """
+    """Functional value of the signed smoother, measured on its validity box,
+    from the memoized stencil outputs of :func:`_signed_values`."""
     t = as_steps(t, len(r))
-    signed = [s * ti for s, ti in zip(sigma, t)]
-    smooth, domain = _signed_ops_and_domain(r, signed, box, panel_nodes)
-    deriv = [_derivative_op(r[i], ti) for i, ti in enumerate(signed)]
-    grid = tensor_quadrature(domain, quad, p)
-    value = _smoothed_lp_norm(smooth, f, p, grid, subtract_base=True)
-    f_minus_g = value
+    signed = tuple(s * ti for s, ti in zip(sigma, t))
+    wts, fg_vals, terms = _signed_values(f, r, signed, box, quad, panel_nodes,
+                                         *quad.rule_for(p, len(r)))
+    value = f_minus_g = grid_norm(fg_vals, wts, p)
     deriv_terms = {}
-    for e in subsets(len(r)):
-        ops = tuple(deriv[i] if i in e else op for i, op in enumerate(smooth))
+    for e, vals in zip(subsets(len(r)), terms):
         weight = float(np.prod([t[i] ** r[i] for i in e]))
-        term = weight * _smoothed_lp_norm(ops, f, p, grid)
+        term = weight * grid_norm(vals, wts, p)
         deriv_terms[e] = term
         value += term
     return value, f_minus_g, deriv_terms

@@ -251,6 +251,47 @@ class TestTotalModulus:
         assert shifted == pytest.approx(base, rel=1e-8)
 
 
+class TestSharedAxisPasses:
+    """The 1-D passes of the pruned step search are memoized: one active pass
+    per axis serves every subset of a total, and one Gauss pass both p = 1
+    and p = 2; only the reduction to each step's norm runs per call."""
+
+    @staticmethod
+    def _counted_factors(f):
+        calls = []  # (axis, points per step of the 1-D difference)
+        factors = tuple(lambda x, i=i, fac=fac: calls.append((i, x.shape[1])) or fac(x)
+                        for i, fac in enumerate(f.factors))
+        return replace(f, factors=factors), calls
+
+    def test_total_modulus_runs_each_active_pass_once(self, unit_box_2d, quad_2d_fast):
+        f, calls = self._counted_factors(get_function("exp_d2"))
+        total_modulus(f, (2, 3), (0.3, 0.2), 1.0, unit_box_2d, quad=quad_2d_fast, h_grid=9)
+        active = [axis for axis, width in calls if width > 1]
+        assert sorted(active) == [0, 1]  # not once per subset: (i,) and (0, 1)
+
+    def test_p2_reuses_the_gauss_passes_of_p1(self, unit_box_2d, quad_2d_fast):
+        f, calls = self._counted_factors(get_function("sinprod_d2"))
+        args = (f, (2, 2), (0.3, 0.2))
+        kw = dict(quad=quad_2d_fast, h_grid=9)
+        total_modulus(*args, 1.0, unit_box_2d, **kw)
+        assert calls
+        calls.clear()
+        assert total_modulus(*args, 2.0, unit_box_2d, **kw) > 0.0
+        assert calls == []
+        total_modulus(*args, INF, unit_box_2d, **kw)
+        assert calls  # the sup grid has passes of its own
+
+    def test_memoized_pass_is_read_only(self, unit_box_2d, quad_2d_fast):
+        f = get_function("exp_d2")
+        total_modulus(f, (2, 2), (0.3, 0.2), 2.0, unit_box_2d, quad=quad_2d_fast, h_grid=9)
+        assert differences._axis_pass.cache_info().currsize > 0
+        ok, half, diff, top, length, wts = differences._axis_pass(
+            f.factors[0], 2, (0.15, 0.3), "gauss_legendre", 16, 0.0, 1.0)
+        for arr in (ok, half, diff, top, length, wts):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+
 class TestPMeanModulus:
     def test_polynomial_gives_zero(self, unit_box_1d, quad_1d):
         f = get_function("poly_d1_deg1")

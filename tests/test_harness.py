@@ -422,6 +422,62 @@ class TestRunners:
         assert not result.hard_failure
 
 
+class TestGroupedOrder:
+    """The runner runs the p values of each (function, order, frame) back to
+    back, so that they share the memos, and writes the rows in config order:
+    the bytes of every task run alone, on empty memos, in config order."""
+
+    RES = {"h_grid": 5, "quad_nodes": 8, "sup_nodes": 9, "panel_nodes": 4,
+           "mean_nodes": 4, "minimax_grid": 9}
+    D1 = {"function_ids": ["exp_d1", "abspow_d1"], "orders": [[1], [2]],
+          "box": {"lower": [0.0], "upper": [1.0]}}
+    D2 = {"function_ids": ["sinprod_d2", "abspow_d2"], "orders": [[1, 2]],
+          "box": {"lower": [0.0, 0.1], "upper": [1.0, 0.9]}}
+
+    def _config(self, dims):
+        return ExperimentConfig.from_dict({
+            **dims, "p_values": [1, 2, "inf"], "shrink_levels": 1, "t_sweep": 2,
+            "resolutions": self.RES})
+
+    @pytest.mark.parametrize("dims", ["D1", "D2"])
+    @pytest.mark.parametrize("experiment", ["johnen", "kfunc", "modulus", "whitney"])
+    def test_rows_are_the_bytes_of_each_task_alone(self, experiment, dims, cold_memos):
+        import dataclasses
+
+        cfg = self._config(getattr(self, dims))
+        tasks, alone = harness._enumerate_tasks(experiment, cfg), []
+        for task in tasks:
+            cold_memos()
+            alone += harness._run_task(task)[0]
+        cold_memos()
+        grouped = EXPERIMENTS[experiment](cfg)
+        assert grouped.tasks == len(tasks) and not grouped.hard_failure
+        assert csv_bytes(grouped.rows) == csv_bytes(alone)
+        parallel = EXPERIMENTS[experiment](dataclasses.replace(cfg, jobs=2))
+        assert csv_bytes(parallel.rows) == csv_bytes(alone)
+
+    @pytest.mark.parametrize("experiment", ["johnen", "whitney"])
+    def test_each_frame_runs_its_p_values_back_to_back(self, experiment, monkeypatch):
+        ran = []
+        run_task = harness._run_task
+
+        def recorded(task):
+            ran.append(task)
+            return run_task(task)
+
+        monkeypatch.setattr(harness, "_run_task", recorded)
+        cfg = self._config(self.D1)
+        rows = EXPERIMENTS[experiment](cfg).rows
+        # 2 functions x 2 orders x 2 frames, each with its 3 p values in config order
+        assert len(ran) == 24
+        for start in range(0, len(ran), 3):
+            group = ran[start:start + 3]
+            assert [task[4] for task in group] == [1.0, 2.0, INF]
+            assert len({(task[2], task[3], task[5], task[6]) for task in group}) == 1
+        # the rows keep config order: p before the frame
+        assert [row.p for row in rows if row.quantity == "Omega"][:4] == [1.0, 1.0, 2.0, 2.0]
+
+
 class TestCli:
     def _write_config(self, tmp_path, **overrides):
         raw = dict(BASE_CONFIG)

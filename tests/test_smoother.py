@@ -394,7 +394,7 @@ class TestDirectionalUpper:
                 expect += term
             assert repr(value) == repr(expect)
 
-    @pytest.mark.parametrize("name", ["_signed_ops_and_domain", "tensor_quadrature"])
+    @pytest.mark.parametrize("name", ["_signed_ops_and_domain", "box_rule"])
     def test_stencils_and_grid_are_built_once_per_sigma(self, monkeypatch, name):
         calls = []
         build = getattr(smoother, name)
@@ -407,30 +407,101 @@ class TestDirectionalUpper:
         f, r, box = self.CASES["sinprod_d2"]
         br = k_functional_bracket(f, r, (0.01, 0.01), 2.0, box, **self.CFG)
         assert "subdomain_uppers" in br.details
-        assert len(calls) == 4  # one per sigma, not one per sigma and subset
+        # box_rule also builds the grid of each box candidate, once per box
+        boxes = smoother._box_values.cache_info().misses if name == "box_rule" else 0
+        assert len(calls) - boxes == 4  # one per sigma, not one per sigma and subset
 
 
 class TestBoxNormCache:
-    """The t-independent norms of the box candidates are memoized per
-    ``(f, r, p, box, quad)``; a sweep on a warm cache gives the cold bits."""
+    """The t-independent arrays of the box candidates are memoized per
+    ``(f, r, box, quad, rule, nodes)``; a sweep on a warm memo gives the cold bits."""
 
     CFG = dict(quad=QuadratureSpec(8, 9), h_grid=5, panel_nodes=4)
     BOX = Parallelepiped([0.0, 0.1], [1.0, 0.9])
 
-    def _sweep(self, f, steps, p):
-        smoother._box_norms.cache_clear()
+    def _sweep(self, f, steps, p, clear_memos):
+        clear_memos()
         warm = [k_functional_bracket(f, (2, 2), t, p, self.BOX, **self.CFG) for t in steps]
-        info = smoother._box_norms.cache_info()
+        info = smoother._box_values.cache_info()
         for t, result in zip(steps, warm):
-            smoother._box_norms.cache_clear()
+            clear_memos()
             cold = k_functional_bracket(f, (2, 2), t, p, self.BOX, **self.CFG)
             assert repr(result) == repr(cold)  # repr spells every float's bits
         return info.hits, info.misses
 
     @pytest.mark.parametrize("fid", ["sinprod_d2", "abspow_d2"])
     @pytest.mark.parametrize("p", [1.0, 2.0, INF])
-    def test_warm_bracket_sweep_keeps_the_bits(self, fid, p):
+    def test_warm_bracket_sweep_keeps_the_bits(self, fid, p, cold_memos):
         steps = [(0.06, 0.04), (0.03, 0.02), (0.015, 0.01)]  # smoother range: (1/16, 1/20)
-        hits, misses = self._sweep(get_function(fid), steps, p)
-        # the box and its 4 subboxes: computed at the first step, reused at the other two
+        hits, misses = self._sweep(get_function(fid), steps, p, cold_memos)
         assert (hits, misses) == (10, 5)
+
+
+class TestSharedAcrossP:
+    """A p = 2 bracket right after the p = 1 bracket of the same
+    ``(f, r, t, box)`` reads the Gauss-grid arrays the p = 1 bracket left in
+    the memos: its box candidates and smoother terms evaluate no base value."""
+
+    CFG = dict(quad=QuadratureSpec(8, 9), h_grid=5, panel_nodes=4)
+    BOX = Parallelepiped([0.0, 0.1], [1.0, 0.9])
+
+    def _counted(self, f, monkeypatch):
+        """f with every evaluator counted, except inside the moduli."""
+        calls, inside = [], []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                if not inside:
+                    calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        def moduli(*args, **kwargs):
+            inside.append(None)
+            try:
+                return modulus(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        modulus = smoother.modulus
+        monkeypatch.setattr(smoother, "modulus", moduli)
+        return dataclasses.replace(
+            f, grid_evaluator=counted("values", f.grid_evaluator),
+            derivative_evaluator=counted("derivatives", f.derivative_evaluator),
+            factors=tuple(counted("factor", fac) for fac in f.factors)), calls
+
+    @pytest.mark.parametrize("fid", ["sinprod_d2", "runge_d2"])
+    def test_p2_bracket_evaluates_no_base_values(self, fid, monkeypatch):
+        f, calls = self._counted(get_function(fid), monkeypatch)
+        t = (0.03, 0.02)  # in the smoother range (1/16, 1/20)
+        first = k_functional_bracket(f, (2, 2), t, 1.0, self.BOX, **self.CFG)
+        assert "smoother_subdivision" in first.details["candidates"]
+        assert {"values", "derivatives", "factor"} <= set(calls)
+        calls.clear()
+        k_functional_bracket(f, (2, 2), t, 2.0, self.BOX, **self.CFG)
+        assert calls == []
+        k_functional_bracket(f, (2, 2), t, INF, self.BOX, **self.CFG)
+        assert "values" in calls  # the sup grid has arrays of its own
+
+    def test_p_values_back_to_back_keep_the_bits(self, cold_memos):
+        f, t = get_function("abspow_d2"), (0.03, 0.02)
+        warm = [k_functional_bracket(f, (2, 2), t, p, self.BOX, **self.CFG)
+                for p in (1.0, 2.0, INF)]
+        for p, result in zip((1.0, 2.0, INF), warm):
+            cold_memos()
+            cold = k_functional_bracket(f, (2, 2), t, p, self.BOX, **self.CFG)
+            assert repr(result) == repr(cold)
+
+    def test_memoized_arrays_are_read_only(self):
+        f, r, t = get_function("sinprod_d2"), (2, 2), (0.03, 0.02)
+        quad = self.CFG["quad"]
+        k_functional_bracket(f, r, t, 2.0, self.BOX, **self.CFG)
+        grid = quad.rule_for(2.0, len(r))
+        wts, vals, derivs, polys = smoother._box_values(f, r, self.BOX, quad, *grid)
+        wts_s, fg, terms = smoother._signed_values(f, r, t, self.BOX, quad, 4, *grid)
+        for arr in (wts, vals, *derivs, *(res for _, res in polys), wts_s, fg, *terms):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        assert smoother._box_values.cache_info().misses == 5  # the box and its 4 subboxes
+        assert smoother._signed_values.cache_info().misses == 4  # one per sigma
+
