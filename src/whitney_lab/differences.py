@@ -78,6 +78,31 @@ and a Gauss pass both p = 1 and p = 2.  ``_AXIS_PASS_CACHE`` holds the passes
 of one ``(f, r, step)`` group of the harness at d <= 2: per axis an active and
 an inactive pass, each on the Gauss and the Lobatto grid: ``4 d`` entries, each
 at most about 17 KiB at the default resolutions.
+
+The grid path's differences do not depend on p either: only the reduction of
+``|Delta_h f(x)|`` over the shifted box does, to a weighted sum of its p-th
+powers or to its max.  So :func:`_grid_differences` memoizes, per ``(f, r_e,
+steps, rule, nodes, box)`` -- every input of its value, the steps as their
+bytes and count, and ``rule, nodes`` as ``quad.rule_for(p, d)`` names them, so
+that only ``geometry`` decides which p share a grid -- the kept steps, their
+box scales and each step's ``|coef @ vals|`` row, as read-only arrays.  The
+chunk budget is not part of the key, since it does not fix the bits.  A
+finite p that measures the steps of an earlier one then evaluates no value of
+f: it reduces the Gauss grid's rows in chunks of the grid path's own steps
+(the p-th power, which p = 1 skips, then one dot product per step), so it
+makes no array the size of the rows.  The sup grid's rule has no weights and
+only a row's max is ever read, so there the memo holds only each step's max,
+reduced chunk by chunk.  ``_DIFF_CACHE`` holds one ``(f, r, step)`` group of
+the harness at d <= 2: per non-empty subset one sup-type and one p-mean step
+set, ``2 (2^d - 1)`` = 6 entries.  (p = inf's sup-grid entries then evict the
+oldest Gauss ones, which the next group does not read.)  At the default resolutions (32 Gauss nodes per axis,
+``mean_nodes`` 16) the d = 2 p-mean entries of a group hold 2.25 MiB, and a
+sup-type entry of a step set that is not pruned up to 8 MiB (``32^2`` steps of
+``32^2`` floats); at the ``moduli`` benchmark's (24 nodes, ``mean_nodes`` 12)
+the p-mean entries hold 0.74 MiB, and the pruned sup-type ones a few steps of
+4.5 KiB.  A callable that cannot be hashed, such as a ``TensorPolynomial``
+(its coefficients are an array), runs the same function uncached through its
+``__wrapped__``.
 """
 
 from __future__ import annotations
@@ -127,6 +152,8 @@ _CHUNK_POINTS = 1 << 16
 _EVAL_ULPS = 1024
 # 1-D passes of _contenders kept (module docstring): 4 d at d <= 2
 _AXIS_PASS_CACHE = 4 * 2
+# grid differences of _shift_norms kept (module docstring): 2 (2^d - 1) at d <= 2
+_DIFF_CACHE = 2 * (2 ** 2 - 1)
 
 
 @lru_cache(maxsize=None)
@@ -164,43 +191,91 @@ def mixed_difference(f, r_e, h, x) -> np.ndarray:
     return coef @ vals
 
 
-def _shift_norms(f, r_e: tuple[int, ...], steps: np.ndarray, p: float,
-                 domain: Parallelepiped, quad: QuadratureSpec) -> np.ndarray:
-    """Per step (row of ``steps``): the sup norm (p = inf) or the integral of
-    ``|diff|^p`` over the shifted box, 0 where that box is empty.  Bounds, grid
-    and difference use the arithmetic of :func:`shifted_domain`,
-    :func:`box_rule` and :func:`mixed_difference`, per axis; f runs once per
-    chunk, on the tensor grids of the chunk's shifted boxes.  A NaN norm of a
-    non-empty box raises :class:`FloatingPointError` naming its step."""
-    if not (1.0 <= p <= math.inf):
-        raise ValueError(f"p must lie in [1, inf], got {p}")
+def _count(name: str, value, least: int) -> int:
+    """A resolution count: an int, not a bool, of at least ``least``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be a whole number of nodes or steps, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
+def _chunk_steps(terms: int, n_ref: int) -> int:
+    """Steps per chunk of the grid path: about ``_CHUNK_POINTS`` values of f."""
+    return max(1, _CHUNK_POINTS // (terms * n_ref))
+
+
+@lru_cache(maxsize=_DIFF_CACHE)
+def _grid_differences(f, r_e: tuple[int, ...], step_bytes: bytes, count: int, rule: str,
+                      nodes: tuple[int, ...], domain: Parallelepiped):
+    """The part of :func:`_shift_norms` that does not depend on p, on the grid
+    of ``rule`` and ``nodes`` (``quad.rule_for(p, d)``), for the ``count``
+    steps in ``step_bytes``: the indices of the steps whose shifted box is
+    non-empty, their box scales ``prod half`` ``(K, 1)``, and per kept step
+    the ``|coef @ vals|`` row ``(K, n_ref)`` -- on the sup grid, whose rule
+    has no weights, only its max ``(K,)``.  Read-only (module docstring)."""
+    steps = np.frombuffer(step_bytes).reshape(count, len(r_e))
     mult, coef = _difference_table(r_e)
     y = np.asarray(r_e) * steps
     lo = np.where(y < 0, domain.lower - y, domain.lower)
     hi = np.where(y >= 0, domain.upper - y, domain.upper)
     keep = np.flatnonzero(~np.any(lo > hi, axis=1))
     half, mid = 0.5 * (hi[keep] - lo[keep]), 0.5 * (lo[keep] + hi[keep])
-    rule, nodes = quad.rule_for(p, len(r_e))
-    ref_wts = _reference_weights(rule, nodes)
     n_ref = math.prod(nodes)
     # per kept step: box nodes (K, 1, n_i), difference offsets (K, T, 1), box scale
     nodes_at = [(axis_rule(rule, n)[0] * half[:, i, None] + mid[:, i, None])[:, None]
                 for i, n in enumerate(nodes)]
     offsets = [mult[:, i, None] * steps[keep, i, None, None] for i in range(len(r_e))]
     scale = np.prod(half, axis=1)[:, None]
-    norms = np.empty(len(keep))
-    per = max(1, _CHUNK_POINTS // (len(coef) * n_ref))
+    weighted = _reference_weights(rule, nodes) is not None
+    diffs = np.empty((len(keep), n_ref) if weighted else len(keep))
+    per = _chunk_steps(len(coef), n_ref)
     for start in range(0, len(keep), per):
         at = slice(start, start + per)
         vals = grid_values(f, [x[at] + o[at] for x, o in zip(nodes_at, offsets)])
-        diff = coef @ vals.reshape(-1, len(coef), n_ref)  # (chunk, n_ref)
-        del vals  # free the chunk before the reduction
+        # (chunk, n_ref): on a weighted grid each step's row, straight into the memo
+        diff = np.matmul(coef, vals.reshape(-1, len(coef), n_ref),
+                         out=diffs[at] if weighted else None)
+        del vals  # free the chunk before the next one
         np.abs(diff, out=diff)
-        if p == math.inf:
-            norms[at] = np.max(diff, axis=1)
-        else:  # one dot product per step, the reduction of lp_power_integral
-            diff **= p
-            norms[at] = np.matmul((scale[at] * ref_wts)[:, None, :], diff[:, :, None])[:, 0, 0]
+        if not weighted:  # only the max is ever read
+            diffs[at] = np.max(diff, axis=1)
+    for arr in (keep, scale, diffs):
+        arr.setflags(write=False)
+    return keep, scale, diffs
+
+
+def _shift_norms(f, r_e: tuple[int, ...], steps: np.ndarray, p: float,
+                 domain: Parallelepiped, quad: QuadratureSpec) -> np.ndarray:
+    """Per step (row of ``steps``): the sup norm (p = inf) or the integral of
+    ``|diff|^p`` over the shifted box, 0 where that box is empty.  Bounds, grid
+    and difference use the arithmetic of :func:`shifted_domain`,
+    :func:`box_rule` and :func:`mixed_difference`, per axis; f runs once per
+    chunk, on the tensor grids of the chunk's shifted boxes.  The differences
+    come from :func:`_grid_differences`, memoized when f is hashable, so every
+    finite p after the first reads the Gauss grid's rows; only the reduction,
+    in chunks of the same steps, runs per p.  A NaN norm of a non-empty box
+    raises :class:`FloatingPointError` naming its step."""
+    if not (1.0 <= p <= math.inf):
+        raise ValueError(f"p must lie in [1, inf], got {p}")
+    rule, nodes = quad.rule_for(p, len(r_e))
+    steps = np.asarray(steps, dtype=float)
+    try:
+        hash(f)
+        differences = _grid_differences
+    except TypeError:  # e.g. a TensorPolynomial, whose coefficients are an array
+        differences = _grid_differences.__wrapped__
+    keep, scale, diffs = differences(f, r_e, steps.tobytes(), len(steps), rule, nodes, domain)
+    ref_wts = _reference_weights(rule, nodes)
+    if ref_wts is None:  # the sup grid's memo holds each step's max
+        norms = diffs
+    else:  # one dot product per step, the reduction of lp_power_integral
+        norms = np.empty(len(keep))
+        per = _chunk_steps(len(_difference_table(r_e)[1]), len(ref_wts))
+        for start in range(0, len(keep), per):
+            at = slice(start, start + per)
+            rows = diffs[at] if p == 1.0 else diffs[at] ** p  # x ** 1.0 is x
+            norms[at] = np.matmul((scale[at] * ref_wts)[:, None, :], rows[:, :, None])[:, 0, 0]
     bad = np.flatnonzero(np.isnan(norms))
     if bad.size:
         raise FloatingPointError(f"NaN norm of the order {r_e} difference at step "
@@ -288,8 +363,7 @@ def modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
     active = [i for i in range(dim) if r_e[i] > 0]
     if not active:
         raise ValueError("modulus needs an order with a positive entry")
-    if h_grid < 2:
-        raise ValueError("h_grid must be >= 2")
+    h_grid = _count("h_grid", h_grid, 2)
     clamped = tuple(min(ti, float(si)) for ti, si in zip(t, domain.size()))
     if clamped != t:
         log.info("clamping modulus step bound %s to box size %s", t, clamped)
@@ -341,6 +415,7 @@ def p_mean_modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpe
     active = [i for i in range(dim) if r_e[i] > 0]
     if not active:
         raise ValueError("p-mean modulus needs a non-empty active subset")
+    mean_nodes = _count("mean_nodes", mean_nodes, 1)
     if p == math.inf:
         return modulus(f, r_e, t, p, domain, quad=quad, h_grid=h_grid)
     if any(t[i] == 0.0 for i in active):

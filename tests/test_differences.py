@@ -24,6 +24,7 @@ from whitney_lab.geometry import (
     shifted_domain,
     subsets,
 )
+from whitney_lab.polyapprox import TensorPolynomial
 
 INF = math.inf
 X2 = lambda p: p[:, 0] ** 2
@@ -292,6 +293,136 @@ class TestSharedAxisPasses:
                 arr[...] = 0
 
 
+class TestSharedDifferences:
+    """The grid differences ``|coef @ vals|`` of :func:`differences._shift_norms`
+    are memoized per step set and grid: every finite p reads the Gauss grid's
+    rows, and only their reduction runs per p."""
+
+    QUAD = QuadratureSpec(8, 9)
+
+    @staticmethod
+    def _counted(fid):
+        f, points = get_function(fid), []
+
+        def counting(coords):
+            points.append(math.prod(np.broadcast_shapes(*(np.shape(x) for x in coords))))
+            return f.grid_evaluator(coords)
+
+        return replace(f, grid_evaluator=counting), points
+
+    @pytest.mark.parametrize("fid,r", [("exp_d1", (2,)), ("sinprod_d2", (2, 1))])
+    def test_p2_p_mean_evaluates_no_values(self, fid, r):
+        f, points = self._counted(fid)
+        d = len(r)
+        box, t = Parallelepiped([0.0] * d, [1.0] * d), (0.3, 0.2)[:d]
+        kw = dict(quad=self.QUAD, mean_nodes=4)
+        for e in subsets(d):
+            assert p_mean_modulus(f, project(r, e), t, 1.0, box, **kw) > 0.0 and points
+            points.clear()
+            assert p_mean_modulus(f, project(r, e), t, 2.0, box, **kw) > 0.0
+            assert points == []
+
+    def test_p2_modulus_in_1d_evaluates_no_values(self, unit_box_1d):
+        # in 1-D the step search is not pruned, so p = 2 measures p = 1's steps
+        f, points = self._counted("runge_d1")
+        assert modulus(f, (2,), (0.5,), 1.0, unit_box_1d, quad=self.QUAD, h_grid=9) > 0.0
+        assert points
+        points.clear()
+        assert modulus(f, (2,), (0.5,), 2.0, unit_box_1d, quad=self.QUAD, h_grid=9) > 0.0
+        assert points == []
+
+    @pytest.mark.parametrize("fid", ["sinprod_d2", "abspow_d2"])
+    def test_finite_p_after_p1_keep_the_bits(self, fid, cold_memos):
+        f, r, t = get_function(fid), (2, 3), (0.25, 0.3)
+        box = Parallelepiped([-0.2, -0.2], [0.7, 0.7])
+        kw = dict(quad=self.QUAD, h_grid=5)
+
+        def values(p):
+            return [repr(fn(f, project(r, e), t, p, box, **kw))
+                    for e in subsets(2) for fn in (modulus, p_mean_modulus)]
+
+        ps = (1.0, 2.0, 1.5, 3.5)
+        warm = [values(p) for p in ps]
+        assert differences._grid_differences.cache_info().hits > 0
+        for p, got in zip(ps, warm):
+            cold_memos()
+            assert got == values(p)
+
+    def test_hit_reduces_to_the_reference_norm(self, unit_box_1d):
+        # p = 2 and 3.5 read p = 1's rows and still measure |diff|^p: the
+        # largest lp_norm of the difference over each shifted box
+        f, r, t, h_grid = get_function("runge_d1"), (2,), (0.4,), 5
+        modulus(f, r, t, 1.0, unit_box_1d, quad=self.QUAD, h_grid=h_grid)
+        for p in (2.0, 3.5):
+            before = differences._grid_differences.cache_info().hits
+            got = modulus(f, r, t, p, unit_box_1d, quad=self.QUAD, h_grid=h_grid)
+            assert differences._grid_differences.cache_info().hits == before + 1
+            best = max(lp_norm(lambda q, h=h: mixed_difference(f, r, (h,), q),
+                               shifted_domain(unit_box_1d, (2 * h,)), p, self.QUAD)
+                       for h in np.linspace(0.0, 0.4, h_grid)[1:])
+            assert got == pytest.approx(best, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, INF])
+    def test_memoized_differences_are_read_only(self, unit_box_2d, p):
+        f = get_function("exp_d2")
+        rule, nodes = self.QUAD.rule_for(p, 2)
+        steps = np.array([[0.1, 0.2], [0.9, 0.3], [0.2, 0.05]])
+        keep, scale, diffs = differences._grid_differences(
+            f, (2, 1), steps.tobytes(), len(steps), rule, nodes, unit_box_2d)
+        assert keep.tolist() == [0, 2]  # 2 * 0.9 > 1 empties the second box
+        assert diffs.shape == ((2, math.prod(nodes)) if p < INF else (2,))
+        for arr in (keep, scale, diffs):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+    def test_one_group_fits_the_memo(self, unit_box_2d):
+        # the harness runs p = 1, 2, inf of one (f, r, t) back to back, each p
+        # a sup-type and a p-mean term per subset
+        f, r, t = get_function("sinprod_d2"), (2, 2), (0.3, 0.2)
+        kw = dict(quad=self.QUAD, h_grid=9)
+        memo = differences._grid_differences
+        for p in (1.0, 2.0, INF):
+            for e in subsets(2):
+                modulus(f, project(r, e), t, p, unit_box_2d, **kw)
+                before = memo.cache_info()
+                p_mean_modulus(f, project(r, e), t, p, unit_box_2d, mean_nodes=4, **kw)
+                after = memo.cache_info()
+                if p == 2.0:
+                    assert (after.hits - before.hits, after.misses) == (1, before.misses)
+        assert memo.cache_info().currsize <= differences._DIFF_CACHE
+
+    def test_unhashable_callable_runs_uncached(self, unit_box_2d):
+        # a TensorPolynomial holds an array, so it cannot key a memo
+        poly = TensorPolynomial(np.array([[1.0, 0.5, 0.1], [0.3, 0.0, 0.2]]), unit_box_2d)
+        with pytest.raises(TypeError):
+            hash(poly)
+        wrapped = lambda q: poly(q)  # noqa: E731 -- the same point list, hashable
+        for fn in (total_modulus, total_p_mean_modulus):
+            for p in (1.0, 2.0, INF):
+                got = fn(poly, (1, 1), (0.4, 0.3), p, unit_box_2d, quad=self.QUAD, h_grid=5)
+                assert got > 0.0
+                assert repr(got) == repr(fn(wrapped, (1, 1), (0.4, 0.3), p, unit_box_2d,
+                                            quad=self.QUAD, h_grid=5))
+
+
+_BAD_COUNTS = [("h_grid", 9.0), ("h_grid", True), ("h_grid", "9")]
+
+
+@pytest.mark.parametrize("fn,name,value",
+                         [(modulus, *case) for case in _BAD_COUNTS]
+                         + [(p_mean_modulus, *case) for case in _BAD_COUNTS]
+                         + [(p_mean_modulus, "mean_nodes", v) for v in (12.0, True, 0)])
+def test_resolution_counts_must_be_ints(unit_box_1d, quad_1d, fn, name, value):
+    # a bool ran a 1-node rule, a float raised numpy's or range()'s TypeError
+    f = get_function("exp_d1")
+    p = INF if name == "h_grid" else 2.0  # p_mean_modulus reads h_grid at p = inf
+    with pytest.raises(ValueError, match=name):
+        fn(f, (1,), (0.5,), p, unit_box_1d, quad=quad_1d, **{name: value})
+    # a numpy integer is a count
+    assert (fn(f, (1,), (0.5,), p, unit_box_1d, quad=quad_1d, **{name: np.int64(9)})
+            == fn(f, (1,), (0.5,), p, unit_box_1d, quad=quad_1d, **{name: 9}))
+
+
 class TestPMeanModulus:
     def test_polynomial_gives_zero(self, unit_box_1d, quad_1d):
         f = get_function("poly_d1_deg1")
@@ -366,6 +497,27 @@ class TestNaNNorms:
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 
+    @pytest.mark.parametrize("mean", [False, True], ids=["modulus", "p_mean_modulus"])
+    def test_memo_hit_raises_naming_the_cold_step(self, unit_box_1d, quad_1d, mean,
+                                                  cold_memos):
+        # p = 1 leaves the Gauss grid's differences in the memo; p = 2 reads
+        # them and still names the step that a p = 2 call on cold memos names
+        fn = p_mean_modulus if mean else modulus
+        args = (self.NAN_TAIL, (1,), (0.5,))
+        messages = []
+        with pytest.raises(FloatingPointError):
+            fn(*args, 1.0, unit_box_1d, quad=quad_1d)
+        for clear in (False, True):
+            if clear:
+                cold_memos()
+            before = differences._grid_differences.cache_info()
+            with pytest.raises(FloatingPointError, match="NaN norm .* at step") as err:
+                fn(*args, 2.0, unit_box_1d, quad=quad_1d)
+            after = differences._grid_differences.cache_info()
+            assert after.hits - before.hits == (0 if clear else 1)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
     def test_nan_outside_every_shifted_box_is_not_seen(self, quad_1d):
         # with h <= 0.1 every node x and x + h of a shifted box lies in [0, 0.9]
         box = Parallelepiped([0.0], [0.9])
@@ -396,7 +548,7 @@ def _moduli_reprs(f, d, quad, h_grid, mean_nodes):
                                        ("abspow_d2", True)])
 @pytest.mark.parametrize("nodes", [(5, 7, 5, 3), (24, 33, 9, 6)],
                          ids=["small-grids", "bench-grids"])
-def test_chunk_budget_keeps_every_bit(monkeypatch, fid, plain, nodes):
+def test_chunk_budget_keeps_every_bit(monkeypatch, fid, plain, nodes, cold_memos):
     # each step's difference and reduction are its own, whatever the chunk holds
     f = get_function(fid)
     g = (lambda q: f(q)) if plain else f  # a plain callable gets the point list
@@ -405,6 +557,7 @@ def test_chunk_budget_keeps_every_bit(monkeypatch, fid, plain, nodes):
     results = []
     for budget in _BUDGETS:
         monkeypatch.setattr(differences, "_CHUNK_POINTS", budget)
+        cold_memos()  # the budget is not part of the memos' keys
         results.append(_moduli_reprs(g, f.dimension, quad, h_grid, mean_nodes))
     assert results[0] == results[1] == results[2]
     assert any(v != "0.0" for v in results[0])
