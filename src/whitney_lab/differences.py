@@ -70,14 +70,30 @@ the full search's.  The terms, with ``u = eps / 2``
 A NaN or an overflow in the bound prunes nothing, so the grid path raises
 naming the first NaN step, as for a plain callable.
 
+The p-mean modulus of such an entry at finite p measures no step on the
+grid.  With the panel nodes ``h_k`` and weights ``w_k`` on ``[0, t_i]``, the
+step integral of ``prod_i N_i(h_i)`` is a product of 1-D sums::
+
+    W_e^p = prod_{i in e} (2 / t_i) sum_k w_k N_i(h_k) * prod_{i not in e} N_i(0)
+
+so :func:`p_mean_modulus` reads the active pass of each axis of ``e`` on its
+panel and the step-0 pass of every other axis, the one the sup-type search
+reads for an inactive axis.  The grid path sums the same steps' grid norms,
+each within ``delta`` of ``U``.  So by Minkowski's inequality over the steps,
+whose weights sum to ``2^|e|``, the two values are at most
+``2^(|e|/p) max delta`` apart, plus the rounding of their step sums.  A NaN or
+an overflow in the product leaves the value to the grid path, which raises
+naming the first NaN step.
+
 The arrays of a 1-D pass do not depend on p, only their reduction to ``N_i``
 does, so :func:`_axis_pass` memoizes them per ``(factor, r_i, step values,
 rule, nodes, interval)``, every input of its value, as read-only arrays.  The
 active pass of an axis then serves each subset of a total that holds the axis,
 and a Gauss pass both p = 1 and p = 2.  ``_AXIS_PASS_CACHE`` holds the passes
 of one ``(f, r, step)`` group of the harness at d <= 2: per axis an active and
-an inactive pass, each on the Gauss and the Lobatto grid: ``4 d`` entries, each
-at most about 17 KiB at the default resolutions.
+an inactive pass on the Lobatto grid, and on the Gauss grid an inactive pass
+and two active ones, on the sup-type steps and on the p-mean panel: ``5 d``
+entries, each at most about 17 KiB at the default resolutions.
 
 The grid path's differences do not depend on p either: only the reduction of
 ``|Delta_h f(x)|`` over the shifted box does, to a weighted sum of its p-th
@@ -92,16 +108,18 @@ f: it reduces the Gauss grid's rows in chunks of the grid path's own steps
 (the p-th power, which p = 1 skips, then one dot product per step), so it
 makes no array the size of the rows.  The sup grid's rule has no weights and
 only a row's max is ever read, so there the memo holds only each step's max,
-reduced chunk by chunk.  ``_DIFF_CACHE`` holds one ``(f, r, step)`` group of
-the harness at d <= 2: per non-empty subset one sup-type and one p-mean step
-set, ``2 (2^d - 1)`` = 6 entries.  (p = inf's sup-grid entries then evict the
-oldest Gauss ones, which the next group does not read.)  At the default resolutions (32 Gauss nodes per axis,
-``mean_nodes`` 16) the d = 2 p-mean entries of a group hold 2.25 MiB, and a
-sup-type entry of a step set that is not pruned up to 8 MiB (``32^2`` steps of
-``32^2`` floats); at the ``moduli`` benchmark's (24 nodes, ``mean_nodes`` 12)
-the p-mean entries hold 0.74 MiB, and the pruned sup-type ones a few steps of
-4.5 KiB.  A callable that cannot be hashed, such as a ``TensorPolynomial``
-(its coefficients are an array), runs the same function uncached through its
+reduced chunk by chunk.  Every corpus entry has ``factors``, so in a
+``(f, r, step)`` group of the harness at d = 2 only the sup-type moduli reach
+the grid, and ``_DIFF_CACHE`` holds their step sets, one per non-empty subset:
+``2^d - 1`` = 3 entries.  At d = 1 a group's one sup-type and one p-mean step
+set fit as well.  (p = inf's sup-grid entries then evict the Gauss ones, which
+the next group does not read.)  A sup-type entry of a step set that is not
+pruned holds up to 8 MiB at the default resolutions (``32^2`` steps of
+``32^2`` floats), and a p-mean one of a plain callable at d = 2 2.25 MiB (32
+Gauss nodes per axis, ``mean_nodes`` 16); at the ``moduli`` benchmark's
+resolutions (24 nodes) the pruned sup-type entries hold a few steps of 4.5
+KiB.  A callable that cannot be hashed, such as a ``TensorPolynomial`` (its
+coefficients are an array), runs the same function uncached through its
 ``__wrapped__``.
 """
 
@@ -150,10 +168,10 @@ _CHUNK_POINTS = 1 << 16
 # relative gap, in units of eps, allowed between a value of an entry and the
 # product of its factor values at the same point (module docstring)
 _EVAL_ULPS = 1024
-# 1-D passes of _contenders kept (module docstring): 4 d at d <= 2
-_AXIS_PASS_CACHE = 4 * 2
-# grid differences of _shift_norms kept (module docstring): 2 (2^d - 1) at d <= 2
-_DIFF_CACHE = 2 * (2 ** 2 - 1)
+# 1-D passes of _axis_rows kept (module docstring): 5 d at d <= 2
+_AXIS_PASS_CACHE = 5 * 2
+# grid differences of _shift_norms kept (module docstring): 2^d - 1 at d = 2
+_DIFF_CACHE = 2 ** 2 - 1
 
 
 @lru_cache(maxsize=None)
@@ -287,7 +305,7 @@ def _shift_norms(f, r_e: tuple[int, ...], steps: np.ndarray, p: float,
 
 @lru_cache(maxsize=_AXIS_PASS_CACHE)
 def _axis_pass(fac, ri: int, h: tuple[float, ...], rule: str, n: int, a: float, b: float):
-    """The p-independent arrays of one axis's 1-D pass of :func:`_contenders`,
+    """The p-independent arrays of one axis's 1-D pass of :func:`_axis_rows`,
     over the step values ``h``: the mask of the non-empty intervals, and on
     those the half length, ``|coef @ fac(x)|`` ``(steps, n)``, the largest
     ``|fac|`` read and the length, with the rule's weights.  Read-only."""
@@ -309,15 +327,15 @@ def _axis_pass(fac, ri: int, h: tuple[float, ...], rule: str, n: int, a: float, 
     return out
 
 
-def _contenders(factors, r_e: tuple[int, ...], axis_steps: list[np.ndarray], p: float,
-                domain: Parallelepiped, quad: QuadratureSpec) -> np.ndarray:
-    """Mask over the steps ``tensor_grid(axis_steps)`` of those whose
-    :func:`_shift_norms` value can be the largest, from 1-D passes over the
-    ``factors`` of the entry (module docstring).  The passes are memoized
-    (:func:`_axis_pass`); only their reduction to ``N_i`` depends on p.  A NaN
-    or an overflow in the bound keeps every step."""
+def _axis_rows(factors, r_e: tuple[int, ...], axis_steps: list[np.ndarray], p: float,
+               domain: Parallelepiped, quad: QuadratureSpec) -> list[np.ndarray]:
+    """Per axis, rows over its step values: the norm ``N_i`` of the 1-D
+    difference (its max, or the integral of its p-th power), the largest
+    factor value ``M_i`` read and the interval length ``L_i``, all 0 where the
+    interval is empty.  The passes are memoized (:func:`_axis_pass`); only
+    their reduction to ``N_i`` depends on p."""
     rule, nodes = quad.rule_for(p, len(r_e))
-    per_axis = []  # rows: the norm N_i, the largest factor value M_i, the length L_i
+    per_axis = []
     for fac, h, ri, n, a, b in zip(factors, axis_steps, r_e, nodes,
                                    domain.lower, domain.upper):
         ok, half, diff, top, length, wts = _axis_pass(fac, ri, tuple(h.tolist()), rule, n, a, b)
@@ -325,7 +343,18 @@ def _contenders(factors, r_e: tuple[int, ...], axis_steps: list[np.ndarray], p: 
         axis[:, ok] = (np.max(diff, axis=1) if p == math.inf else half * (diff ** p @ wts),
                        top, length)
         per_axis.append(axis)
+    return per_axis
+
+
+def _step_bounds(factors, r_e: tuple[int, ...], axis_steps: list[np.ndarray], p: float,
+                 domain: Parallelepiped, quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Over the steps ``tensor_grid(axis_steps)``: the product ``U`` of the
+    1-D norms (its ``1/p`` power for finite p), and the allowance ``delta``
+    within which the step's :func:`_shift_norms` value (its ``1/p`` power)
+    lies from ``U`` (module docstring)."""
+    per_axis = _axis_rows(factors, r_e, axis_steps, p, domain, quad)
     norm, top, length = (reduce(np.multiply, np.ix_(*rows)).ravel() for rows in zip(*per_axis))
+    nodes = quad.rule_for(p, len(r_e))[1]
     eps, terms, n_ref = np.finfo(float).eps, len(_difference_table(r_e)[1]), math.prod(nodes)
     spread = (terms + _EVAL_ULPS) * eps * 2.0 ** sum(r_e) * top
     floor = (n_ref + terms) * np.finfo(float).tiny
@@ -334,7 +363,16 @@ def _contenders(factors, r_e: tuple[int, ...], axis_steps: list[np.ndarray], p: 
     else:
         norm, spread, floor = norm ** (1.0 / p), spread * length ** (1.0 / p), floor ** (1.0 / p)
         rho = (n_ref + sum(nodes) + 6 * len(r_e)) * eps
-    delta = spread + rho * (norm + spread) + floor
+    return norm, spread + rho * (norm + spread) + floor
+
+
+def _contenders(factors, r_e: tuple[int, ...], axis_steps: list[np.ndarray], p: float,
+                domain: Parallelepiped, quad: QuadratureSpec) -> np.ndarray:
+    """Mask over the steps ``tensor_grid(axis_steps)`` of those whose
+    :func:`_shift_norms` value can be the largest, from 1-D passes over the
+    ``factors`` of the entry (module docstring).  A NaN or an overflow in the
+    bound keeps every step."""
+    norm, delta = _step_bounds(factors, r_e, axis_steps, p, domain, quad)
     if not (np.all(np.isfinite(norm)) and np.all(np.isfinite(delta))):
         return np.ones(norm.size, dtype=bool)
     return norm + delta >= np.max(norm - delta)
@@ -402,6 +440,11 @@ def p_mean_modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpe
     ``h_i`` (module docstring), so one ``mean_nodes``-point Gauss-Legendre panel
     on ``[0, t_i]``, ending at the generic kink h = 0, carries doubled weights.
     At p = inf the value is :func:`modulus` with the same ``h_grid``, bit for bit.
+    At finite p an entry with ``factors`` and d >= 2 takes the step integral
+    as a product of 1-D ones over its factors, which lies within a bound of
+    the grid path's value derived from the pruned step search's allowance
+    ``delta`` (module docstring).  The grid path measures every other case,
+    and a factored product that is NaN or overflows.
 
     The normalization divides by ``prod t_i``, not by the signed box measure
     ``prod 2 t_i``, so the folded form reads ``w_e^p = 2^|e| * (mean over
@@ -420,11 +463,22 @@ def p_mean_modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpe
         return modulus(f, r_e, t, p, domain, quad=quad, h_grid=h_grid)
     if any(t[i] == 0.0 for i in active):
         return 0.0  # limit convention: vanishing step box
-    panels = [axis_rule(GAUSS, mean_nodes, 0.0, t[i]) for i in active]
-    steps = np.zeros((mean_nodes ** len(active), dim))
-    steps[:, active] = tensor_grid([x for x, _ in panels])
-    w_h = tensor_product([2.0 * w for _, w in panels])
-    acc = float(np.dot(w_h, _shift_norms(f, r_e, steps, p, domain, quad)))
+    panels = {i: axis_rule(GAUSS, mean_nodes, 0.0, t[i]) for i in active}
+    factors = getattr(f, "factors", None)
+    acc = math.nan  # the grid path's, unless the factored product is finite
+    # the grid path is the reference in 1-D, and it rejects p < 1
+    if factors is not None and dim > 1 and p >= 1.0:
+        # the step integral of prod_i N_i(h_i) is the product of 1-D ones:
+        # (2 w) @ N_i on the panel of an active axis, N_i(0) on an inactive one
+        rows = _axis_rows(factors, r_e, [panels[i][0] if i in panels else np.zeros(1)
+                                         for i in range(dim)], p, domain, quad)
+        acc = math.prod(float((2.0 * panels[i][1]) @ norm) if i in panels else float(norm[0])
+                        for i, (norm, _, _) in enumerate(rows))
+    if not math.isfinite(acc):  # a NaN or an overflow: the grid names the first NaN step
+        steps = np.zeros((mean_nodes ** len(active), dim))
+        steps[:, active] = tensor_grid([panels[i][0] for i in active])
+        w_h = tensor_product([2.0 * panels[i][1] for i in active])
+        acc = float(np.dot(w_h, _shift_norms(f, r_e, steps, p, domain, quad)))
     scale = float(np.prod([1.0 / t[i] for i in active]))
     return max(scale * acc, 0.0) ** (1.0 / p)
 

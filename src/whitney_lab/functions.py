@@ -68,9 +68,12 @@ class FunctionSpec:
     order ``k``; an entry without one exposes no derivatives.
     ``factors``, when not ``None``, holds one 1-D callable per axis whose
     product over the axes is the entry, up to round-off: within
-    ``differences._EVAL_ULPS`` eps relative, which the pruned step search of
-    :func:`~whitney_lab.differences.modulus` relies on.  Entries are
-    immutable and freely shareable across threads.
+    ``differences._EVAL_ULPS`` eps relative.  The pruned step search of
+    :func:`~whitney_lab.differences.modulus` relies on that bound, and so
+    does the factored p-mean of :func:`~whitney_lab.differences.p_mean_modulus`,
+    which reads only the factors: the bound sets how far its value may lie
+    from the grid path's.  Entries are immutable and freely shareable across
+    threads.
     """
 
     id: str

@@ -8,6 +8,7 @@ import pytest
 
 from whitney_lab import differences
 from whitney_lab.differences import (
+    DEFAULT_MEAN_NODES,
     mixed_difference,
     modulus,
     p_mean_modulus,
@@ -17,8 +18,10 @@ from whitney_lab.differences import (
 )
 from whitney_lab.functions import FunctionSpec, get_function, tensor_polynomial_spec
 from whitney_lab.geometry import (
+    GAUSS,
     Parallelepiped,
     QuadratureSpec,
+    axis_rule,
     lp_norm,
     project,
     shifted_domain,
@@ -28,6 +31,21 @@ from whitney_lab.polyapprox import TensorPolynomial
 
 INF = math.inf
 X2 = lambda p: p[:, 0] ** 2
+
+
+def _closed_form_norm(fid, i, r, h, a, b):
+    """``int_a^(b - r h) (Delta^r_h f_i)^2 dx`` for axis ``i`` of ``exp_d2``
+    (``f_i = e^x``) or ``sinprod_d2``, 0 on an empty interval."""
+    upper = b - r * h
+    if upper < a:
+        return 0.0
+    if fid == "exp_d2":
+        return np.expm1(h) ** (2 * r) * (np.exp(2 * upper) - np.exp(2 * a)) / 2
+    # Delta^r_h sin(w x + ph) = (2 sin(w h / 2))^r sin(w x + ph + r (w h + pi) / 2)
+    w, ph = (1.5, 2.0)[i], (0.3, 0.7)[i]
+    psi = ph + r * (w * h + np.pi) / 2
+    prim = lambda x: x / 2 - np.sin(2 * (w * x + psi)) / (4 * w)  # noqa: E731
+    return (2 * np.sin(w * h / 2)) ** (2 * r) * (prim(upper) - prim(a))
 
 
 class TestMixedDifference:
@@ -312,15 +330,26 @@ class TestSharedDifferences:
 
     @pytest.mark.parametrize("fid,r", [("exp_d1", (2,)), ("sinprod_d2", (2, 1))])
     def test_p2_p_mean_evaluates_no_values(self, fid, r):
+        # in 1-D, p = 2 reduces the grid differences of p = 1; at d = 2 the
+        # p-mean evaluates no grid value, and p = 2 reads the 1-D passes of
+        # p = 1: per axis its panel pass and its step-0 pass
         f, points = self._counted(fid)
+        f, calls = TestSharedAxisPasses._counted_factors(f)
         d = len(r)
         box, t = Parallelepiped([0.0] * d, [1.0] * d), (0.3, 0.2)[:d]
         kw = dict(quad=self.QUAD, mean_nodes=4)
-        for e in subsets(d):
-            assert p_mean_modulus(f, project(r, e), t, 1.0, box, **kw) > 0.0 and points
+        for p in (1.0, 2.0):
             points.clear()
-            assert p_mean_modulus(f, project(r, e), t, 2.0, box, **kw) > 0.0
-            assert points == []
+            calls.clear()
+            for e in subsets(d):
+                assert p_mean_modulus(f, project(r, e), t, p, box, **kw) > 0.0
+            if p == 1.0 and d == 1:
+                assert points
+            elif p == 1.0:
+                assert points == []
+                assert sorted(calls) == [(0, 1), (0, r[0] + 1), (1, 1), (1, r[1] + 1)]
+            else:
+                assert points == [] and calls == []
 
     def test_p2_modulus_in_1d_evaluates_no_values(self, unit_box_1d):
         # in 1-D the step search is not pruned, so p = 2 measures p = 1's steps
@@ -377,19 +406,26 @@ class TestSharedDifferences:
 
     def test_one_group_fits_the_memo(self, unit_box_2d):
         # the harness runs p = 1, 2, inf of one (f, r, t) back to back, each p
-        # a sup-type and a p-mean term per subset
+        # a sup-type and a p-mean term per subset; at d = 2 the p-mean reads
+        # 1-D passes only, and p = 2 reads those of p = 1
         f, r, t = get_function("sinprod_d2"), (2, 2), (0.3, 0.2)
         kw = dict(quad=self.QUAD, h_grid=9)
-        memo = differences._grid_differences
+        passes, grids = differences._axis_pass, differences._grid_differences
         for p in (1.0, 2.0, INF):
             for e in subsets(2):
                 modulus(f, project(r, e), t, p, unit_box_2d, **kw)
-                before = memo.cache_info()
+                before = passes.cache_info(), grids.cache_info()
                 p_mean_modulus(f, project(r, e), t, p, unit_box_2d, mean_nodes=4, **kw)
-                after = memo.cache_info()
+                after = passes.cache_info(), grids.cache_info()
+                if p < INF:
+                    assert after[1] == before[1]  # no grid difference read or made
                 if p == 2.0:
-                    assert (after.hits - before.hits, after.misses) == (1, before.misses)
-        assert memo.cache_info().currsize <= differences._DIFF_CACHE
+                    assert after[0].misses == before[0].misses
+        # every pass of the group is still held: per axis the Lobatto active and
+        # inactive passes, and the Gauss inactive, sup-type and panel passes
+        info = passes.cache_info()
+        assert info.misses == info.currsize == differences._AXIS_PASS_CACHE
+        assert grids.cache_info().currsize <= differences._DIFF_CACHE
 
     def test_unhashable_callable_runs_uncached(self, unit_box_2d):
         # a TensorPolynomial holds an array, so it cannot key a memo
@@ -457,6 +493,28 @@ class TestPMeanModulus:
         b = total_modulus(f, (1, 1), t, INF, unit_box_2d, quad=quad_2d_fast, h_grid=9)
         assert a == b
 
+    @pytest.mark.parametrize("fid", ["exp_d2", "sinprod_d2"])
+    @pytest.mark.parametrize("r_e", [(2, 2), (3, 3), (1, 2)])
+    @pytest.mark.parametrize("t", [0.5, 0.05, 0.005])
+    def test_p2_matches_the_closed_form_on_the_step_panel(self, unit_box_2d, fid, r_e, t):
+        # W_e^2 = prod_i (2 / t) sum_k w_k N_i(h_k) on the lab's own step panel,
+        # with N_i(h) the exact integral of (Delta^r_i_h f_i)^2 over the
+        # shifted interval.  A 1-D difference rounds by about (r_i + 2) u
+        # 2^r_i max|f_i| against a size of h^r_i |f_i| (e^x) or, in the mean,
+        # (omega_i h)^r_i (the sines, omega_i >= 1.5).  Weighted by
+        # N_i ~ h^(2 r_i) over the panel, that moves W by about
+        # (r_i + 2)(2 r_i + 1) e^(r_i t) / (2 (r_i + 1)) eps (2 / t)^r_i,
+        # below 20 eps (2 / t)^r_i here; 64 leaves room for the sines' mean.
+        # The grid path's rounding grows like (2 / t)^|r_e| instead.
+        x, w = axis_rule(GAUSS, DEFAULT_MEAN_NODES, 0.0, t)
+        exact = 1.0
+        for i, ri in enumerate(r_e):
+            norms = [_closed_form_norm(fid, i, ri, h, 0.0, 1.0) for h in x]
+            exact *= 2.0 / t * float(np.dot(w, norms))
+        got = p_mean_modulus(get_function(fid), r_e, (t, t), 2.0, unit_box_2d)
+        tol = 64 * np.finfo(float).eps * sum((2.0 / t) ** ri for ri in r_e)
+        assert got == pytest.approx(math.sqrt(exact), rel=tol, abs=0.0)
+
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_mean_bounded_by_scaled_sup_per_term(self, unit_box_1d, quad_1d, p):
         # the signed step box has measure 2t per active axis while the
@@ -483,8 +541,11 @@ class TestNaNNorms:
         with pytest.raises(FloatingPointError, match="NaN norm"):
             p_mean_modulus(self.NAN_TAIL, (1,), (0.5,), p, unit_box_1d, quad=quad_1d)
 
-    @pytest.mark.parametrize("p", [1.0, INF])
-    def test_factored_entry_raises_naming_the_plain_step(self, unit_box_2d, quad_2d_fast, p):
+    @pytest.mark.parametrize("fn,p", [(modulus, 1.0), (modulus, INF),
+                                      (p_mean_modulus, 1.0), (p_mean_modulus, 2.0)],
+                             ids=["1.0", "inf", "p_mean-1.0", "p_mean-2.0"])
+    def test_factored_entry_raises_naming_the_plain_step(self, unit_box_2d, quad_2d_fast,
+                                                         fn, p):
         # a NaN factor value leaves every step to the grid, which names the
         # first NaN step, as it does without the factors
         tail = lambda x: np.where(x > 0.9, np.nan, np.exp(x))  # noqa: E731
@@ -493,7 +554,7 @@ class TestNaNNorms:
         messages = []
         for g in (f, replace(f, factors=None)):
             with pytest.raises(FloatingPointError, match="NaN norm") as err:
-                modulus(g, (2, 1), (0.5, 0.5), p, unit_box_2d, quad=quad_2d_fast, h_grid=9)
+                fn(g, (2, 1), (0.5, 0.5), p, unit_box_2d, quad=quad_2d_fast, h_grid=9)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 

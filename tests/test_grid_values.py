@@ -1,11 +1,12 @@
 """Tensor-grid evaluation: ``grid_values`` gives the point-wise values bit for
 bit, so the stencil evaluator, the moduli kernel, the norms and the fits
 return the same bits for a corpus entry (axis by axis) and for the same entry
-behind a plain callable (the point-list fallback).  The one exception is a
-stencil term of an entry with ``factors`` whose stencils put a derivative on at
-most one axis (the smoothing term ``||f - A_t f||`` and the ``|e| = 1``
-derivative terms), computed from 1-D stencils: it agrees with the grid
-contraction within an a-priori round-off bound."""
+behind a plain callable (the point-list fallback).  There are two exceptions,
+both computed from the 1-D factors of an entry with ``factors``, and each
+agrees with the grid path within an a-priori round-off bound: a stencil term
+whose stencils put a derivative on at most one axis (the smoothing term
+``||f - A_t f||`` and the ``|e| = 1`` derivative terms), and the p-mean
+modulus at finite p and d >= 2."""
 
 import dataclasses
 import math
@@ -20,6 +21,7 @@ from whitney_lab.differences import modulus, p_mean_modulus
 from whitney_lab.polyapprox import best_approx
 from whitney_lab.functions import corpus, get_function
 from whitney_lab.geometry import (
+    GAUSS,
     Parallelepiped,
     QuadratureSpec,
     axis_rule,
@@ -107,6 +109,24 @@ def _factor_bound(ops, f, p, domain, quad):
     return bound
 
 
+def _p_mean_bound(f, r_e, t, p, box, quad, mean_nodes, values):
+    """How far the factored p-mean modulus of an entry may lie from the grid
+    path's (``differences`` module docstring).  The pruned step search's
+    allowance ``delta`` of a step bounds the gap between its grid norm and the
+    product ``U`` of its 1-D norms, so by Minkowski's inequality over the
+    panel steps, whose weights sum to ``2^|e|``, the values lie within
+    ``2^(|e|/p) max delta``.  Each value's own step sums, scale and root add
+    at most ``m^|e| + |e| (m + 1) + d + 6`` roundings of it (``m`` panel
+    nodes per active axis)."""
+    d, k = len(r_e), sum(1 for ri in r_e if ri)
+    axis_steps = [axis_rule(GAUSS, mean_nodes, 0.0, t[i])[0] if r_e[i] else np.zeros(1)
+                  for i in range(d)]
+    _, delta = differences._step_bounds(f.factors, r_e, axis_steps, p, box, quad)
+    rounding = (mean_nodes ** k + k * (mean_nodes + 1) + d + 6) * np.finfo(float).eps
+    return (2.0 ** (k / p) * (1.0 + rounding) * float(np.max(delta))
+            + rounding * sum(abs(v) for v in values))
+
+
 @pytest.fixture(params=[False, True], ids=["one-chunk", "multi-chunk"])
 def chunks(request, monkeypatch):
     if request.param:
@@ -156,15 +176,23 @@ def test_moduli_agree_on_both_paths(fid, p, chunks):
     d = f.dimension
     box = Parallelepiped([-0.2] * d, [0.7] * d)
     quad = QuadratureSpec(5, 7)
+    no_factors = dataclasses.replace(f, factors=None)
+    kw = dict(quad=quad, h_grid=5, mean_nodes=3)
     for r in [(1,) * d, (3, 2)[:d]]:
         for t in [(0.05, 0.1)[:d], (0.5, 0.8)[:d]]:  # small steps and empty boxes
             for e in subsets(d):
                 r_e = project(r, e)
                 assert (modulus(f, r_e, t, p, box, quad=quad, h_grid=5)
                         == modulus(_plain(f), r_e, t, p, box, quad=quad, h_grid=5))
-                assert (p_mean_modulus(f, r_e, t, p, box, quad=quad, h_grid=5, mean_nodes=3)
-                        == p_mean_modulus(_plain(f), r_e, t, p, box, quad=quad, h_grid=5,
-                                          mean_nodes=3))
+                plain = p_mean_modulus(_plain(f), r_e, t, p, box, **kw)
+                # without factors, the grid path's bits
+                assert p_mean_modulus(no_factors, r_e, t, p, box, **kw) == plain
+                got = p_mean_modulus(f, r_e, t, p, box, **kw)
+                if d == 1 or p == math.inf:  # the grid path, or modulus
+                    assert got == plain
+                else:  # the product of 1-D step integrals
+                    assert abs(got - plain) <= _p_mean_bound(f, r_e, t, p, box, quad, 3,
+                                                             (got, plain))
     # norms and fits evaluate through grid_values too
     assert lp_norm(f, box, p, quad) == lp_norm(_plain(f), box, p, quad)
     (poly, err), (plain_poly, plain_err) = [
@@ -322,3 +350,34 @@ def test_bracket_moves_only_its_smoothing_term(case):
     assert (abs(got_cands.pop("smoother_subdivision") - generic_cands.pop("smoother_subdivision"))
             <= sum(bounds.values()))
     assert repr(got_cands) == repr(generic_cands)
+
+
+@st.composite
+def p_mean_cases(draw):
+    """An entry of d >= 2 on a box with corners in [-3, 3] and sides 2^-6 to
+    4, an order up to 4 projected to an axis subset, a step bound from 1e-4
+    to twice the box side (so that some shifted boxes are empty), p in
+    [1, 6], the Gauss nodes and ``mean_nodes`` (fewer in d = 3)."""
+    f = draw(st.sampled_from([g for g in corpus() if g.dimension > 1] + _D3))
+    d = f.dimension
+    lower = [draw(st.floats(-3.0, 3.0)) for _ in range(d)]
+    size = [2.0 ** draw(st.floats(-6.0, 2.0)) for _ in range(d)]
+    box = Parallelepiped(lower, [a + s for a, s in zip(lower, size)])
+    r = tuple(draw(st.integers(1, 4)) for _ in range(d))
+    r_e = project(r, draw(st.sampled_from(subsets(d))))
+    t = tuple(10.0 ** draw(st.floats(-4.0, math.log10(2.0 * s))) for s in size)
+    p = draw(st.floats(1.0, 6.0))
+    quad = QuadratureSpec(draw(st.integers(1, 9 if d == 2 else 4)), 2)
+    return f, r_e, t, p, box, quad, draw(st.integers(1, 6 if d == 2 else 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(p_mean_cases())
+def test_factored_p_mean_lies_within_the_allowance(case):
+    # the entry's factors give the step integral as a product of 1-D ones;
+    # without them the grid measures every step
+    f, r_e, t, p, box, quad, mean_nodes = case
+    kw = dict(quad=quad, mean_nodes=mean_nodes)
+    got = p_mean_modulus(f, r_e, t, p, box, **kw)
+    plain = p_mean_modulus(dataclasses.replace(f, factors=None), r_e, t, p, box, **kw)
+    assert abs(got - plain) <= _p_mean_bound(f, r_e, t, p, box, quad, mean_nodes, (got, plain))
