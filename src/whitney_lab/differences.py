@@ -26,7 +26,11 @@ only how many steps share a chunk, never the bits: each step's difference is
 ``coef @`` its own ``(T, n_ref)`` block, its norm is its own max or dot
 product, and the box nodes, offsets and scales are computed once per call,
 element by element.  (The stencil evaluator's ``_CHUNK_BUDGET`` is unlike
-this: its block edges are matrix shapes, and they do fix the bits.)
+this: its block edges are matrix shapes, and they do fix the bits.)  A chunk
+is reduced to its steps' norms before the next, and nothing is kept between
+calls: a memo of the ``|Delta_h f|`` rows across p left the bench sweeps'
+times inside their spread (``BENCH_28.json``) and held up to 8 MiB for an
+unpruned step set.
 
 For an entry with ``factors`` and d >= 2, :func:`modulus` measures on the
 tensor grid only the steps that can set its sup.  (In 1-D that bound would
@@ -94,33 +98,6 @@ of one ``(f, r, step)`` group of the harness at d <= 2: per axis an active and
 an inactive pass on the Lobatto grid, and on the Gauss grid an inactive pass
 and two active ones, on the sup-type steps and on the p-mean panel: ``5 d``
 entries, each at most about 17 KiB at the default resolutions.
-
-The grid path's differences do not depend on p either: only the reduction of
-``|Delta_h f(x)|`` over the shifted box does, to a weighted sum of its p-th
-powers or to its max.  So :func:`_grid_differences` memoizes, per ``(f, r_e,
-steps, rule, nodes, box)`` -- every input of its value, the steps as their
-bytes and count, and ``rule, nodes`` as ``quad.rule_for(p, d)`` names them, so
-that only ``geometry`` decides which p share a grid -- the kept steps, their
-box scales and each step's ``|coef @ vals|`` row, as read-only arrays.  The
-chunk budget is not part of the key, since it does not fix the bits.  A
-finite p that measures the steps of an earlier one then evaluates no value of
-f: it reduces the Gauss grid's rows in chunks of the grid path's own steps
-(the p-th power, which p = 1 skips, then one dot product per step), so it
-makes no array the size of the rows.  The sup grid's rule has no weights and
-only a row's max is ever read, so there the memo holds only each step's max,
-reduced chunk by chunk.  Every corpus entry has ``factors``, so in a
-``(f, r, step)`` group of the harness at d = 2 only the sup-type moduli reach
-the grid, and ``_DIFF_CACHE`` holds their step sets, one per non-empty subset:
-``2^d - 1`` = 3 entries.  At d = 1 a group's one sup-type and one p-mean step
-set fit as well.  (p = inf's sup-grid entries then evict the Gauss ones, which
-the next group does not read.)  A sup-type entry of a step set that is not
-pruned holds up to 8 MiB at the default resolutions (``32^2`` steps of
-``32^2`` floats), and a p-mean one of a plain callable at d = 2 2.25 MiB (32
-Gauss nodes per axis, ``mean_nodes`` 16); at the ``moduli`` benchmark's
-resolutions (24 nodes) the pruned sup-type entries hold a few steps of 4.5
-KiB.  A callable that cannot be hashed, such as a ``TensorPolynomial`` (its
-coefficients are an array), runs the same function uncached through its
-``__wrapped__``.
 """
 
 from __future__ import annotations
@@ -170,8 +147,6 @@ _CHUNK_POINTS = 1 << 16
 _EVAL_ULPS = 1024
 # 1-D passes of _axis_rows kept (module docstring): 5 d at d <= 2
 _AXIS_PASS_CACHE = 5 * 2
-# grid differences of _shift_norms kept (module docstring): 2^d - 1 at d = 2
-_DIFF_CACHE = 2 ** 2 - 1
 
 
 @lru_cache(maxsize=None)
@@ -218,82 +193,43 @@ def _count(name: str, value, least: int) -> int:
     return int(value)
 
 
-def _chunk_steps(terms: int, n_ref: int) -> int:
-    """Steps per chunk of the grid path: about ``_CHUNK_POINTS`` values of f."""
-    return max(1, _CHUNK_POINTS // (terms * n_ref))
-
-
-@lru_cache(maxsize=_DIFF_CACHE)
-def _grid_differences(f, r_e: tuple[int, ...], step_bytes: bytes, count: int, rule: str,
-                      nodes: tuple[int, ...], domain: Parallelepiped):
-    """The part of :func:`_shift_norms` that does not depend on p, on the grid
-    of ``rule`` and ``nodes`` (``quad.rule_for(p, d)``), for the ``count``
-    steps in ``step_bytes``: the indices of the steps whose shifted box is
-    non-empty, their box scales ``prod half`` ``(K, 1)``, and per kept step
-    the ``|coef @ vals|`` row ``(K, n_ref)`` -- on the sup grid, whose rule
-    has no weights, only its max ``(K,)``.  Read-only (module docstring)."""
-    steps = np.frombuffer(step_bytes).reshape(count, len(r_e))
-    mult, coef = _difference_table(r_e)
-    y = np.asarray(r_e) * steps
-    lo = np.where(y < 0, domain.lower - y, domain.lower)
-    hi = np.where(y >= 0, domain.upper - y, domain.upper)
-    keep = np.flatnonzero(~np.any(lo > hi, axis=1))
-    half, mid = 0.5 * (hi[keep] - lo[keep]), 0.5 * (lo[keep] + hi[keep])
-    n_ref = math.prod(nodes)
-    # per kept step: box nodes (K, 1, n_i), difference offsets (K, T, 1), box scale
-    nodes_at = [(axis_rule(rule, n)[0] * half[:, i, None] + mid[:, i, None])[:, None]
-                for i, n in enumerate(nodes)]
-    offsets = [mult[:, i, None] * steps[keep, i, None, None] for i in range(len(r_e))]
-    scale = np.prod(half, axis=1)[:, None]
-    weighted = _reference_weights(rule, nodes) is not None
-    diffs = np.empty((len(keep), n_ref) if weighted else len(keep))
-    per = _chunk_steps(len(coef), n_ref)
-    for start in range(0, len(keep), per):
-        at = slice(start, start + per)
-        vals = grid_values(f, [x[at] + o[at] for x, o in zip(nodes_at, offsets)])
-        # (chunk, n_ref): on a weighted grid each step's row, straight into the memo
-        diff = np.matmul(coef, vals.reshape(-1, len(coef), n_ref),
-                         out=diffs[at] if weighted else None)
-        del vals  # free the chunk before the next one
-        np.abs(diff, out=diff)
-        if not weighted:  # only the max is ever read
-            diffs[at] = np.max(diff, axis=1)
-    for arr in (keep, scale, diffs):
-        arr.setflags(write=False)
-    return keep, scale, diffs
-
-
 def _shift_norms(f, r_e: tuple[int, ...], steps: np.ndarray, p: float,
                  domain: Parallelepiped, quad: QuadratureSpec) -> np.ndarray:
     """Per step (row of ``steps``): the sup norm (p = inf) or the integral of
     ``|diff|^p`` over the shifted box, 0 where that box is empty.  Bounds, grid
     and difference use the arithmetic of :func:`shifted_domain`,
     :func:`box_rule` and :func:`mixed_difference`, per axis; f runs once per
-    chunk, on the tensor grids of the chunk's shifted boxes.  The differences
-    come from :func:`_grid_differences`, memoized when f is hashable, so every
-    finite p after the first reads the Gauss grid's rows; only the reduction,
-    in chunks of the same steps, runs per p.  A NaN norm of a non-empty box
+    chunk, on the tensor grids of the chunk's shifted boxes, and nothing is
+    kept between calls (module docstring).  A NaN norm of a non-empty box
     raises :class:`FloatingPointError` naming its step."""
-    if not (1.0 <= p <= math.inf):
-        raise ValueError(f"p must lie in [1, inf], got {p}")
+    mult, coef = _difference_table(r_e)
+    y = np.asarray(r_e) * steps
+    lo = np.where(y < 0, domain.lower - y, domain.lower)
+    hi = np.where(y >= 0, domain.upper - y, domain.upper)
+    keep = np.flatnonzero(~np.any(lo > hi, axis=1))
+    half, mid = 0.5 * (hi[keep] - lo[keep]), 0.5 * (lo[keep] + hi[keep])
     rule, nodes = quad.rule_for(p, len(r_e))
-    steps = np.asarray(steps, dtype=float)
-    try:
-        hash(f)
-        differences = _grid_differences
-    except TypeError:  # e.g. a TensorPolynomial, whose coefficients are an array
-        differences = _grid_differences.__wrapped__
-    keep, scale, diffs = differences(f, r_e, steps.tobytes(), len(steps), rule, nodes, domain)
     ref_wts = _reference_weights(rule, nodes)
-    if ref_wts is None:  # the sup grid's memo holds each step's max
-        norms = diffs
-    else:  # one dot product per step, the reduction of lp_power_integral
-        norms = np.empty(len(keep))
-        per = _chunk_steps(len(_difference_table(r_e)[1]), len(ref_wts))
-        for start in range(0, len(keep), per):
-            at = slice(start, start + per)
-            rows = diffs[at] if p == 1.0 else diffs[at] ** p  # x ** 1.0 is x
-            norms[at] = np.matmul((scale[at] * ref_wts)[:, None, :], rows[:, :, None])[:, 0, 0]
+    n_ref = math.prod(nodes)
+    # per kept step: box nodes (K, 1, n_i), difference offsets (K, T, 1), box scale
+    nodes_at = [(axis_rule(rule, n)[0] * half[:, i, None] + mid[:, i, None])[:, None]
+                for i, n in enumerate(nodes)]
+    offsets = [mult[:, i, None] * steps[keep, i, None, None] for i in range(len(r_e))]
+    scale = np.prod(half, axis=1)[:, None]
+    norms = np.empty(len(keep))
+    per = max(1, _CHUNK_POINTS // (len(coef) * n_ref))
+    for start in range(0, len(keep), per):
+        at = slice(start, start + per)
+        vals = grid_values(f, [x[at] + o[at] for x, o in zip(nodes_at, offsets)])
+        diff = coef @ vals.reshape(-1, len(coef), n_ref)  # (chunk, n_ref)
+        del vals  # free the chunk before the reduction
+        np.abs(diff, out=diff)
+        if ref_wts is None:  # the sup grid
+            norms[at] = np.max(diff, axis=1)
+        else:  # one dot product per step, the reduction of lp_power_integral
+            if p != 1.0:  # x ** 1.0 is x
+                diff **= p
+            norms[at] = np.matmul((scale[at] * ref_wts)[:, None, :], diff[:, :, None])[:, 0, 0]
     bad = np.flatnonzero(np.isnan(norms))
     if bad.size:
         raise FloatingPointError(f"NaN norm of the order {r_e} difference at step "
@@ -395,6 +331,8 @@ def modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
     before the grid measures the rest; the value is the same float (module
     docstring).
     """
+    if not (1.0 <= p <= math.inf):
+        raise ValueError(f"p must lie in [1, inf], got {p}")
     dim = function_dim(f, domain)
     r_e = as_order(r_e, dim)
     t = as_steps(t, dim)
@@ -412,8 +350,8 @@ def modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
                   for i in range(dim)]
     steps = tensor_grid(axis_steps)
     factors = getattr(f, "factors", None)
-    # in 1-D the bound would cost the grid's own work; _shift_norms rejects p < 1
-    if factors is not None and dim > 1 and p >= 1.0:
+    # in 1-D the bound would cost the grid's own work
+    if factors is not None and dim > 1:
         steps = steps[_contenders(factors, r_e, axis_steps, p, domain, quad)]
     # empty boxes give 0 and a NaN norm raises, so the max starts at 0
     best = np.max(_shift_norms(f, r_e, steps, p, domain, quad), initial=0.0)
@@ -452,6 +390,8 @@ def p_mean_modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpe
     ``w_e <= omega_e`` does not hold (``f(x) = x``, r = 1, t = 1, p = 1 gives
     ``w = 1/3`` against ``omega = 1/4``).
     """
+    if not (1.0 <= p <= math.inf):
+        raise ValueError(f"p must lie in [1, inf], got {p}")
     dim = function_dim(f, domain)
     r_e = as_order(r_e, dim)
     t = as_steps(t, dim)
@@ -466,8 +406,7 @@ def p_mean_modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpe
     panels = {i: axis_rule(GAUSS, mean_nodes, 0.0, t[i]) for i in active}
     factors = getattr(f, "factors", None)
     acc = math.nan  # the grid path's, unless the factored product is finite
-    # the grid path is the reference in 1-D, and it rejects p < 1
-    if factors is not None and dim > 1 and p >= 1.0:
+    if factors is not None and dim > 1:  # the grid path is the reference in 1-D
         # the step integral of prod_i N_i(h_i) is the product of 1-D ones:
         # (2 w) @ N_i on the panel of an active axis, N_i(0) on an inactive one
         rows = _axis_rows(factors, r_e, [panels[i][0] if i in panels else np.zeros(1)

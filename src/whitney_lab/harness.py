@@ -8,11 +8,9 @@ another order: the ``p`` values of one ``(function, r, step)`` back to back,
 in configuration order, so that each finite ``p`` reuses the memoized arrays
 that do not depend on ``p``, then place each result at its configuration
 index.  Those memos each hold one such group: the smoother's polynomials, box
-values and stencil outputs, and the moduli's per-axis passes and grid
-differences, so a finite ``p`` after the first evaluates no value of f in the
-moduli wherever it measures the steps of the first.  With ``jobs > 1`` the
-process pool takes the tasks one at a time in that order, so the p values of
-a group may run in different workers.  Every task still
+values and stencil outputs, and the moduli's per-axis passes.  With
+``jobs > 1`` the process pool takes the tasks one at a time in that order, so
+the p values of a group may run in different workers.  Every task still
 runs alone through :func:`_run_task`, so its rows, its ``error`` row and its
 flags are its own, and the bytes are those of each task run alone on empty
 memos.  A task computes ``(quantity, value)`` pairs; one function,

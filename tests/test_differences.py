@@ -273,7 +273,10 @@ class TestTotalModulus:
 class TestSharedAxisPasses:
     """The 1-D passes of the pruned step search are memoized: one active pass
     per axis serves every subset of a total, and one Gauss pass both p = 1
-    and p = 2; only the reduction to each step's norm runs per call."""
+    and p = 2; only the reduction to each step's norm runs per call.  The
+    grid path keeps nothing, so each p gives the bits of a call on cold memos."""
+
+    QUAD = QuadratureSpec(8, 9)
 
     @staticmethod
     def _counted_factors(f):
@@ -281,6 +284,16 @@ class TestSharedAxisPasses:
         factors = tuple(lambda x, i=i, fac=fac: calls.append((i, x.shape[1])) or fac(x)
                         for i, fac in enumerate(f.factors))
         return replace(f, factors=factors), calls
+
+    @staticmethod
+    def _counted(fid):
+        f, points = get_function(fid), []
+
+        def counting(coords):
+            points.append(math.prod(np.broadcast_shapes(*(np.shape(x) for x in coords))))
+            return f.grid_evaluator(coords)
+
+        return replace(f, grid_evaluator=counting), points
 
     def test_total_modulus_runs_each_active_pass_once(self, unit_box_2d, quad_2d_fast):
         f, calls = self._counted_factors(get_function("exp_d2"))
@@ -310,55 +323,24 @@ class TestSharedAxisPasses:
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
 
-
-class TestSharedDifferences:
-    """The grid differences ``|coef @ vals|`` of :func:`differences._shift_norms`
-    are memoized per step set and grid: every finite p reads the Gauss grid's
-    rows, and only their reduction runs per p."""
-
-    QUAD = QuadratureSpec(8, 9)
-
-    @staticmethod
-    def _counted(fid):
-        f, points = get_function(fid), []
-
-        def counting(coords):
-            points.append(math.prod(np.broadcast_shapes(*(np.shape(x) for x in coords))))
-            return f.grid_evaluator(coords)
-
-        return replace(f, grid_evaluator=counting), points
-
-    @pytest.mark.parametrize("fid,r", [("exp_d1", (2,)), ("sinprod_d2", (2, 1))])
-    def test_p2_p_mean_evaluates_no_values(self, fid, r):
-        # in 1-D, p = 2 reduces the grid differences of p = 1; at d = 2 the
-        # p-mean evaluates no grid value, and p = 2 reads the 1-D passes of
-        # p = 1: per axis its panel pass and its step-0 pass
-        f, points = self._counted(fid)
-        f, calls = TestSharedAxisPasses._counted_factors(f)
-        d = len(r)
-        box, t = Parallelepiped([0.0] * d, [1.0] * d), (0.3, 0.2)[:d]
+    def test_p2_p_mean_evaluates_no_values(self):
+        # at d = 2 the p-mean evaluates no grid value, and p = 2 reads the 1-D
+        # passes of p = 1: per axis its panel pass and its step-0 pass
+        r = (2, 1)
+        f, points = self._counted("sinprod_d2")
+        f, calls = self._counted_factors(f)
+        box, t = Parallelepiped([0.0, 0.0], [1.0, 1.0]), (0.3, 0.2)
         kw = dict(quad=self.QUAD, mean_nodes=4)
         for p in (1.0, 2.0):
             points.clear()
             calls.clear()
-            for e in subsets(d):
+            for e in subsets(2):
                 assert p_mean_modulus(f, project(r, e), t, p, box, **kw) > 0.0
-            if p == 1.0 and d == 1:
-                assert points
-            elif p == 1.0:
-                assert points == []
+            assert points == []
+            if p == 1.0:
                 assert sorted(calls) == [(0, 1), (0, r[0] + 1), (1, 1), (1, r[1] + 1)]
             else:
-                assert points == [] and calls == []
-
-    def test_p2_modulus_in_1d_evaluates_no_values(self, unit_box_1d):
-        # in 1-D the step search is not pruned, so p = 2 measures p = 1's steps
-        f, points = self._counted("runge_d1")
-        assert modulus(f, (2,), (0.5,), 1.0, unit_box_1d, quad=self.QUAD, h_grid=9) > 0.0
-        assert points
-        points.clear()
-        assert modulus(f, (2,), (0.5,), 2.0, unit_box_1d, quad=self.QUAD, h_grid=9) > 0.0
-        assert points == []
+                assert calls == []
 
     @pytest.mark.parametrize("fid", ["sinprod_d2", "abspow_d2"])
     def test_finite_p_after_p1_keep_the_bits(self, fid, cold_memos):
@@ -372,37 +354,21 @@ class TestSharedDifferences:
 
         ps = (1.0, 2.0, 1.5, 3.5)
         warm = [values(p) for p in ps]
-        assert differences._grid_differences.cache_info().hits > 0
         for p, got in zip(ps, warm):
             cold_memos()
             assert got == values(p)
 
     def test_hit_reduces_to_the_reference_norm(self, unit_box_1d):
-        # p = 2 and 3.5 read p = 1's rows and still measure |diff|^p: the
-        # largest lp_norm of the difference over each shifted box
+        # p = 2 and 3.5 after p = 1 measure |diff|^p: the largest lp_norm of
+        # the difference over each shifted box
         f, r, t, h_grid = get_function("runge_d1"), (2,), (0.4,), 5
         modulus(f, r, t, 1.0, unit_box_1d, quad=self.QUAD, h_grid=h_grid)
         for p in (2.0, 3.5):
-            before = differences._grid_differences.cache_info().hits
             got = modulus(f, r, t, p, unit_box_1d, quad=self.QUAD, h_grid=h_grid)
-            assert differences._grid_differences.cache_info().hits == before + 1
             best = max(lp_norm(lambda q, h=h: mixed_difference(f, r, (h,), q),
                                shifted_domain(unit_box_1d, (2 * h,)), p, self.QUAD)
                        for h in np.linspace(0.0, 0.4, h_grid)[1:])
             assert got == pytest.approx(best, rel=1e-12)
-
-    @pytest.mark.parametrize("p", [1.0, INF])
-    def test_memoized_differences_are_read_only(self, unit_box_2d, p):
-        f = get_function("exp_d2")
-        rule, nodes = self.QUAD.rule_for(p, 2)
-        steps = np.array([[0.1, 0.2], [0.9, 0.3], [0.2, 0.05]])
-        keep, scale, diffs = differences._grid_differences(
-            f, (2, 1), steps.tobytes(), len(steps), rule, nodes, unit_box_2d)
-        assert keep.tolist() == [0, 2]  # 2 * 0.9 > 1 empties the second box
-        assert diffs.shape == ((2, math.prod(nodes)) if p < INF else (2,))
-        for arr in (keep, scale, diffs):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[...] = 0
 
     def test_one_group_fits_the_memo(self, unit_box_2d):
         # the harness runs p = 1, 2, inf of one (f, r, t) back to back, each p
@@ -410,22 +376,18 @@ class TestSharedDifferences:
         # 1-D passes only, and p = 2 reads those of p = 1
         f, r, t = get_function("sinprod_d2"), (2, 2), (0.3, 0.2)
         kw = dict(quad=self.QUAD, h_grid=9)
-        passes, grids = differences._axis_pass, differences._grid_differences
+        passes = differences._axis_pass
         for p in (1.0, 2.0, INF):
             for e in subsets(2):
                 modulus(f, project(r, e), t, p, unit_box_2d, **kw)
-                before = passes.cache_info(), grids.cache_info()
+                before = passes.cache_info()
                 p_mean_modulus(f, project(r, e), t, p, unit_box_2d, mean_nodes=4, **kw)
-                after = passes.cache_info(), grids.cache_info()
-                if p < INF:
-                    assert after[1] == before[1]  # no grid difference read or made
                 if p == 2.0:
-                    assert after[0].misses == before[0].misses
+                    assert passes.cache_info().misses == before.misses
         # every pass of the group is still held: per axis the Lobatto active and
         # inactive passes, and the Gauss inactive, sup-type and panel passes
         info = passes.cache_info()
         assert info.misses == info.currsize == differences._AXIS_PASS_CACHE
-        assert grids.cache_info().currsize <= differences._DIFF_CACHE
 
     def test_unhashable_callable_runs_uncached(self, unit_box_2d):
         # a TensorPolynomial holds an array, so it cannot key a memo
@@ -439,6 +401,14 @@ class TestSharedDifferences:
                 assert got > 0.0
                 assert repr(got) == repr(fn(wrapped, (1, 1), (0.4, 0.3), p, unit_box_2d,
                                             quad=self.QUAD, h_grid=5))
+
+
+@pytest.mark.parametrize("fn", [modulus, p_mean_modulus])
+@pytest.mark.parametrize("p", [0.5, math.nan, -1.0])
+def test_invalid_p_raises_at_a_zero_step_bound(unit_box_2d, fn, p):
+    # a zero step bound returns before any norm is measured, so p is checked first
+    with pytest.raises(ValueError, match=r"p must lie in \[1, inf\]"):
+        fn(get_function("exp_d2"), (1, 1), (0.0, 0.0), p, unit_box_2d)
 
 
 _BAD_COUNTS = [("h_grid", 9.0), ("h_grid", True), ("h_grid", "9")]
@@ -555,27 +525,6 @@ class TestNaNNorms:
         for g in (f, replace(f, factors=None)):
             with pytest.raises(FloatingPointError, match="NaN norm") as err:
                 fn(g, (2, 1), (0.5, 0.5), p, unit_box_2d, quad=quad_2d_fast, h_grid=9)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
-
-    @pytest.mark.parametrize("mean", [False, True], ids=["modulus", "p_mean_modulus"])
-    def test_memo_hit_raises_naming_the_cold_step(self, unit_box_1d, quad_1d, mean,
-                                                  cold_memos):
-        # p = 1 leaves the Gauss grid's differences in the memo; p = 2 reads
-        # them and still names the step that a p = 2 call on cold memos names
-        fn = p_mean_modulus if mean else modulus
-        args = (self.NAN_TAIL, (1,), (0.5,))
-        messages = []
-        with pytest.raises(FloatingPointError):
-            fn(*args, 1.0, unit_box_1d, quad=quad_1d)
-        for clear in (False, True):
-            if clear:
-                cold_memos()
-            before = differences._grid_differences.cache_info()
-            with pytest.raises(FloatingPointError, match="NaN norm .* at step") as err:
-                fn(*args, 2.0, unit_box_1d, quad=quad_1d)
-            after = differences._grid_differences.cache_info()
-            assert after.hits - before.hits == (0 if clear else 1)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 
