@@ -28,9 +28,7 @@ product, and the box nodes, offsets and scales are computed once per call,
 element by element.  (The stencil evaluator's ``_CHUNK_BUDGET`` is unlike
 this: its block edges are matrix shapes, and they do fix the bits.)  A chunk
 is reduced to its steps' norms before the next, and nothing is kept between
-calls: a memo of the ``|Delta_h f|`` rows across p left the bench sweeps'
-times inside their spread (``BENCH_28.json``) and held up to 8 MiB for an
-unpruned step set.
+calls (``BENCH_28.json``).
 
 For an entry with ``factors`` and d >= 2, :func:`modulus` measures on the
 tensor grid only the steps that can set its sup.  (In 1-D that bound would
@@ -72,7 +70,11 @@ the full search's.  The terms, with ``u = eps / 2``
   that underflow.
 
 A NaN or an overflow in the bound prunes nothing, so the grid path raises
-naming the first NaN step, as for a plain callable.
+naming the first NaN step, as for a plain callable.  A call builds only the
+steps it keeps, from their indices in the step grid and the per-axis step
+values (memoized per ``(t_i, h_grid)``).  On the bench sweeps it keeps about
+one step, so its time goes to that step's values of f, the 1-D bound and the
+fixed cost of numpy calls on arrays of 16 to 256 elements (``BENCH_29.json``).
 
 The p-mean modulus of such an entry at finite p measures no step on the
 grid.  With the panel nodes ``h_k`` and weights ``w_k`` on ``[0, t_i]``, the
@@ -97,7 +99,10 @@ and a Gauss pass both p = 1 and p = 2.  ``_AXIS_PASS_CACHE`` holds the passes
 of one ``(f, r, step)`` group of the harness at d <= 2: per axis an active and
 an inactive pass on the Lobatto grid, and on the Gauss grid an inactive pass
 and two active ones, on the sup-type steps and on the p-mean panel: ``5 d``
-entries, each at most about 17 KiB at the default resolutions.
+passes, each at most about 17 KiB at the default resolutions.  The next order
+of the entry reads the step-0 passes again (their key holds no order and no
+step), but only after ``d`` new passes, so the memo holds ``6 d``: at ``5 d``
+the seed-0 ``moduli`` sweep re-made 12 of its 71 passes.
 """
 
 from __future__ import annotations
@@ -145,8 +150,8 @@ _CHUNK_POINTS = 1 << 16
 # relative gap, in units of eps, allowed between a value of an entry and the
 # product of its factor values at the same point (module docstring)
 _EVAL_ULPS = 1024
-# 1-D passes of _axis_rows kept (module docstring): 5 d at d <= 2
-_AXIS_PASS_CACHE = 5 * 2
+# 1-D passes of _axis_rows kept (module docstring): 6 d at d <= 2
+_AXIS_PASS_CACHE = 6 * 2
 
 
 @lru_cache(maxsize=None)
@@ -206,37 +211,44 @@ def _shift_norms(f, r_e: tuple[int, ...], steps: np.ndarray, p: float,
     y = np.asarray(r_e) * steps
     lo = np.where(y < 0, domain.lower - y, domain.lower)
     hi = np.where(y >= 0, domain.upper - y, domain.upper)
-    keep = np.flatnonzero(~np.any(lo > hi, axis=1))
-    half, mid = 0.5 * (hi[keep] - lo[keep]), 0.5 * (lo[keep] + hi[keep])
+    empty = (lo > hi).any(axis=1)
+    keep = np.flatnonzero(~empty) if empty.any() else slice(None)  # no copies if none is empty
+    steps, lo, hi = steps[keep], lo[keep], hi[keep]
+    half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
     rule, nodes = quad.rule_for(p, len(r_e))
     ref_wts = _reference_weights(rule, nodes)
     n_ref = math.prod(nodes)
     # per kept step: box nodes (K, 1, n_i), difference offsets (K, T, 1), box scale
     nodes_at = [(axis_rule(rule, n)[0] * half[:, i, None] + mid[:, i, None])[:, None]
                 for i, n in enumerate(nodes)]
-    offsets = [mult[:, i, None] * steps[keep, i, None, None] for i in range(len(r_e))]
-    scale = np.prod(half, axis=1)[:, None]
-    norms = np.empty(len(keep))
+    offsets = [mult[:, i, None] * steps[:, i, None, None] for i in range(len(r_e))]
+    scale = half.prod(axis=1)[:, None]
+    norms = np.empty(len(steps))
     per = max(1, _CHUNK_POINTS // (len(coef) * n_ref))
-    for start in range(0, len(keep), per):
+    for start in range(0, len(steps), per):
         at = slice(start, start + per)
         vals = grid_values(f, [x[at] + o[at] for x, o in zip(nodes_at, offsets)])
         diff = coef @ vals.reshape(-1, len(coef), n_ref)  # (chunk, n_ref)
         del vals  # free the chunk before the reduction
         np.abs(diff, out=diff)
         if ref_wts is None:  # the sup grid
-            norms[at] = np.max(diff, axis=1)
+            norms[at] = diff.max(axis=1)
         else:  # one dot product per step, the reduction of lp_power_integral
             if p != 1.0:  # x ** 1.0 is x
                 diff **= p
             norms[at] = np.matmul((scale[at] * ref_wts)[:, None, :], diff[:, :, None])[:, 0, 0]
-    bad = np.flatnonzero(np.isnan(norms))
-    if bad.size:
+    if np.isnan(norms).any():
         raise FloatingPointError(f"NaN norm of the order {r_e} difference at step "
-                                 f"{tuple(steps[keep[bad[0]]].tolist())}")
-    out = np.zeros(len(steps))
+                                 f"{tuple(steps[np.isnan(norms).argmax()].tolist())}")
+    out = norms if isinstance(keep, slice) else np.zeros(len(empty))  # empty boxes: 0
     out[keep] = norms
     return out
+
+
+@lru_cache(maxsize=2)  # the active axes of one harness group at d <= 2
+def _search_steps(ti: float, h_grid: int) -> tuple[float, ...]:
+    """The positive step values of an active axis of the sup-type search."""
+    return tuple(np.linspace(0.0, ti, h_grid)[1:].tolist())
 
 
 @lru_cache(maxsize=_AXIS_PASS_CACHE)
@@ -263,8 +275,8 @@ def _axis_pass(fac, ri: int, h: tuple[float, ...], rule: str, n: int, a: float, 
     return out
 
 
-def _axis_rows(factors, r_e: tuple[int, ...], axis_steps: list[np.ndarray], p: float,
-               domain: Parallelepiped, quad: QuadratureSpec) -> list[np.ndarray]:
+def _axis_rows(factors, r_e: tuple[int, ...], axis_steps: list[tuple[float, ...]], p: float,
+               domain: Parallelepiped, quad: QuadratureSpec) -> list:
     """Per axis, rows over its step values: the norm ``N_i`` of the 1-D
     difference (its max, or the integral of its p-th power), the largest
     factor value ``M_i`` read and the interval length ``L_i``, all 0 where the
@@ -274,22 +286,23 @@ def _axis_rows(factors, r_e: tuple[int, ...], axis_steps: list[np.ndarray], p: f
     per_axis = []
     for fac, h, ri, n, a, b in zip(factors, axis_steps, r_e, nodes,
                                    domain.lower, domain.upper):
-        ok, half, diff, top, length, wts = _axis_pass(fac, ri, tuple(h.tolist()), rule, n, a, b)
-        axis = np.zeros((3, len(ok)))
-        axis[:, ok] = (np.max(diff, axis=1) if p == math.inf else half * (diff ** p @ wts),
-                       top, length)
-        per_axis.append(axis)
+        ok, half, diff, top, length, wts = _axis_pass(fac, ri, h, rule, n, a, b)
+        rows = (diff.max(axis=1) if p == math.inf else half * (diff ** p @ wts), top, length)
+        if not ok.all():
+            rows, values = np.zeros((3, len(ok))), rows
+            rows[:, ok] = values
+        per_axis.append(rows)
     return per_axis
 
 
-def _step_bounds(factors, r_e: tuple[int, ...], axis_steps: list[np.ndarray], p: float,
+def _step_bounds(factors, r_e: tuple[int, ...], axis_steps: list[tuple[float, ...]], p: float,
                  domain: Parallelepiped, quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Over the steps ``tensor_grid(axis_steps)``: the product ``U`` of the
     1-D norms (its ``1/p`` power for finite p), and the allowance ``delta``
     within which the step's :func:`_shift_norms` value (its ``1/p`` power)
     lies from ``U`` (module docstring)."""
     per_axis = _axis_rows(factors, r_e, axis_steps, p, domain, quad)
-    norm, top, length = (reduce(np.multiply, np.ix_(*rows)).ravel() for rows in zip(*per_axis))
+    norm, top, length = (reduce(np.multiply.outer, rows).ravel() for rows in zip(*per_axis))
     nodes = quad.rule_for(p, len(r_e))[1]
     eps, terms, n_ref = np.finfo(float).eps, len(_difference_table(r_e)[1]), math.prod(nodes)
     spread = (terms + _EVAL_ULPS) * eps * 2.0 ** sum(r_e) * top
@@ -302,16 +315,18 @@ def _step_bounds(factors, r_e: tuple[int, ...], axis_steps: list[np.ndarray], p:
     return norm, spread + rho * (norm + spread) + floor
 
 
-def _contenders(factors, r_e: tuple[int, ...], axis_steps: list[np.ndarray], p: float,
+def _contenders(factors, r_e: tuple[int, ...], axis_steps: list[tuple[float, ...]], p: float,
                 domain: Parallelepiped, quad: QuadratureSpec) -> np.ndarray:
-    """Mask over the steps ``tensor_grid(axis_steps)`` of those whose
+    """The rows of ``tensor_grid(axis_steps)``, in its order, whose
     :func:`_shift_norms` value can be the largest, from 1-D passes over the
     ``factors`` of the entry (module docstring).  A NaN or an overflow in the
     bound keeps every step."""
     norm, delta = _step_bounds(factors, r_e, axis_steps, p, domain, quad)
-    if not (np.all(np.isfinite(norm)) and np.all(np.isfinite(delta))):
-        return np.ones(norm.size, dtype=bool)
-    return norm + delta >= np.max(norm - delta)
+    if not (np.isfinite(norm).all() and np.isfinite(delta).all()):
+        return tensor_grid(axis_steps)
+    kept = np.unravel_index(np.flatnonzero(norm + delta >= (norm - delta).max()),
+                            [len(h) for h in axis_steps])  # first axis slowest
+    return np.stack([np.asarray(h)[k] for h, k in zip(axis_steps, kept)], axis=1)
 
 
 def modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
@@ -336,6 +351,8 @@ def modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
     dim = function_dim(f, domain)
     r_e = as_order(r_e, dim)
     t = as_steps(t, dim)
+    if any(math.isnan(ti) for ti in t):
+        raise ValueError(f"t must not be NaN, got {t}")
     active = [i for i in range(dim) if r_e[i] > 0]
     if not active:
         raise ValueError("modulus needs an order with a positive entry")
@@ -346,15 +363,13 @@ def modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
     t = clamped
     if any(t[i] == 0.0 for i in active):
         return 0.0  # every difference in the search has a zero step
-    axis_steps = [np.linspace(0.0, t[i], h_grid)[1:] if r_e[i] else np.zeros(1)
-                  for i in range(dim)]
-    steps = tensor_grid(axis_steps)
+    axis_steps = [_search_steps(t[i], h_grid) if r_e[i] else (0.0,) for i in range(dim)]
     factors = getattr(f, "factors", None)
     # in 1-D the bound would cost the grid's own work
-    if factors is not None and dim > 1:
-        steps = steps[_contenders(factors, r_e, axis_steps, p, domain, quad)]
+    steps = (_contenders(factors, r_e, axis_steps, p, domain, quad)
+             if factors is not None and dim > 1 else tensor_grid(axis_steps))
     # empty boxes give 0 and a NaN norm raises, so the max starts at 0
-    best = np.max(_shift_norms(f, r_e, steps, p, domain, quad), initial=0.0)
+    best = _shift_norms(f, r_e, steps, p, domain, quad).max(initial=0.0)
     return float(best if p == math.inf else best ** (1.0 / p))
 
 
@@ -395,6 +410,8 @@ def p_mean_modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpe
     dim = function_dim(f, domain)
     r_e = as_order(r_e, dim)
     t = as_steps(t, dim)
+    if any(math.isnan(ti) for ti in t):
+        raise ValueError(f"t must not be NaN, got {t}")
     active = [i for i in range(dim) if r_e[i] > 0]
     if not active:
         raise ValueError("p-mean modulus needs a non-empty active subset")
@@ -409,7 +426,7 @@ def p_mean_modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpe
     if factors is not None and dim > 1:  # the grid path is the reference in 1-D
         # the step integral of prod_i N_i(h_i) is the product of 1-D ones:
         # (2 w) @ N_i on the panel of an active axis, N_i(0) on an inactive one
-        rows = _axis_rows(factors, r_e, [panels[i][0] if i in panels else np.zeros(1)
+        rows = _axis_rows(factors, r_e, [tuple(panels[i][0].tolist()) if i in panels else (0.0,)
                                          for i in range(dim)], p, domain, quad)
         acc = math.prod(float((2.0 * panels[i][1]) @ norm) if i in panels else float(norm[0])
                         for i, (norm, _, _) in enumerate(rows))

@@ -350,10 +350,15 @@ CSV_HEADER = "experiment,function_id,d,r,p,box,t,quantity,value,runtime_ms"
 
 def csv_bytes(rows: list[ResultRow]) -> bytes:
     lines = [CSV_HEADER]
+    # the fields experiment to t, formatted once per tuple of their objects, which
+    # the rows of a task share (keyed by identity: 0.0 and -0.0 are equal)
+    heads: dict[tuple, str] = {}
     for row in rows:
-        f = row.fields()
-        f["value"] = "nan" if f["value"] is None else _fmt_float(f["value"])
-        lines.append(",".join(str(v) for v in f.values()))
+        key = tuple(map(id, (row.experiment, row.function_id, row.d, row.r, row.p, row.box, row.t)))
+        if key not in heads:
+            heads[key] = ",".join(str(v) for v in list(row.fields().values())[:7])
+        value = "nan" if row.value != row.value else _fmt_float(row.value)
+        lines.append(f"{heads[key]},{row.quantity},{value},{int(row.runtime_ms)}")
     return ("\n".join(lines) + "\n").encode()
 
 

@@ -538,7 +538,7 @@ def k_functional_bracket(f: FunctionSpec, r, t, p: float, box: Parallelepiped, *
     dim = function_dim(f, box)
     r = as_order(r, dim)
     t = as_steps(t, dim)
-    if any(ti <= 0 for ti in t):
+    if any(not ti > 0 for ti in t):  # NaN too
         raise ValueError("bracket needs t > 0 componentwise")
     omega_terms = {e: modulus(f, project(r, e), t, p, box, quad=quad, h_grid=h_grid)
                    for e in subsets(dim)}

@@ -28,6 +28,7 @@ from whitney_lab.geometry import (
     subsets,
 )
 from whitney_lab.polyapprox import TensorPolynomial
+from whitney_lab.smoother import k_functional_bracket
 
 INF = math.inf
 X2 = lambda p: p[:, 0] ** 2
@@ -359,16 +360,26 @@ class TestSharedAxisPasses:
             assert got == values(p)
 
     def test_hit_reduces_to_the_reference_norm(self, unit_box_1d):
-        # p = 2 and 3.5 after p = 1 measure |diff|^p: the largest lp_norm of
-        # the difference over each shifted box
-        f, r, t, h_grid = get_function("runge_d1"), (2,), (0.4,), 5
-        modulus(f, r, t, 1.0, unit_box_1d, quad=self.QUAD, h_grid=h_grid)
-        for p in (2.0, 3.5):
-            got = modulus(f, r, t, p, unit_box_1d, quad=self.QUAD, h_grid=h_grid)
-            best = max(lp_norm(lambda q, h=h: mixed_difference(f, r, (h,), q),
-                               shifted_domain(unit_box_1d, (2 * h,)), p, self.QUAD)
-                       for h in np.linspace(0.0, 0.4, h_grid)[1:])
-            assert got == pytest.approx(best, rel=1e-12)
+        # p = 2, 3.5 and inf after p = 1: per step, the grid path's norm is
+        # lp_norm of the difference over the shifted box (its p-th power for
+        # finite p, 0 for an empty box), and the modulus is the largest.  At
+        # t = 0.4 every shifted box is non-empty; at t = 1 the steps 1 and
+        # 0.75 empty theirs, which come first in descending order, and the
+        # step 0.5 leaves a zero-width box
+        f, r, h_grid = get_function("runge_d1"), (2,), 5
+        for t in (0.4, 1.0):
+            steps = np.linspace(0.0, t, h_grid)[:0:-1]
+            modulus(f, r, (t,), 1.0, unit_box_1d, quad=self.QUAD, h_grid=h_grid)
+            for p in (2.0, 3.5, INF):
+                norms = [lp_norm(lambda q, h=h: mixed_difference(f, r, (h,), q),
+                                 shifted_domain(unit_box_1d, (2 * h,)), p, self.QUAD)
+                         for h in steps]
+                got = differences._shift_norms(f, r, steps[:, None], p, unit_box_1d, self.QUAD)
+                np.testing.assert_allclose(got ** (1.0 / p if p < INF else 1.0), norms,
+                                           rtol=1e-12)
+                assert (np.asarray(norms) == 0.0).any() == (t == 1.0)
+                assert modulus(f, r, (t,), p, unit_box_1d, quad=self.QUAD,
+                               h_grid=h_grid) == pytest.approx(max(norms), rel=1e-12)
 
     def test_one_group_fits_the_memo(self, unit_box_2d):
         # the harness runs p = 1, 2, inf of one (f, r, t) back to back, each p
@@ -387,7 +398,21 @@ class TestSharedAxisPasses:
         # every pass of the group is still held: per axis the Lobatto active and
         # inactive passes, and the Gauss inactive, sup-type and panel passes
         info = passes.cache_info()
-        assert info.misses == info.currsize == differences._AXIS_PASS_CACHE
+        assert info.misses == info.currsize == 5 * 2
+
+    def test_next_order_remakes_no_step0_pass(self, unit_box_2d):
+        # the step-0 passes of the inactive axes hold no order and no step, so
+        # the next order of the same entry reads those of the first
+        f, calls = self._counted_factors(get_function("sinprod_d2"))
+        kw = dict(quad=self.QUAD, h_grid=9)
+        for r in ((1, 2), (3, 3)):
+            for p in (1.0, 2.0, INF):
+                for e in subsets(2):
+                    modulus(f, project(r, e), (0.3, 0.2), p, unit_box_2d, **kw)
+                    p_mean_modulus(f, project(r, e), (0.3, 0.2), p, unit_box_2d,
+                                   mean_nodes=4, **kw)
+        # per axis one Gauss and one Lobatto step-0 pass, each made once
+        assert sorted(call for call in calls if call[1] == 1) == [(0, 1)] * 2 + [(1, 1)] * 2
 
     def test_unhashable_callable_runs_uncached(self, unit_box_2d):
         # a TensorPolynomial holds an array, so it cannot key a memo
@@ -409,6 +434,16 @@ def test_invalid_p_raises_at_a_zero_step_bound(unit_box_2d, fn, p):
     # a zero step bound returns before any norm is measured, so p is checked first
     with pytest.raises(ValueError, match=r"p must lie in \[1, inf\]"):
         fn(get_function("exp_d2"), (1, 1), (0.0, 0.0), p, unit_box_2d)
+
+
+@pytest.mark.parametrize("fn", [modulus, p_mean_modulus, k_functional_bracket])
+@pytest.mark.parametrize("p", [2.0, INF])
+def test_nan_step_bound_raises(unit_box_2d, fn, p):
+    # as the config reader does; unchecked, a NaN reaches the step grid and
+    # raises FloatingPointError naming a NaN step
+    with pytest.raises(ValueError, match=r"\bt\b"):
+        fn(get_function("exp_d2"), (1, 1), (math.nan, 0.5), p, unit_box_2d,
+           quad=QuadratureSpec(8, 9), h_grid=5)
 
 
 _BAD_COUNTS = [("h_grid", 9.0), ("h_grid", True), ("h_grid", "9")]

@@ -119,7 +119,7 @@ def _p_mean_bound(f, r_e, t, p, box, quad, mean_nodes, values):
     at most ``m^|e| + |e| (m + 1) + d + 6`` roundings of it (``m`` panel
     nodes per active axis)."""
     d, k = len(r_e), sum(1 for ri in r_e if ri)
-    axis_steps = [axis_rule(GAUSS, mean_nodes, 0.0, t[i])[0] if r_e[i] else np.zeros(1)
+    axis_steps = [tuple(axis_rule(GAUSS, mean_nodes, 0.0, t[i])[0].tolist()) if r_e[i] else (0.0,)
                   for i in range(d)]
     _, delta = differences._step_bounds(f.factors, r_e, axis_steps, p, box, quad)
     rounding = (mean_nodes ** k + k * (mean_nodes + 1) + d + 6) * np.finfo(float).eps

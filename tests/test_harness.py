@@ -7,6 +7,8 @@ import sys
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whitney_lab import cli, harness
 from whitney_lab.harness import (
@@ -218,6 +220,44 @@ class TestEmit:
         target = tmp_path / "no" / "such" / "dir" / "out.csv"
         with pytest.raises(RuntimeError, match="out.csv"):
             emit([], str(target), "csv")
+
+
+@st.composite
+def _shared_field_rows(draw):
+    """Rows that draw each field from experiment to t from a small pool of
+    objects, so that they share some fields and differ in others: boxes and t
+    whose entries may be 0.0 or -0.0 (equal values that print differently), t
+    of None or with NaN, and values that may be NaN."""
+    entry = st.sampled_from([0.0, -0.0, 0.25, math.nan])
+    corners = [draw(st.sampled_from([0.0, -0.0])) for _ in range(2)]
+    pools = dict(
+        experiment=["modulus", "whitney"],
+        function_id=["exp_d2", "abspow_d2"],
+        r=[(1, 0), (3, 3)],
+        p=[draw(st.sampled_from([1.0, 2, 3.5, INF])), draw(st.sampled_from([1.0, 2.0, INF]))],
+        box=[Parallelepiped([lo, -1.5], [lo + 1.0, 2.0]) for lo in corners],
+        t=[None] + [(draw(entry), 0.5) for _ in range(2)],
+    )
+    value = st.one_of(st.floats(allow_nan=True), st.just(math.nan), st.just(-0.0))
+    rows = []
+    for _ in range(draw(st.integers(0, 24))):
+        picked = {key: draw(st.sampled_from(pool)) for key, pool in pools.items()}
+        rows.append(ResultRow(d=2, quantity=draw(st.sampled_from(["omega", "w", "error"])),
+                              value=draw(value), runtime_ms=draw(st.integers(0, 5)), **picked))
+    return rows
+
+
+@settings(max_examples=50, deadline=None)
+@given(_shared_field_rows())
+def test_csv_bytes_match_per_row_formatting(rows):
+    # csv_bytes formats the fields a row shares with another once; its bytes
+    # are those of formatting every row on its own
+    lines = [CSV_HEADER]
+    for row in rows:
+        fields = row.fields()
+        fields["value"] = "nan" if fields["value"] is None else repr(fields["value"])
+        lines.append(",".join(str(v) for v in fields.values()))
+    assert csv_bytes(rows) == ("\n".join(lines) + "\n").encode()
 
 
 class TestRunners:
