@@ -14,9 +14,10 @@ The four moduli share one call form, ``(f, r, t, p, domain, *,
 quad=QuadratureSpec(), h_grid=DEFAULT_H_GRID)``, the p-mean ones with
 ``mean_nodes=DEFAULT_MEAN_NODES`` besides.  The resolutions are keyword-only,
 so two integer resolutions can never be swapped by position.  Orders are
-plain tuples read by :func:`whitney_lab.geometry.as_order`, and a total
-modulus sums the term of ``project(r, e)`` over ``subsets(d)``.  A function
-that declares a ``dimension`` must match the box's.
+plain tuples read by :func:`whitney_lab.geometry.as_order`.  The checks the
+moduli share are :func:`_call_form`'s, and each total sums the terms that
+:func:`_subset_terms` builds, one per ``project(r, e)`` over ``subsets(d)``.
+A function that declares a ``dimension`` must match the box's.
 
 Those passes take the steps in chunks of about ``_CHUNK_POINTS`` values of
 ``f`` (the ``T`` difference terms on the reference grid, per step), so that a
@@ -329,23 +330,10 @@ def _contenders(factors, r_e: tuple[int, ...], axis_steps: list[tuple[float, ...
     return np.stack([np.asarray(h)[k] for h, k in zip(axis_steps, kept)], axis=1)
 
 
-def modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
-            h_grid: int = DEFAULT_H_GRID) -> float:
-    """Sup-type mixed modulus of order ``r_e`` at step bound ``t``.
-
-    The positive entries of ``r_e`` define the coordinate subset.  Discretized
-    sup over the non-negative step grid of the L_p norm of the mixed
-    difference over the shifted domain; empty shifted domains contribute
-    nothing.  ``t`` is clamped componentwise to the box size (a larger search
-    radius adds nothing; the clamp is logged).  ``h_grid`` is the number of
-    equispaced step values per active axis, endpoints included.  The zero
-    step is never evaluated: a difference with ``h_i = 0`` on an active axis
-    is 0, so the search runs over the other ``h_grid - 1`` values of each
-    axis, and any active ``t_i == 0`` gives 0.0.  For an entry with ``factors``
-    and d >= 2, a per-axis bound prunes the steps that cannot hold the sup
-    before the grid measures the rest; the value is the same float (module
-    docstring).
-    """
+def _call_form(f, r_e, t, p, domain, h_grid):
+    """The checked call form of the moduli: ``(d, r_e, |t|, active axes,
+    h_grid)``.  A norm of a difference is even in each step (module
+    docstring), hence ``|t|``."""
     if not (1.0 <= p <= math.inf):
         raise ValueError(f"p must lie in [1, inf], got {p}")
     dim = function_dim(f, domain)
@@ -355,8 +343,37 @@ def modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
         raise ValueError(f"t must not be NaN, got {t}")
     active = [i for i in range(dim) if r_e[i] > 0]
     if not active:
-        raise ValueError("modulus needs an order with a positive entry")
-    h_grid = _count("h_grid", h_grid, 2)
+        raise ValueError(f"a modulus needs an order with a positive entry, got {r_e}")
+    return dim, r_e, tuple(map(abs, t)), active, _count("h_grid", h_grid, 2)
+
+
+def _subset_terms(term, f, r, t, p, domain, **resolutions) -> dict:
+    """``{e: term(f, project(r, e), t, p, domain, **resolutions)}`` over
+    :func:`subsets`, in its order: the terms of a total, for ``r >= 1``."""
+    r = as_order(r, function_dim(f, domain))
+    if min(r) < 1:
+        raise ValueError(f"a total over the axis subsets needs r >= 1 on every axis, got {r}")
+    return {e: term(f, project(r, e), t, p, domain, **resolutions) for e in subsets(len(r))}
+
+
+def modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
+            h_grid: int = DEFAULT_H_GRID) -> float:
+    """Sup-type mixed modulus of order ``r_e`` at step bound ``t``.
+
+    The positive entries of ``r_e`` define the coordinate subset.  Discretized
+    sup over the non-negative step grid of the L_p norm of the mixed
+    difference over the shifted domain; empty shifted domains contribute
+    nothing.  ``t`` is read as ``|t|`` and clamped componentwise to the box
+    size (a larger search radius adds nothing; the clamp is logged).
+    ``h_grid`` is the number of equispaced step values per active axis,
+    endpoints included.  The zero step is never evaluated: a difference with
+    ``h_i = 0`` on an active axis is 0, so the search runs over the other
+    ``h_grid - 1`` values of each axis, and any active ``t_i == 0`` gives 0.0.
+    For an entry with ``factors`` and d >= 2, a per-axis bound prunes the
+    steps that cannot hold the sup before the grid measures the rest; the
+    value is the same float (module docstring).
+    """
+    dim, r_e, t, active, h_grid = _call_form(f, r_e, t, p, domain, h_grid)
     clamped = tuple(min(ti, float(si)) for ti, si in zip(t, domain.size()))
     if clamped != t:
         log.info("clamping modulus step bound %s to box size %s", t, clamped)
@@ -376,11 +393,7 @@ def modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
 def total_modulus(f, r, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
                   h_grid: int = DEFAULT_H_GRID) -> float:
     """Total mixed modulus: sum of the sup-type moduli over non-empty subsets."""
-    r = as_order(r, function_dim(f, domain))
-    if min(r) < 1:
-        raise ValueError("total modulus needs r >= 1 on every axis")
-    return sum(modulus(f, project(r, e), t, p, domain, quad=quad, h_grid=h_grid)
-               for e in subsets(len(r)))
+    return sum(_subset_terms(modulus, f, r, t, p, domain, quad=quad, h_grid=h_grid).values())
 
 
 def p_mean_modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpec(),
@@ -389,9 +402,10 @@ def p_mean_modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpe
     """p-mean modulus of order ``r_e``: step-integrated variant of the sup modulus.
 
     Computes ``((prod_{active} t_i^-1) * int_{|h_i|<=t_i} int |diff|^p dx dh)^(1/p)``
-    over the signed step box of the active axes.  The integrand is even in each
-    ``h_i`` (module docstring), so one ``mean_nodes``-point Gauss-Legendre panel
-    on ``[0, t_i]``, ending at the generic kink h = 0, carries doubled weights.
+    over the signed step box of the active axes, ``t`` read as ``|t|``.  The
+    integrand is even in each ``h_i`` (module docstring), so one
+    ``mean_nodes``-point Gauss-Legendre panel on ``[0, t_i]``, ending at the
+    generic kink h = 0, carries doubled weights.
     At p = inf the value is :func:`modulus` with the same ``h_grid``, bit for bit.
     At finite p an entry with ``factors`` and d >= 2 takes the step integral
     as a product of 1-D ones over its factors, which lies within a bound of
@@ -405,16 +419,7 @@ def p_mean_modulus(f, r_e, t, p, domain, *, quad: QuadratureSpec = QuadratureSpe
     ``w_e <= omega_e`` does not hold (``f(x) = x``, r = 1, t = 1, p = 1 gives
     ``w = 1/3`` against ``omega = 1/4``).
     """
-    if not (1.0 <= p <= math.inf):
-        raise ValueError(f"p must lie in [1, inf], got {p}")
-    dim = function_dim(f, domain)
-    r_e = as_order(r_e, dim)
-    t = as_steps(t, dim)
-    if any(math.isnan(ti) for ti in t):
-        raise ValueError(f"t must not be NaN, got {t}")
-    active = [i for i in range(dim) if r_e[i] > 0]
-    if not active:
-        raise ValueError("p-mean modulus needs a non-empty active subset")
+    dim, r_e, t, active, h_grid = _call_form(f, r_e, t, p, domain, h_grid)
     mean_nodes = _count("mean_nodes", mean_nodes, 1)
     if p == math.inf:
         return modulus(f, r_e, t, p, domain, quad=quad, h_grid=h_grid)
@@ -443,12 +448,8 @@ def total_p_mean_modulus(f, r, t, p, domain, *, quad: QuadratureSpec = Quadratur
                          h_grid: int = DEFAULT_H_GRID,
                          mean_nodes: int = DEFAULT_MEAN_NODES) -> float:
     """Total p-mean modulus: sum of p-mean moduli over non-empty subsets."""
-    r = as_order(r, function_dim(f, domain))
-    if min(r) < 1:
-        raise ValueError("total p-mean modulus needs r >= 1 on every axis")
-    return sum(p_mean_modulus(f, project(r, e), t, p, domain, quad=quad, h_grid=h_grid,
-                              mean_nodes=mean_nodes)
-               for e in subsets(len(r)))
+    return sum(_subset_terms(p_mean_modulus, f, r, t, p, domain, quad=quad, h_grid=h_grid,
+                             mean_nodes=mean_nodes).values())
 
 
 def whitney_constant_sum(r) -> float:

@@ -219,9 +219,9 @@ def _reciprocal_quadratic_derivs(c: float, x: np.ndarray, order: int) -> np.ndar
     return g_prev1
 
 
-def _runge_spec(spec_id: str, dim: int, c: float = 25.0) -> FunctionSpec:
-    return _product_spec(spec_id, (12,) * dim, [lambda xi: 1.0 / (1.0 + c * xi * xi)] * dim,
-                         lambda i, k: lambda xi: _reciprocal_quadratic_derivs(c, xi, k))
+def _runge_spec(spec_id: str, dim: int) -> FunctionSpec:
+    return _product_spec(spec_id, (12,) * dim, [lambda xi: 1.0 / (1.0 + 25.0 * xi * xi)] * dim,
+                         lambda i, k: lambda xi: _reciprocal_quadratic_derivs(25.0, xi, k))
 
 
 def _abspow_spec(spec_id: str, centers: tuple[float, ...], alpha: float) -> FunctionSpec:

@@ -36,6 +36,7 @@ import numpy as np
 from .differences import (
     DEFAULT_H_GRID,
     DEFAULT_MEAN_NODES,
+    _subset_terms,
     modulus,
     p_mean_modulus,
     total_modulus,
@@ -50,8 +51,6 @@ from .geometry import (
     Parallelepiped,
     QuadratureSpec,
     lp_norm,
-    project,
-    subsets,
 )
 from .polyapprox import (
     best_approx,
@@ -390,8 +389,8 @@ class RunResult:
 # runners
 # ---------------------------------------------------------------------------
 
-def _na_ratio(num: float, den: float, scale: float = 0.0) -> float:
-    if den <= 1e-12 * (1.0 + scale):
+def _na_ratio(num: float, den: float) -> float:
+    if den <= 1e-12:
         return math.nan
     return num / den
 
@@ -492,15 +491,16 @@ def _lemma21_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p:
 def _modulus_task(cfg: ExperimentConfig, f: FunctionSpec, r: tuple[int, ...], p: float,
                   box: Parallelepiped, t: tuple[float, ...]) -> tuple[list[tuple], bool]:
     res = cfg.resolutions
-    quad = res.quad
-    pairs = []
-    for e in subsets(f.dimension):
-        r_e = project(r, e)
-        omega = modulus(f, r_e, t, p, box, quad=quad, h_grid=res.h_grid)
+
+    def both(f, r_e, t, p, box, **kw):  # each row carries its subset's order r_e
+        omega = modulus(f, r_e, t, p, box, **kw)
         # at p = inf the p-mean modulus is this sup-type modulus, bit for bit
-        w = omega if p == math.inf else p_mean_modulus(
-            f, r_e, t, p, box, quad=quad, h_grid=res.h_grid, mean_nodes=res.mean_nodes)
-        pairs += [("omega", omega, r_e), ("w", w, r_e)]
+        w = omega if p == math.inf else p_mean_modulus(f, r_e, t, p, box,
+                                                       mean_nodes=res.mean_nodes, **kw)
+        return ("omega", omega, r_e), ("w", w, r_e)
+
+    terms = _subset_terms(both, f, r, t, p, box, quad=res.quad, h_grid=res.h_grid)
+    pairs = [pair for rows in terms.values() for pair in rows]
     return pairs + [(total, sum(v for q, v, _ in pairs if q == term))
                     for total, term in (("Omega", "omega"), ("W", "w"))], False
 

@@ -33,7 +33,7 @@ cancellation of the derivative stencils: the round-off of the base values
 is amplified by the product of the per-axis weight sums, about
 ``prod t_i^-r_i`` on the derivative axes, so at small t the mixed
 derivative norms carry a relative error far above the unit round-off
-(ROADMAP item 8), and factoring them would move the output by up to 2% at
+(ROADMAP item 3b), and factoring them would move the output by up to 2% at
 small t.
 
 The same amplification makes the bits of a grid-contracted term depend on
@@ -82,7 +82,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .differences import DEFAULT_H_GRID, modulus, whitney_constant_sum
+from .differences import DEFAULT_H_GRID, _count, _subset_terms, modulus, whitney_constant_sum
 from .functions import FunctionSpec, _pts
 from .geometry import (
     GAUSS,
@@ -179,7 +179,8 @@ def _identity_op() -> AxisOp:
 
 
 def _smoothing_op(k: int, t: float, panel_nodes: int) -> AxisOp:
-    h, wM = _bspline_quadrature(k, panel_nodes)
+    # checked outside the memo, whose key does not tell True from 1
+    h, wM = _bspline_quadrature(k, _count("panel_nodes", panel_nodes, 1))
     offsets = [np.zeros(1)]
     weights = [np.array([1.0 - wM.sum()])]  # f(x) term plus the j = 0 difference term
     for j in range(1, k + 1):
@@ -317,33 +318,27 @@ def smooth_univariate(f, k: int, t: float, axis: int, box: Parallelepiped,
     """
     if k < 1:
         raise ValueError("order must be >= 1")
-    d = box.dim
-    if not 0 <= axis < d:
+    if not 0 <= axis < box.dim:
         raise ValueError(f"axis {axis} out of range")
-    a, b = box.axis_interval(axis)
-    if not _in_smoother_range(a, b, k, t):
-        raise DomainValidityError(f"|t|={abs(t)} exceeds the validity bound on [{a}, {b}]")
-    ops = [_identity_op() for _ in range(d)]
-    ops[axis] = _smoothing_op(k, t, panel_nodes)
-    lo, hi = list(box.lower), list(box.upper)
-    lo[axis], hi[axis] = _trimmed_interval(a, b, t)
-    return SmoothedFunction(tuple(ops), f, Parallelepiped(lo, hi))
+    r, steps = [0] * box.dim, [0.0] * box.dim
+    r[axis], steps[axis] = k, t
+    ops, domain = _signed_ops_and_domain(r, steps, box, panel_nodes)
+    return SmoothedFunction(ops, f, domain)
 
 
 def _signed_ops_and_domain(r: tuple[int, ...], t, box: Parallelepiped, panel_nodes: int):
     """The smoothing stencil of each axis at the signed steps t, and the
-    validity box they share."""
-    if min(r) < 1:
-        raise ValueError(f"smoother orders must be >= 1, got {r}")
+    validity box they share; an axis of order 0 keeps the identity and its
+    interval."""
     t = as_steps(t, len(r))
-    ops = []
+    ops = [_identity_op() for _ in r]
     lo, hi = list(box.lower), list(box.upper)
-    for i in range(len(r)):
+    for i in [i for i in range(len(r)) if r[i]]:
         a, b = box.axis_interval(i)
         if not _in_smoother_range(a, b, r[i], t[i]):
             raise DomainValidityError(
                 f"|t_{i}|={abs(t[i])} exceeds the validity bound on [{a}, {b}]")
-        ops.append(_smoothing_op(r[i], t[i], panel_nodes))
+        ops[i] = _smoothing_op(r[i], t[i], panel_nodes)
         lo[i], hi[i] = _trimmed_interval(a, b, t[i])
     return tuple(ops), Parallelepiped(lo, hi)
 
@@ -356,6 +351,8 @@ def smooth_mixed(f, r, t, box: Parallelepiped,
     the respective stepping side.
     """
     r = as_order(r, box.dim)
+    if min(r) < 1:
+        raise ValueError(f"smoother orders must be >= 1, got {r}")
     ops, domain = _signed_ops_and_domain(r, t, box, panel_nodes)
     return SmoothedFunction(ops, f, domain)
 
@@ -371,14 +368,13 @@ def smoothed_derivative(f, r, t, e: tuple[int, ...], box: Parallelepiped,
     The combination carries the binomial coefficient; a finite-difference
     oracle in the tests confirms this form.
     """
-    r = as_order(r, box.dim)
+    r, t = as_order(r, box.dim), as_steps(t, box.dim)
     if not e or not set(e) <= set(range(box.dim)):
         raise ValueError(f"smoothed_derivative needs a non-empty subset of the axes, got {e}")
-    t = as_steps(t, box.dim)
-    smooth, domain = _signed_ops_and_domain(r, t, box, panel_nodes)
+    smooth = smooth_mixed(f, r, t, box, panel_nodes)
     ops = tuple(_derivative_op(r[i], t[i]) if i in e else op
-                for i, op in enumerate(smooth))
-    return SmoothedFunction(ops, f, domain)
+                for i, op in enumerate(smooth.ops))
+    return SmoothedFunction(ops, f, smooth.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -440,18 +436,24 @@ def _box_values(f: FunctionSpec, r: tuple[int, ...], box: Parallelepiped,
     return _read_only(wts), _read_only(grid_values(f, axes).reshape(-1)), derivs, polys
 
 
+def _weighted_sum(start: float, r: tuple[int, ...], t, norms) -> tuple[float, dict]:
+    """``start`` plus ``prod_{i in e} t_i^{r_i} * norm`` over :func:`subsets`
+    and the ``norms``, added left to right; and those terms by subset."""
+    terms = {}
+    for e, norm in zip(subsets(len(r)), norms):
+        terms[e] = float(np.prod([t[i] ** r[i] for i in e])) * norm
+        start += terms[e]
+    return start, terms
+
+
 def _box_candidates(f: FunctionSpec, r: tuple[int, ...], t, p, box, quad: QuadratureSpec):
     """Candidates valid on the whole given box (no smoother): g = 0, g = f
     (weights ``t^r(e)`` on the memoized derivative values), the polynomials."""
     wts, vals, derivs, polys = _box_values(f, r, box, quad, *quad.rule_for(p, box.dim))
     cands = [("zero", grid_norm(vals, wts, p))]
     if derivs is not None:
-        t = as_steps(t, len(r))
-        total = 0.0
-        for e, deriv in zip(subsets(len(r)), derivs):
-            weight = float(np.prod([t[i] ** r[i] for i in e]))
-            total += weight * grid_norm(deriv, wts, p)
-        cands.append(("identity", total))
+        cands.append(("identity", _weighted_sum(0.0, r, t, (grid_norm(d, wts, p)
+                                                           for d in derivs))[0]))
     cands.extend((name, grid_norm(res, wts, p)) for name, res in polys)
     return cands
 
@@ -484,17 +486,11 @@ def _directional_upper(f: FunctionSpec, r: tuple[int, ...], t, sigma: tuple[int,
                        p, box, quad: QuadratureSpec, panel_nodes: int):
     """Functional value of the signed smoother, measured on its validity box,
     from the memoized stencil outputs of :func:`_signed_values`."""
-    t = as_steps(t, len(r))
     signed = tuple(s * ti for s, ti in zip(sigma, t))
     wts, fg_vals, terms = _signed_values(f, r, signed, box, quad, panel_nodes,
                                          *quad.rule_for(p, len(r)))
-    value = f_minus_g = grid_norm(fg_vals, wts, p)
-    deriv_terms = {}
-    for e, vals in zip(subsets(len(r)), terms):
-        weight = float(np.prod([t[i] ** r[i] for i in e]))
-        term = weight * grid_norm(vals, wts, p)
-        deriv_terms[e] = term
-        value += term
+    f_minus_g = grid_norm(fg_vals, wts, p)
+    value, deriv_terms = _weighted_sum(f_minus_g, r, t, (grid_norm(v, wts, p) for v in terms))
     return value, f_minus_g, deriv_terms
 
 
@@ -540,8 +536,9 @@ def k_functional_bracket(f: FunctionSpec, r, t, p: float, box: Parallelepiped, *
     t = as_steps(t, dim)
     if any(not ti > 0 for ti in t):  # NaN too
         raise ValueError("bracket needs t > 0 componentwise")
-    omega_terms = {e: modulus(f, project(r, e), t, p, box, quad=quad, h_grid=h_grid)
-                   for e in subsets(dim)}
+    # as _smoothing_op does; the memo of _signed_values does not tell True from 1
+    panel_nodes = _count("panel_nodes", panel_nodes, 1)
+    omega_terms = _subset_terms(modulus, f, r, t, p, box, quad=quad, h_grid=h_grid)
     omega_total = float(sum(omega_terms.values()))
     lower = omega_total / whitney_constant_sum(r)
 

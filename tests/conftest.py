@@ -2,10 +2,16 @@ import math
 import sys
 
 import pytest
+from hypothesis import settings
 
 from whitney_lab.geometry import Parallelepiped, QuadratureSpec
 
 INF = math.inf
+
+# Under CI hypothesis loads its "ci" profile, which derandomizes every draw
+# and so ignores --hypothesis-seed.  This profile keeps the rest of "ci" and
+# lets the seed pick the draws: `--hypothesis-profile seeded --hypothesis-seed N`.
+settings.register_profile("seeded", parent=settings.get_profile("ci"), derandomize=False)
 
 
 def _clear_memos():

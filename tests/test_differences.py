@@ -464,6 +464,15 @@ def test_resolution_counts_must_be_ints(unit_box_1d, quad_1d, fn, name, value):
             == fn(f, (1,), (0.5,), p, unit_box_1d, quad=quad_1d, **{name: 9}))
 
 
+@pytest.mark.parametrize("fn", [p_mean_modulus, total_p_mean_modulus])
+@pytest.mark.parametrize("value", [9.0, True, "9", 1])
+def test_p_mean_checks_h_grid_at_finite_p(unit_box_1d, quad_1d, fn, value):
+    # only p = inf reads h_grid, but a value that p = inf refuses used to pass
+    # silently at finite p
+    with pytest.raises(ValueError, match="h_grid"):
+        fn(get_function("exp_d1"), (1,), (0.5,), 2.0, unit_box_1d, quad=quad_1d, h_grid=value)
+
+
 class TestPMeanModulus:
     def test_polynomial_gives_zero(self, unit_box_1d, quad_1d):
         f = get_function("poly_d1_deg1")
@@ -613,3 +622,18 @@ def test_whitney_constant_sum_values():
     assert whitney_constant_sum((2,)) == 5.0          # 1 + 4
     assert whitney_constant_sum((1, 1)) == 9.0        # 1 + 2 + 2 + 4
     assert whitney_constant_sum((2, 3)) == 45.0       # (1+4)(1+8)
+
+
+@pytest.mark.parametrize("fn", [modulus, p_mean_modulus, total_modulus, total_p_mean_modulus])
+@pytest.mark.parametrize("fid,r,p,t", [("exp_d2", (1, 2), INF, 0.3), ("exp_d2", (1, 2), INF, 5.0),
+                                       ("exp_d2", (1, 2), 2.0, 0.3), ("exp_d1", (2,), 2.0, 5.0)])
+def test_negative_step_bound_gives_the_value_of_its_magnitude(fn, fid, r, p, t):
+    # a difference's norm is even in each step; -t used to be clamped to the box
+    # with its sign (-5 searched steps down to -5, not to -1), and inside the
+    # box it searched the mirrored steps, whose values differ in the last bits
+    f = get_function(fid)
+    box = Parallelepiped.unit(f.dimension)
+    kw = dict(quad=QuadratureSpec(16, 17), h_grid=17)
+    ts = (t,) * f.dimension
+    neg = fn(f, r, tuple(-v for v in ts), p, box, **kw)
+    assert repr(neg) == repr(fn(f, r, ts, p, box, **kw))

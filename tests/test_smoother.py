@@ -505,3 +505,24 @@ class TestSharedAcrossP:
         assert smoother._box_values.cache_info().misses == 5  # the box and its 4 subboxes
         assert smoother._signed_values.cache_info().misses == 4  # one per sigma
 
+
+@pytest.mark.parametrize("panel_nodes", [0, 1.5, True])
+@pytest.mark.parametrize("build", [
+    lambda f, box, n: k_functional_bracket(f, (2, 2), (0.01, 0.01), 2.0, box,
+                                           quad=QuadratureSpec(8, 9), h_grid=5, panel_nodes=n),
+    lambda f, box, n: smooth_mixed(f, (2, 2), (0.01, 0.01), box, n),
+], ids=["k_functional_bracket", "smooth_mixed"])
+def test_panel_nodes_is_a_count(unit_box_2d, build, panel_nodes):
+    # as h_grid and mean_nodes: 0 raised numpy's "deg must be a positive
+    # integer", 1.5 a TypeError, and True ran a 1-node rule
+    with pytest.raises(ValueError, match="panel_nodes"):
+        build(get_function("exp_d2"), unit_box_2d, panel_nodes)
+
+
+def test_panel_nodes_true_is_refused_on_a_warm_memo(unit_box_2d):
+    # True == 1 in the key of the _signed_values memo, so a warm bracket never
+    # reaches _smoothing_op's check; the bracket checks panel_nodes itself
+    f, kw = get_function("exp_d2"), dict(quad=QuadratureSpec(8, 9), h_grid=5)
+    k_functional_bracket(f, (2, 2), (0.01, 0.01), 2.0, unit_box_2d, panel_nodes=1, **kw)
+    with pytest.raises(ValueError, match="panel_nodes"):
+        k_functional_bracket(f, (2, 2), (0.01, 0.01), 2.0, unit_box_2d, panel_nodes=True, **kw)
