@@ -92,6 +92,17 @@ def project(r: Sequence[int], e: Sequence[int]) -> tuple[int, ...]:
     return tuple(ri if i in e else 0 for i, ri in enumerate(r))
 
 
+def _weighted_sum(start: float, r: tuple[int, ...], t, norms) -> tuple[float, dict]:
+    """``start`` plus ``prod_{i in e} t_i^{r_i} * norm`` over :func:`subsets`
+    and the ``norms``, added left to right; and those terms by subset: the
+    K-bracket's derivative terms and the Taylor remainder bound."""
+    terms = {}
+    for e, norm in zip(subsets(len(r)), norms):
+        terms[e] = float(np.prod([t[i] ** r[i] for i in e])) * norm
+        start += terms[e]
+    return start, terms
+
+
 def function_dim(f, box: Parallelepiped) -> int:
     """The box's dimension; a function that declares another ``dimension`` is an error."""
     dim = getattr(f, "dimension", box.dim)

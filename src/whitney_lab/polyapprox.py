@@ -29,6 +29,7 @@ from .geometry import (
     GeometryError,
     Parallelepiped,
     QuadratureSpec,
+    _weighted_sum,
     as_order,
     axis_rule,
     box_rule,
@@ -222,12 +223,8 @@ def taylor_remainder_bound(f: FunctionSpec, r, p: float, box: Parallelepiped,
     r = as_order(r, function_dim(f, box))
     if not f.is_sobolev:
         raise CapabilityError(f"{f.id} does not expose the derivatives the bound needs")
-    size = box.size()
-    total = 0.0
-    for e in subsets(f.dimension):
-        weight = float(np.prod([size[i] ** r[i] for i in e]))
-        total += weight * lp_norm(f.derivative_fn(project(r, e)), box, p, quad)
-    return total
+    norms = (lp_norm(f.derivative_fn(project(r, e)), box, p, quad) for e in subsets(len(r)))
+    return _weighted_sum(0.0, r, box.size(), norms)[0]
 
 
 def equioscillation_count(residual, E: float, box: Parallelepiped,

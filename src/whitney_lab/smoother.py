@@ -88,6 +88,7 @@ from .geometry import (
     GAUSS,
     Parallelepiped,
     QuadratureSpec,
+    _weighted_sum,
     as_order,
     as_steps,
     axis_rule,
@@ -434,16 +435,6 @@ def _box_values(f: FunctionSpec, r: tuple[int, ...], box: Parallelepiped,
                        lambda q: np.asarray(f(q)) - poly(q), axes).reshape(-1)))
                   for name, poly in _box_polys(f, r, box, quad))
     return _read_only(wts), _read_only(grid_values(f, axes).reshape(-1)), derivs, polys
-
-
-def _weighted_sum(start: float, r: tuple[int, ...], t, norms) -> tuple[float, dict]:
-    """``start`` plus ``prod_{i in e} t_i^{r_i} * norm`` over :func:`subsets`
-    and the ``norms``, added left to right; and those terms by subset."""
-    terms = {}
-    for e, norm in zip(subsets(len(r)), norms):
-        terms[e] = float(np.prod([t[i] ** r[i] for i in e])) * norm
-        start += terms[e]
-    return start, terms
 
 
 def _box_candidates(f: FunctionSpec, r: tuple[int, ...], t, p, box, quad: QuadratureSpec):
