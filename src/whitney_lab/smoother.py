@@ -332,16 +332,16 @@ def _signed_ops_and_domain(r: tuple[int, ...], t, box: Parallelepiped, panel_nod
     validity box they share; an axis of order 0 keeps the identity and its
     interval."""
     t = as_steps(t, len(r))
-    ops = [_identity_op() for _ in r]
     lo, hi = list(box.lower), list(box.upper)
     for i in [i for i in range(len(r)) if r[i]]:
         a, b = box.axis_interval(i)
         if not _in_smoother_range(a, b, r[i], t[i]):
             raise DomainValidityError(
                 f"|t_{i}|={abs(t[i])} exceeds the validity bound on [{a}, {b}]")
-        ops[i] = _smoothing_op(r[i], t[i], panel_nodes)
         lo[i], hi[i] = _trimmed_interval(a, b, t[i])
-    return tuple(ops), Parallelepiped(lo, hi)
+    ops = tuple(_smoothing_op(ri, ti, panel_nodes) if ri else _identity_op()
+                for ri, ti in zip(r, t))
+    return ops, Parallelepiped(lo, hi)
 
 
 def smooth_mixed(f, r, t, box: Parallelepiped,
